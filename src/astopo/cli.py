@@ -237,9 +237,8 @@ def cmd_metrics(args) -> None:
                 k_max=None, k_avg=None, aspl=None, C=None, rho=None, r=None,
             )
         rows.append(row)
-        if snap.graph.node_count > 0:
-            ccdf = metrics.degree_ccdf(snap.graph.giant_component())
-            (out / f"ccdf_{snap.date}.csv").write_text(metrics.ccdf_to_csv(ccdf))
+        if row.ccdf:
+            (out / f"ccdf_{snap.date}.csv").write_text(metrics.ccdf_to_csv(row.ccdf))
 
     table = metrics.MetricSeries(rows=rows, family=series.family, monitor_set=series.monitor_set)
     csv_path = out / "metrics.csv"

@@ -1,8 +1,10 @@
-"""Undirected simple AS graph plus monthly snapshot containers.
+"""Undirected simple AS graph, its CSR traversal form, and monthly snapshot containers.
 
 AS numbers are plain ints in the 32-bit range and are never remapped: the
 number that goes in is the number that comes back out of every traversal,
-serialization, and report.
+serialization, and report. CsrGraph indexes nodes by their position in the
+sorted AS numbers internally, and takes and returns AS numbers at its
+boundary.
 """
 
 from __future__ import annotations
@@ -10,12 +12,22 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CorpusError, EmptyGraphError, UnknownNodeError
 
 AS_MAX = 2**32 - 1
+
+# Sources per multi-source BFS batch: 8 uint64 words per node. Memory per
+# batch is O(L x 8) words, whatever the number of sources.
+MSBFS_BATCH = 512
+
+# Set bits per byte value; numpy gained bitwise_count only in 2.0.
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 IPV4 = "ipv4"
 IPV6 = "ipv6"
@@ -144,13 +156,13 @@ class AsGraph:
 
     def components(self) -> Iterator[set[int]]:
         """Connected components, in ascending order of their smallest AS number."""
-        seen: set[int] = set()
-        for start in sorted(self._adj):
-            if start in seen:
-                continue
-            comp = set(self.bfs_distances(start))
-            seen |= comp
-            yield comp
+        if not self._adj:
+            return
+        csr = CsrGraph(self)
+        roots = csr.component_roots()
+        order = np.argsort(roots, kind="stable")
+        for comp in np.split(csr.labels[order], np.flatnonzero(np.diff(roots[order])) + 1):
+            yield set(comp.tolist())
 
     def giant_component(self) -> "AsGraph":
         """Induced subgraph of the largest component.
@@ -160,18 +172,106 @@ class AsGraph:
         """
         if not self._adj:
             raise EmptyGraphError("graph has no nodes")
-        best: set[int] | None = None
-        for comp in self.components():
-            if best is None or len(comp) > len(best):
-                best = comp
-        assert best is not None
+        csr = CsrGraph(self)
         sub = AsGraph()
-        for u in best:
-            sub.add_node(u)
-            for v in self._adj[u]:
-                if u < v:
-                    sub.add_edge(u, v)
+        # A component is closed under adjacency, so whole neighbour sets carry over.
+        for u in csr.labels[csr.giant()].tolist():
+            sub._adj[u] = set(self._adj[u])
+            sub._edge_count += len(self._adj[u])
+        sub._edge_count //= 2
         return sub
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Number of set bits in a C-contiguous array of unsigned integers."""
+    return int(_POPCOUNT8[words.view(np.uint8)].sum())
+
+
+class CsrGraph:
+    """Read-only compressed-sparse-row copy of an AsGraph, for numpy traversal.
+
+    labels holds the AS numbers in ascending order; the neighbours of the node
+    at position i are labels[indices[indptr[i]:indptr[i + 1]]].
+    """
+
+    __slots__ = ("labels", "indptr", "indices", "_gather", "_isolated")
+
+    def __init__(self, g: AsGraph) -> None:
+        adj = g._adj
+        order = sorted(adj)
+        self.labels = np.array(order, dtype=np.int64)
+        self.indptr = np.zeros(len(order) + 1, dtype=np.intp)
+        np.cumsum([len(adj[u]) for u in order], out=self.indptr[1:])
+        flat = np.fromiter(chain.from_iterable(adj[u] for u in order), np.int64, int(self.indptr[-1]))
+        self.indices = np.searchsorted(self.labels, flat)
+        isolated = np.diff(self.indptr) == 0
+        self._isolated = np.flatnonzero(isolated)
+        # reduceat rejects a start offset equal to the array length, which an
+        # isolated last node has. One padding entry makes it valid and lies in
+        # no other node's range; _pull overwrites the rows of isolated nodes.
+        self._gather = np.append(self.indices, 0) if isolated[-1:].any() else self.indices
+
+    def _pull(self, ufunc: np.ufunc, values: np.ndarray, empty) -> np.ndarray:
+        """ufunc-reduce the rows of values over each node's neighbours; empty for isolated nodes."""
+        out = ufunc.reduceat(values[self._gather], self.indptr[:-1], axis=0)
+        out[self._isolated] = empty
+        return out
+
+    def component_roots(self) -> np.ndarray:
+        """Position of the smallest node of each node's component.
+
+        Min-label propagation with pointer jumping. Every label is the position
+        of a node in the same component and never exceeds its own node's, so
+        labels only fall, and they stop once each component shares its minimum.
+        """
+        roots = np.arange(len(self.labels))
+        while True:
+            low = np.minimum(roots, self._pull(np.minimum, roots, len(roots)))
+            low = low[low]
+            if np.array_equal(low, roots):
+                return roots
+            roots = low
+
+    def giant(self) -> np.ndarray:
+        """Ascending positions of the largest component.
+
+        Size ties go to the component containing the smallest AS number.
+        """
+        roots = self.component_roots()
+        return np.flatnonzero(roots == np.argmax(np.bincount(roots)))
+
+    def distance_total(self, sources: Sequence[int]) -> int:
+        """Sum over sources of the hop counts to every node each one reaches.
+
+        Multi-source BFS (Then et al., VLDB 2014): each source of a batch of
+        MSBFS_BATCH owns one bit of a row of uint64 words per node, and one
+        level pulls the frontier bits of every node's neighbours with a single
+        bitwise-or reduction over the CSR arrays. The total is a Python int.
+        """
+        src = np.asarray(sources, dtype=np.int64)
+        pos = np.searchsorted(self.labels, src)
+        known = pos < len(self.labels)
+        known[known] = self.labels[pos[known]] == src[known]
+        if not known.all():
+            raise UnknownNodeError(f"AS {src[~known][0]} is not in the graph")
+        total = 0
+        for lo in range(0, len(pos), MSBFS_BATCH):
+            batch = pos[lo:lo + MSBFS_BATCH]
+            bit = np.arange(len(batch), dtype=np.uint64)
+            frontier = np.zeros((len(self.labels), (len(batch) + 63) // 64), dtype=np.uint64)
+            np.bitwise_or.at(frontier, (batch, bit // 64), np.left_shift(np.uint64(1), bit % 64))
+            seen = frontier.copy()
+            level = 0
+            while True:
+                frontier = self._pull(np.bitwise_or, frontier, 0)
+                frontier &= ~seen
+                reached = _popcount(frontier)
+                if not reached:
+                    break
+                level += 1
+                total += level * reached
+                seen |= frontier
+        return total
 
 
 @dataclass

@@ -25,10 +25,11 @@ REJECT_MALFORMED = "malformed"
 REJECT_REASONS = (REJECT_AS_SET, REJECT_PRIVATE_ASN, REJECT_LOOP, REJECT_MALFORMED)
 
 # IANA-reserved ASN space treated as "private": the 16-bit and 32-bit private
-# blocks, AS_TRANS, and the reserved values 0 and 65535.
+# blocks, AS_TRANS, and the reserved values 0, 65535 and 4294967295 (the last
+# 16-bit and the last 32-bit ASN, RFC 7300).
 _PRIVATE_16 = range(64512, 65535)
 _PRIVATE_32 = range(4200000000, 4294967295)
-_RESERVED = frozenset({0, 23456, 65535})
+_RESERVED = frozenset({0, 23456, 65535, 4294967295})
 
 _MONTH_DIR_RE = re.compile(r"^\d{4}-\d{2}$")
 

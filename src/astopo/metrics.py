@@ -5,13 +5,20 @@ snapshot; structure metrics (ASPL, clustering, assortativity, degree-CCDF
 exponent) on its giant component, so disconnected fixture months stay well
 defined. Counting metrics use integer arithmetic until the final division,
 which makes them exact and relabeling-invariant bit for bit.
+
+metric_row finds the giant component once and hands it to every structure
+metric. ASPL freezes its graph to a CsrGraph and sums BFS distances with the
+bit-parallel multi-source BFS of CsrGraph.distance_total: MSBFS_BATCH (512)
+sources per batch, one bit each, so its working memory is O(L x 8) words
+whatever the number of sources. The total is a Python int divided once, so
+sampled ASPL with the source count capped equals exact ASPL bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +30,7 @@ from .errors import (
     InsufficientDataError,
     UndefinedMetricError,
 )
-from .graph import AsGraph, Snapshot, SnapshotSeries
+from .graph import AsGraph, CsrGraph, Snapshot, SnapshotSeries
 
 CSV_HEADER = "date,N,L,k_max,k_avg,aspl,C,rho,r"
 CCDF_CSV_HEADER = "k,p"
@@ -39,6 +46,9 @@ class CcdfPoint:
 
 @dataclass
 class MetricRow:
+    """One month's metrics; ccdf is the giant component's degree CCDF that r
+    is fitted on, kept for the per-month CCDF file and not a CSV/JSON column."""
+
     date: str
     N: int
     L: int
@@ -48,6 +58,7 @@ class MetricRow:
     C: float | None
     rho: float | None
     r: float | None
+    ccdf: list[CcdfPoint] = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -146,21 +157,18 @@ def average_shortest_path_length(
     """
     if g.node_count < 2:
         raise DegenerateInputError("ASPL needs at least 2 nodes")
-    gc = g.giant_component()
-    n = gc.node_count
+    csr = CsrGraph(g)
+    nodes = csr.labels[csr.giant()].tolist()
+    n = len(nodes)
     if n < 2:
         raise DegenerateInputError("giant component has a single node")
-    nodes = sorted(gc.nodes())
     if n_sources is None or n_sources >= n:
         sources = nodes
     else:
         if n_sources < 1:
             raise DegenerateInputError("n_sources must be >= 1")
         sources = random.Random(seed).sample(nodes, n_sources)
-    total = 0
-    for src in sources:
-        total += sum(gc.bfs_distances(src).values())
-    return total / (len(sources) * (n - 1))
+    return csr.distance_total(sources) / (len(sources) * (n - 1))
 
 
 def clustering_coefficient(g: AsGraph) -> float:
@@ -212,12 +220,13 @@ def metric_row(
     if g.node_count == 0:
         raise EmptyGraphError(f"snapshot {snapshot.date} has no nodes")
     gc = g.giant_component()
+    ccdf = degree_ccdf(gc)
     aspl = _optional(
         lambda: average_shortest_path_length(gc, aspl_sources, seed), DegenerateInputError
     )
     c = _optional(lambda: clustering_coefficient(gc), UndefinedMetricError)
     rho = _optional(lambda: assortativity_coefficient(gc), UndefinedMetricError)
-    r = _optional(lambda: powerlaw_exponent(degree_ccdf(gc), k_min), InsufficientDataError)
+    r = _optional(lambda: powerlaw_exponent(ccdf, k_min), InsufficientDataError)
     return MetricRow(
         date=snapshot.date,
         N=g.node_count,
@@ -228,6 +237,7 @@ def metric_row(
         C=c,
         rho=rho,
         r=r,
+        ccdf=ccdf,
     )
 
 

@@ -1,6 +1,8 @@
-"""Builders for the tiny path-file corpora the tests run against."""
+"""Builders for the tiny path-file corpora and random graphs the tests run against."""
 
 from pathlib import Path
+
+from astopo import AsGraph
 
 PATH_GRAPH_LINE = "1 2 3 4 5 6"
 
@@ -87,3 +89,17 @@ def build_tunnel_corpora(root6: Path, root4: Path) -> None:
         write_path_file(root4, date, "c4", "ipv4", [PATH_GRAPH_LINE])
         edge_lines = [f"{u} {v}" for u, v in tunnel_month_edges(i)]
         write_path_file(root6, date, "c6", "ipv6", edge_lines)
+
+
+def sparse_graph(rng, n, avg_degree=2.5):
+    """n random 32-bit AS numbers joined by random edges: a giant component
+    plus small components and isolated nodes. AS 2**32-1 is added isolated,
+    so the last CSR row has no neighbours."""
+    labels = rng.sample(range(1, 2**32 - 1), n)
+    g = AsGraph()
+    for u in labels:
+        g.add_node(u)
+    for _ in range(int(n * avg_degree / 2)):
+        g.add_edge(*rng.sample(labels, 2))
+    g.add_node(2**32 - 1)
+    return g

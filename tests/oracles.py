@@ -1,10 +1,13 @@
 """Independent brute-force references used to cross-check the fast paths.
 
 Everything here is written the slow, obvious way (triple enumeration,
-Floyd-Warshall, numpy Pearson) on purpose; none of it shares code with the
-implementations it checks. Undefined quantities come back as None.
+Floyd-Warshall, one dict BFS per source, numpy Pearson) on purpose; none of
+it shares code with the implementations it checks. Undefined quantities come
+back as None.
 """
 
+import random
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -93,6 +96,40 @@ def bf_aspl(g):
         total += dist[i][j]
         pairs += 1
     return total / pairs
+
+
+def bfs_distances(g, src):
+    """Hop counts from src to every node it reaches, by a dict BFS."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def bfs_aspl(g, n_sources=None, seed=0):
+    """ASPL by one dict BFS per source, the way astopo computed it before its
+    multi-source BFS kernel: the same source choice (every giant-component
+    node in ascending order, or random.Random(seed).sample of them, capped at
+    the component size) and one integer total divided once, so the kernel
+    must match it with ==. Floyd-Warshall is too slow past a few hundred nodes.
+    """
+    nodes = sorted(bf_giant_nodes(g))
+    n = len(nodes)
+    if n < 2:
+        return None
+    if n_sources is None or n_sources >= n:
+        sources = nodes
+    else:
+        sources = random.Random(seed).sample(nodes, n_sources)
+    total = 0
+    for src in sources:
+        total += sum(bfs_distances(g, src).values())
+    return total / (len(sources) * (n - 1))
 
 
 def bf_clustering(g):

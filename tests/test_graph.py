@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
+import oracles
 from astopo import AsGraph, CorpusError, EmptyGraphError, UnknownNodeError
-from astopo.graph import read_edgelist, write_edgelist
+from astopo.graph import MSBFS_BATCH, CsrGraph, _popcount, read_edgelist, write_edgelist
+from corpus_utils import sparse_graph
 
 
 def triangle():
@@ -140,6 +143,64 @@ def test_giant_component_is_connected_random():
         giant = g.giant_component()
         start = min(giant.nodes())
         assert len(giant.bfs_distances(start)) == giant.node_count
+
+
+def test_components_match_bruteforce_random():
+    rng = random.Random(15)
+    assert list(AsGraph().components()) == []
+    for _ in range(60):
+        g = random_graph(rng, max_n=12)
+        assert list(g.components()) == oracles.bf_components(g)
+
+
+def test_giant_component_matches_bruteforce_random():
+    rng = random.Random(16)
+    for _ in range(60):
+        g = random_graph(rng, max_n=12)
+        giant = g.giant_component()
+        assert set(giant.nodes()) == oracles.bf_giant_nodes(g)
+        assert sorted(giant.edges()) == sorted((u, v) for u, v in g.edges() if u in giant)
+
+
+def test_csr_layout():
+    g = AsGraph.from_edges([(30, 10), (10, 20)])
+    g.add_node(5)
+    csr = CsrGraph(g)
+    assert csr.labels.tolist() == [5, 10, 20, 30]
+    assert csr.indptr.tolist() == [0, 0, 2, 3, 4]
+    rows = [sorted(csr.labels[csr.indices[a:b]].tolist()) for a, b in zip(csr.indptr, csr.indptr[1:])]
+    assert rows == [[], [20, 30], [10], [10]]
+
+
+def test_popcount_edge_values():
+    values = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 2**63 - 1]
+    for x in values:
+        assert _popcount(np.array([x], dtype=np.uint64)) == bin(x).count("1")
+    words = np.array(values, dtype=np.uint64).reshape(2, 3)
+    assert _popcount(words) == sum(bin(x).count("1") for x in values)
+
+
+@pytest.mark.parametrize("n, k", [(5, 5), (150, 70), (150, 151), (600, MSBFS_BATCH + 1)])
+def test_distance_total_matches_dict_bfs(n, k):
+    """Sources from every component, isolated ones and a repeat included."""
+    rng = random.Random(n + k)
+    g = sparse_graph(rng, n)
+    sources = rng.sample(sorted(g.nodes()), k) + [2**32 - 1]
+    sources.append(sources[0])
+    expected = sum(sum(oracles.bfs_distances(g, s).values()) for s in sources)
+    assert CsrGraph(g).distance_total(sources) == expected
+
+
+def test_distance_total_edge_cases():
+    assert CsrGraph(AsGraph.from_edges([(1, 2)])).distance_total([]) == 0
+    g = AsGraph()
+    g.add_node(7)
+    g.add_node(9)
+    assert CsrGraph(g).distance_total([7, 9]) == 0  # no edges at all
+    with pytest.raises(UnknownNodeError):
+        CsrGraph(g).distance_total([7, 8])
+    with pytest.raises(UnknownNodeError):
+        CsrGraph(g).distance_total([10])
 
 
 def test_edgelist_roundtrip(tmp_path):

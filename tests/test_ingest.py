@@ -59,7 +59,10 @@ def test_private_ranges():
     assert is_private_asn(64512) and is_private_asn(65534)
     assert is_private_asn(4200000000) and is_private_asn(4294967294)
     assert is_private_asn(0) and is_private_asn(65535) and is_private_asn(23456)
+    assert is_private_asn(4294967295)  # RFC 7300, the 32-bit twin of 65535
     assert not is_private_asn(64511) and not is_private_asn(3356)
+    assert not is_private_asn(4199999999)
+    assert parse_path_line("701 4294967295 3356") == (None, "private_asn")
 
 
 def test_build_graph_examples():

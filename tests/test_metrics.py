@@ -22,7 +22,9 @@ from astopo import (
     metrics_series,
     powerlaw_exponent,
 )
+from astopo.graph import MSBFS_BATCH
 from astopo.metrics import CSV_HEADER, MetricSeries
+from corpus_utils import sparse_graph
 
 TOL = 1e-12
 
@@ -139,6 +141,27 @@ def test_sampled_aspl_with_all_sources_equals_exact():
         exact = average_shortest_path_length(g)
         sampled = average_shortest_path_length(g, n_sources=giant.node_count, seed=99)
         assert sampled == exact
+
+
+@pytest.mark.parametrize("n, seed", [(200, 0), (200, 1), (200, 2), (700, 3), (700, 4)])
+def test_aspl_matches_dict_bfs_reference(n, seed):
+    """== with the per-source dict BFS it replaced, across every word and batch
+    boundary of the kernel, on graphs with small components and isolated nodes."""
+    g = sparse_graph(random.Random(seed), n)
+    giant = len(oracles.bf_giant_nodes(g))
+    exact = oracles.bfs_aspl(g)
+    assert average_shortest_path_length(g) == exact
+    for k in (giant, giant + 5):
+        assert average_shortest_path_length(g, k, seed) == exact
+    for k in (1, 63, 64, 65, MSBFS_BATCH - 1, MSBFS_BATCH, MSBFS_BATCH + 1, giant - 1):
+        if k < giant:
+            assert average_shortest_path_length(g, k, seed) == oracles.bfs_aspl(g, k, seed)
+
+
+def test_exact_aspl_matches_dict_bfs_reference_2k():
+    g = sparse_graph(random.Random(5), 2000)
+    assert len(oracles.bf_giant_nodes(g)) > 3 * MSBFS_BATCH
+    assert average_shortest_path_length(g) == oracles.bfs_aspl(g)
 
 
 def test_sampled_aspl_deterministic_for_seed():
