@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import crossnet, generators, metrics, phasefit, store, svgplot
 from .errors import AsTopoError, CorpusError, DomainError, InsufficientDataError, ParameterError
-from .graph import validate_date, write_edgelist
+from .graph import read_input_text, validate_date, write_edgelist
 from .ingest import ALL_MONITORS, MonitorSet, load_series
 
 FILTER_SUMMARY_HEADER = "date,total,accepted,as_set,private_asn,loop,malformed"
@@ -143,10 +143,7 @@ def _parse_aspl_mode(text: str) -> int | None:
 def _load_exclude_dates(path: str | None) -> set[str]:
     if path is None:
         return set()
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    lines = read_input_text(Path(path)).splitlines()
     dates = set()
     for raw in lines:
         line = raw.strip()
@@ -157,11 +154,7 @@ def _load_exclude_dates(path: str | None) -> set[str]:
 
 
 def _read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | None]]]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(read_input_text(Path(path))))
     if reader.fieldnames is None or reader.fieldnames[0] != "date":
         raise CorpusError(f"{path}: not a metrics CSV (missing 'date' column)")
     columns: dict[str, list[float | None]] = {c: [] for c in reader.fieldnames if c != "date"}
@@ -169,8 +162,13 @@ def _read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | Non
     for row in reader:
         dates.append(row["date"])
         for col in columns:
-            cell = row.get(col, "")
-            columns[col].append(float(cell) if cell not in ("", None) else None)
+            cell = row[col]  # None when the row is short
+            try:
+                columns[col].append(float(cell) if cell else None)
+            except ValueError:
+                raise CorpusError(
+                    f"{path}: {row['date']}: column {col}: {cell!r} is not a number"
+                ) from None
     return dates, columns
 
 

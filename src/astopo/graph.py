@@ -26,6 +26,9 @@ AS_MAX = 2**32 - 1
 # batch is O(L x 8) words, whatever the number of sources.
 MSBFS_BATCH = 512
 
+# CsrGraph.pair_distances value for a pair whose ends share no component.
+UNREACHABLE = -1
+
 # Set bits per byte value; numpy gained bitwise_count only in 2.0.
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -240,38 +243,76 @@ class CsrGraph:
         roots = self.component_roots()
         return np.flatnonzero(roots == np.argmax(np.bincount(roots)))
 
+    def _positions(self, as_numbers: Sequence[int]) -> np.ndarray:
+        """Row of each AS number; UnknownNodeError names the first one absent."""
+        asn = np.asarray(as_numbers, dtype=np.int64)
+        pos = np.searchsorted(self.labels, asn)
+        known = pos < len(self.labels)
+        known[known] = self.labels[pos[known]] == asn[known]
+        if not known.all():
+            raise UnknownNodeError(f"AS {asn[~known][0]} is not in the graph")
+        return pos
+
+    def _levels(self, batch: np.ndarray) -> Iterator[np.ndarray]:
+        """Frontiers of one multi-source BFS batch, level 1 first.
+
+        Multi-source BFS (Then et al., VLDB 2014): source batch[i] owns bit i
+        of a row of uint64 words per node, and one level pulls the frontier
+        bits of every node's neighbours with a single bitwise-or reduction
+        over the CSR arrays. Bit i of row v in the k-th frontier yielded is set
+        iff v is exactly k hops from batch[i]. Ends once no new node is
+        reached. The yielded array is read-only to the caller.
+        """
+        bit = np.arange(len(batch), dtype=np.uint64)
+        frontier = np.zeros((len(self.labels), (len(batch) + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(frontier, (batch, bit // 64), np.left_shift(np.uint64(1), bit % 64))
+        seen = frontier.copy()
+        while True:
+            frontier = self._pull(np.bitwise_or, frontier, 0)
+            frontier &= ~seen
+            if not frontier.any():
+                return
+            seen |= frontier
+            yield frontier
+
     def distance_total(self, sources: Sequence[int]) -> int:
         """Sum over sources of the hop counts to every node each one reaches.
 
-        Multi-source BFS (Then et al., VLDB 2014): each source of a batch of
-        MSBFS_BATCH owns one bit of a row of uint64 words per node, and one
-        level pulls the frontier bits of every node's neighbours with a single
-        bitwise-or reduction over the CSR arrays. The total is a Python int.
+        Runs MSBFS_BATCH sources per multi-source BFS batch; the total is a
+        Python int.
         """
-        src = np.asarray(sources, dtype=np.int64)
-        pos = np.searchsorted(self.labels, src)
-        known = pos < len(self.labels)
-        known[known] = self.labels[pos[known]] == src[known]
-        if not known.all():
-            raise UnknownNodeError(f"AS {src[~known][0]} is not in the graph")
+        pos = self._positions(sources)
         total = 0
         for lo in range(0, len(pos), MSBFS_BATCH):
-            batch = pos[lo:lo + MSBFS_BATCH]
-            bit = np.arange(len(batch), dtype=np.uint64)
-            frontier = np.zeros((len(self.labels), (len(batch) + 63) // 64), dtype=np.uint64)
-            np.bitwise_or.at(frontier, (batch, bit // 64), np.left_shift(np.uint64(1), bit % 64))
-            seen = frontier.copy()
-            level = 0
-            while True:
-                frontier = self._pull(np.bitwise_or, frontier, 0)
-                frontier &= ~seen
-                reached = _popcount(frontier)
-                if not reached:
-                    break
-                level += 1
-                total += level * reached
-                seen |= frontier
+            for level, frontier in enumerate(self._levels(pos[lo:lo + MSBFS_BATCH]), 1):
+                total += level * _popcount(frontier)
         return total
+
+    def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Hop distance of each (source, target) pair of AS numbers, as int64.
+
+        UNREACHABLE marks a pair in different components. The distinct
+        sources run MSBFS_BATCH to a multi-source BFS batch, and a batch
+        stops as soon as every one of its pairs has found its target.
+        """
+        ends = self._positions(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+        out = np.full(len(ends), UNREACHABLE, dtype=np.int64)
+        out[ends[:, 0] == ends[:, 1]] = 0
+        sources, slot = np.unique(ends[:, 0], return_inverse=True)
+        for lo in range(0, len(sources), MSBFS_BATCH):
+            todo = np.flatnonzero((slot >= lo) & (slot < lo + MSBFS_BATCH) & (out == UNREACHABLE))
+            bit = (slot[todo] - lo).astype(np.uint64)
+            word = (bit // 64).astype(np.intp)
+            mask = np.left_shift(np.uint64(1), bit % 64)
+            target = ends[todo, 1]
+            for level, frontier in enumerate(self._levels(sources[lo:lo + MSBFS_BATCH]), 1):
+                hit = (frontier[target, word] & mask) != 0
+                out[todo[hit]] = level
+                left = ~hit
+                if not left.any():
+                    break
+                todo, target, word, mask = todo[left], target[left], word[left], mask[left]
+        return out
 
 
 @dataclass
@@ -326,6 +367,18 @@ class SnapshotSeries:
         return [s.date for s in self.snapshots]
 
 
+def read_input_text(path: Path) -> str:
+    """Text of an input file; an unreadable file is a CorpusError naming it.
+
+    Bytes that are not UTF-8 decode to U+FFFD, which no AS number, date or
+    directive key contains, so a bad byte spoils only the line it sits on.
+    """
+    try:
+        return path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_asn(token: str, where: str) -> int:
     if not (token.isascii() and token.isdigit()):
         raise CorpusError(f"{where}: {token!r} is not an AS number")
@@ -357,10 +410,7 @@ def read_edgelist(path: Path | str) -> tuple[AsGraph, dict[str, str]]:
     blank lines are ignored.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    text = read_input_text(path)
     g = AsGraph()
     directives: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -14,7 +14,15 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CorpusError
-from .graph import AS_MAX, AsGraph, Snapshot, SnapshotSeries, validate_date, validate_family
+from .graph import (
+    AS_MAX,
+    AsGraph,
+    Snapshot,
+    SnapshotSeries,
+    read_input_text,
+    validate_date,
+    validate_family,
+)
 
 AsPath = list
 
@@ -149,11 +157,7 @@ def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
 def parse_path_file(path: Path | str) -> tuple[PathFileMeta, list[AsPath], FilterReport]:
     """Parse one path file into (meta, accepted paths, filter report)."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_input_text(path).splitlines()
     date = _header_value(path, lines, 0, "date")
     monitor = _header_value(path, lines, 1, "monitor")
     family = _header_value(path, lines, 2, "family")
@@ -214,10 +218,7 @@ class MonitorSet:
     def load(cls, path: Path | str) -> "MonitorSet":
         """Load a monitor-set file: '# set: <name>' header, one monitor id per line."""
         path = Path(path)
-        try:
-            lines = path.read_text().splitlines()
-        except OSError as exc:
-            raise CorpusError(f"cannot read {path}: {exc}") from exc
+        lines = read_input_text(path).splitlines()
         if not lines or not lines[0].startswith("# set: "):
             raise CorpusError(f"{path}: first line must be '# set: <name>'")
         label = lines[0][len("# set: "):].strip()

@@ -132,6 +132,39 @@ def bfs_aspl(g, n_sources=None, seed=0):
     return total / (len(sources) * (n - 1))
 
 
+def bfs_tunnel_distribution(g6, g4, date=None):
+    """TunnelDistribution.to_dict() of tunnel_path_lengths, the way astopo
+    computed it before its native check and multi-source BFS: one dict BFS
+    over g4 from every distinct lower endpoint of the IPv6 edges present on
+    both sides, native edges included.
+    """
+    by_source = {}
+    missing = 0
+    for u, v in g6.edges():
+        if u in g4 and v in g4:
+            by_source.setdefault(u, []).append(v)
+        else:
+            missing += 1
+    counts = {}
+    disconnected = 0
+    for src in sorted(by_source):
+        dist = bfs_distances(g4, src)
+        for v in by_source[src]:
+            d = dist.get(v)
+            if d is None:
+                disconnected += 1
+            else:
+                counts[d] = counts.get(d, 0) + 1
+    measured = sum(counts.values())
+    return {
+        "date": date,
+        "counts": dict(sorted(counts.items())),
+        "missing": missing,
+        "disconnected": disconnected,
+        "aspl": sum(d * c for d, c in counts.items()) / measured if measured else None,
+    }
+
+
 def bf_clustering(g):
     nodes = sorted(g.nodes())
     triangles = 0

@@ -66,6 +66,16 @@ def test_ingest_bad_corpus_fails_naming_file(tmp_path, capsys):
     assert "broken.paths" in capsys.readouterr().err
 
 
+def test_metrics_undecodable_store_line_fails_naming_line(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "2001-01.edges").write_bytes(
+        b"# date: 2001-01\n# monitor_set: ALL\n# family: ipv4\n# caf\xe9\n1 2\n2 3\xff\n"
+    )
+    assert run("metrics", "--input", store, "--out", tmp_path / "out") == 1
+    assert "2001-01.edges:6:" in capsys.readouterr().err
+
+
 def test_metrics_on_triangle_month(tmp_path):
     corpus = tmp_path / "corpus"
     # a triangle needs two paths: 1-2-3 plus the closing edge
@@ -274,6 +284,15 @@ def test_report_summarizes_columns(tmp_path):
     report = json.loads((out / "report.json").read_text())
     fitted = {entry["metric"] for entry in report if "pattern" in entry}
     assert "N" in fitted
+
+
+def test_report_non_numeric_cell_fails_naming_file(tmp_path, capsys):
+    csv_path = tmp_path / "metrics.csv"
+    csv_path.write_text("date,N,L\n2001-01,3,2\n2001-02,abc,4\n")
+    assert run("report", "--input", csv_path, "--out", tmp_path / "report") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(csv_path) in err
+    assert "2001-02" in err and "column N" in err and "'abc'" in err
 
 
 def test_unknown_metric_column(tmp_path, capsys):

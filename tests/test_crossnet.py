@@ -13,6 +13,8 @@ from astopo import (
     tunnel_series,
 )
 from astopo.crossnet import distribution_to_csv, series_summary_to_csv
+from astopo.graph import MSBFS_BATCH
+from corpus_utils import sparse_graph
 
 
 def path_graph(n):
@@ -143,6 +145,69 @@ def test_matches_bruteforce_distances():
         dist = tunnel_path_lengths(g6, g4)
         assert dist.counts == expected
         assert (dist.missing, dist.disconnected) == (missing, disconnected)
+
+
+def ipv6_edges(rng, g4, n_edges, native_share):
+    """Random IPv6 edge set over g4: native edges, edges to an AS absent from
+    IPv4, and random pairs (tunnels, or disconnected when they straddle
+    components), plus one edge into the isolated last CSR row, AS 2**32-1."""
+    nodes = sorted(g4.nodes())
+    edges = sorted(g4.edges())
+    g6 = AsGraph.from_edges([(nodes[0], 2**32 - 1)])
+    while g6.edge_count < n_edges:
+        r = rng.random()
+        if r < native_share:
+            g6.add_edge(*rng.choice(edges))
+        elif r < native_share + 0.05:
+            g6.add_edge(rng.choice(nodes), rng.randrange(1, 2**32 - 1))
+        else:
+            g6.add_edge(*rng.sample(nodes, 2))
+    return g6
+
+
+@pytest.mark.parametrize(
+    "seed, n, n_edges, native_share, batches",
+    [
+        (0, 20, 12, 0.5, 1),
+        (1, 200, 150, 0.25, 1),
+        (2, 200, 150, 0.9, 1),
+        (3, 700, 600, 0.5, 1),
+        (4, 2000, 1500, 0.1, 2),
+    ],
+)
+def test_matches_dict_bfs_reference(seed, n, n_edges, native_share, batches):
+    """The last case has more distinct non-native sources than one MS-BFS batch holds."""
+    rng = random.Random(seed)
+    g4 = sparse_graph(rng, n)
+    g6 = ipv6_edges(rng, g4, n_edges, native_share)
+    sources = {u for u, v in g6.edges() if u in g4 and v in g4 and not g4.has_edge(u, v)}
+    assert len(sources) > (batches - 1) * MSBFS_BATCH
+    expected = oracles.bfs_tunnel_distribution(g6, g4, "2003-01")
+    dist = tunnel_path_lengths(g6, g4, "2003-01")
+    assert dist.to_dict() == expected
+    assert expected["missing"] and expected["disconnected"]
+
+
+def test_all_native_month_needs_no_traversal(monkeypatch):
+    rng = random.Random(5)
+    g4 = sparse_graph(rng, 500)
+    g6 = AsGraph.from_edges(rng.sample(sorted(g4.edges()), 300))
+    expected = oracles.bfs_tunnel_distribution(g6, g4)
+    monkeypatch.setattr("astopo.crossnet.CsrGraph", None)  # no CSR freeze, no traversal
+    assert tunnel_path_lengths(g6, g4).to_dict() == expected
+    assert expected["counts"] == {1: 300}
+
+
+def test_tunnel_series_matches_dict_bfs_reference():
+    """Months whose native share rises to 1, as a series, against the reference month by month."""
+    rng = random.Random(6)
+    g4s = [sparse_graph(rng, 400) for _ in range(4)]
+    g6s = [ipv6_edges(rng, g4, 200, share) for g4, share in zip(g4s, (0.0, 0.4, 0.8))]
+    g6s.append(AsGraph.from_edges(sorted(g4s[3].edges())[:200]))
+    dists = tunnel_series(series_from(g6s, "ipv6"), series_from(g4s, "ipv4"))
+    assert [d.to_dict() for d in dists] == [
+        oracles.bfs_tunnel_distribution(g6, g4, d.date) for g6, g4, d in zip(g6s, g4s, dists)
+    ]
 
 
 def test_tunnel_series_inner_join():

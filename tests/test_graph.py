@@ -5,7 +5,14 @@ import pytest
 
 import oracles
 from astopo import AsGraph, CorpusError, EmptyGraphError, UnknownNodeError
-from astopo.graph import MSBFS_BATCH, CsrGraph, _popcount, read_edgelist, write_edgelist
+from astopo.graph import (
+    MSBFS_BATCH,
+    UNREACHABLE,
+    CsrGraph,
+    _popcount,
+    read_edgelist,
+    write_edgelist,
+)
 from corpus_utils import sparse_graph
 
 
@@ -203,6 +210,50 @@ def test_distance_total_edge_cases():
         CsrGraph(g).distance_total([10])
 
 
+@pytest.mark.parametrize("n, k, batches", [(5, 8, 1), (300, 200, 1), (2000, 3 * MSBFS_BATCH, 3)])
+def test_pair_distances_match_dict_bfs(n, k, batches):
+    """Random pairs over every component, isolated AS 2**32-1 and (s, s) pairs
+    included; the last case spans three batches of distinct sources."""
+    rng = random.Random(n * 7 + k)
+    g = sparse_graph(rng, n)
+    nodes = sorted(g.nodes())
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(k)]
+    pairs += [(2**32 - 1, nodes[0]), (nodes[0], 2**32 - 1), (nodes[1], nodes[1])]
+    assert len({s for s, _ in pairs}) > (batches - 1) * MSBFS_BATCH
+    dist = {s: oracles.bfs_distances(g, s) for s, _ in pairs}
+    expected = [dist[s].get(t, UNREACHABLE) for s, t in pairs]
+    got = CsrGraph(g).pair_distances(pairs)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+def test_pair_distances_empty_pair_list():
+    assert CsrGraph(AsGraph.from_edges([(1, 2)])).pair_distances([]).tolist() == []
+
+
+def test_pair_distances_repeated_sources():
+    csr = CsrGraph(AsGraph.from_edges([(i, i + 1) for i in range(1, 8)]))
+    pairs = [(1, 2), (1, 8), (1, 2), (1, 5), (5, 1), (1, 1)]
+    assert csr.pair_distances(pairs).tolist() == [1, 7, 1, 4, 4, 0]
+
+
+def test_pair_distances_other_component():
+    g = AsGraph.from_edges([(1, 2), (2, 3), (10, 11)])
+    g.add_node(2**32 - 1)
+    got = CsrGraph(g).pair_distances([(1, 11), (1, 3), (2**32 - 1, 1), (10, 11)])
+    assert got.tolist() == [UNREACHABLE, 2, UNREACHABLE, 1]
+
+
+def test_pair_distances_unknown_as():
+    csr = CsrGraph(AsGraph.from_edges([(1, 2), (3, 4)]))
+    with pytest.raises(UnknownNodeError, match="AS 9 "):
+        csr.pair_distances([(1, 2), (4, 9)])
+    with pytest.raises(UnknownNodeError, match="AS 0 "):
+        csr.pair_distances([(0, 1)])
+    with pytest.raises(UnknownNodeError, match=f"AS {2**32 - 1} "):
+        csr.pair_distances([(2**32 - 1, 1)])
+
+
 def test_edgelist_roundtrip(tmp_path):
     g = AsGraph.from_edges([(4200, 1), (1, 99)])
     g.add_node(7)  # isolated node must survive the round trip
@@ -232,4 +283,18 @@ def test_edgelist_rejects_oversized_asn(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text(f"1 {2**32}\n")
     with pytest.raises(CorpusError):
+        read_edgelist(path)
+
+
+def test_edgelist_undecodable_comment_is_ignored(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"# note \xff\xe9\n1 2\n")
+    g, _ = read_edgelist(path)
+    assert sorted(g.edges()) == [(1, 2)]
+
+
+def test_edgelist_undecodable_data_line_names_line(tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"1 2\n3 4\xff\n")
+    with pytest.raises(CorpusError, match=r"bad\.edges:2:"):
         read_edgelist(path)

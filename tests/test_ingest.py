@@ -149,6 +149,28 @@ def test_parse_path_file_unreadable(tmp_path):
         parse_path_file(target)
 
 
+def test_parse_path_file_undecodable_comment_is_ignored(tmp_path):
+    f = tmp_path / "mon1.paths"
+    f.write_bytes(b"# date: 2001-01\n# monitor: mon1\n# family: ipv4\n# caf\xe9\n1 2 3\n")
+    _, paths, report = parse_path_file(f)
+    assert paths == [[1, 2, 3]]
+    assert report.to_dict()["total"] == report.accepted == 1
+
+
+def test_parse_path_file_undecodable_data_line_is_malformed(tmp_path):
+    f = tmp_path / "mon1.paths"
+    f.write_bytes(b"# date: 2001-01\n# monitor: mon1\n# family: ipv4\n1 2\xe93\n4 5\n6 \xff\n")
+    _, paths, report = parse_path_file(f)
+    assert paths == [[4, 5]]
+    assert (report.accepted, report.malformed, report.total) == (1, 2, 3)
+
+
+def test_monitor_set_undecodable_comment_is_ignored(tmp_path):
+    f = tmp_path / "set.txt"
+    f.write_bytes(b"# set: S\n# caf\xe9\nmon1\n")
+    assert MonitorSet.load(f).monitors == frozenset({"mon1"})
+
+
 def test_load_series_all_months(tmp_path):
     expected = build_growing_corpus(tmp_path)
     series = load_series(tmp_path)
