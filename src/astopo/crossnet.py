@@ -7,10 +7,12 @@ infrastructure. Edges whose endpoints are absent from the IPv4 graph, or
 present but unreachable, are excluded from the average and reported apart.
 
 Native edges are counted by an O(1) adjacency check. The rest are measured
-by one multi-source BFS over a CSR copy of the IPv4 graph, batched over
-their distinct endpoints, and each batch stops as soon as every one of its
-targets is found, so the cost follows the tunnelled edges and how far apart
-their ends sit, not the number of IPv6 endpoints.
+over a CSR copy of the IPv4 graph: one component labelling settles the pairs
+in different components, and one multi-source BFS, batched over the distinct
+endpoints of the remaining pairs, stops each batch at the level where its
+farthest pair meets. The traversal cost thus follows the tunnelled edges and
+how far apart their ends sit, not the number of IPv6 endpoints or the depth
+of the IPv4 graph.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ def tunnel_path_lengths(g6: AsGraph, g4: AsGraph, date: str | None = None) -> Tu
     """IPv4 shortest-path distribution over the IPv6 edge set.
 
     An edge that IPv4 also has is native (distance 1) without any traversal.
-    Only the remaining edges are resolved, by one early-stopping multi-source
-    BFS over a CSR copy of the IPv4 graph, so an all-native month costs one
-    has_edge check per edge.
+    Only the remaining edges are resolved, by CsrGraph.pair_distances over a
+    CSR copy of the IPv4 graph, so an all-native month costs one has_edge
+    check per edge.
     """
     if g6.edge_count == 0:
         raise DegenerateInputError("IPv6 graph has no edges")

@@ -291,17 +291,22 @@ class CsrGraph:
     def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         """Hop distance of each (source, target) pair of AS numbers, as int64.
 
-        UNREACHABLE marks a pair in different components. The distinct
-        sources run MSBFS_BATCH to a multi-source BFS batch, and a batch
-        stops as soon as every one of its pairs has found its target.
+        UNREACHABLE marks a pair in different components; one component
+        labelling settles those before any traversal, so every pair left is
+        reachable. The distinct sources of those pairs run MSBFS_BATCH to a
+        multi-source BFS batch, and a batch stops at the level where its
+        farthest pair finds its target, not where its frontier runs out.
         """
         ends = self._positions(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
         out = np.full(len(ends), UNREACHABLE, dtype=np.int64)
         out[ends[:, 0] == ends[:, 1]] = 0
-        sources, slot = np.unique(ends[:, 0], return_inverse=True)
+        roots = self.component_roots()
+        pending = np.flatnonzero((ends[:, 0] != ends[:, 1]) & (roots[ends[:, 0]] == roots[ends[:, 1]]))
+        sources, slot = np.unique(ends[pending, 0], return_inverse=True)
         for lo in range(0, len(sources), MSBFS_BATCH):
-            todo = np.flatnonzero((slot >= lo) & (slot < lo + MSBFS_BATCH) & (out == UNREACHABLE))
-            bit = (slot[todo] - lo).astype(np.uint64)
+            in_batch = (slot >= lo) & (slot < lo + MSBFS_BATCH)
+            todo = pending[in_batch]
+            bit = (slot[in_batch] - lo).astype(np.uint64)
             word = (bit // 64).astype(np.intp)
             mask = np.left_shift(np.uint64(1), bit % 64)
             target = ends[todo, 1]
@@ -370,13 +375,22 @@ class SnapshotSeries:
 def read_input_text(path: Path) -> str:
     """Text of an input file; an unreadable file is a CorpusError naming it.
 
-    Bytes that are not UTF-8 decode to U+FFFD, which no AS number, date or
-    directive key contains, so a bad byte spoils only the line it sits on.
+    Bytes that are not UTF-8 decode to U+FFFD. No AS number, date or
+    directive key contains it, so such a line fails to parse as one; values
+    kept as free text (directive values, path-file headers, monitor ids) must
+    pass through decoded_value, or the bad byte would silently change them.
     """
     try:
         return path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
+
+
+def decoded_value(value: str, where: str) -> str:
+    """value itself, unless read_input_text replaced a byte of it (CorpusError naming where)."""
+    if "\ufffd" in value:
+        raise CorpusError(f"{where}: undecodable byte in {value!r}")
+    return value
 
 
 def _parse_asn(token: str, where: str) -> int:
@@ -424,7 +438,7 @@ def read_edgelist(path: Path | str) -> tuple[AsGraph, dict[str, str]]:
                 if key == "node":
                     g.add_node(_parse_asn(value, f"{path}:{lineno}"))
                 else:
-                    directives.setdefault(key, value)
+                    directives.setdefault(key, decoded_value(value, f"{path}:{lineno}"))
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -19,6 +19,7 @@ from .graph import (
     AsGraph,
     Snapshot,
     SnapshotSeries,
+    decoded_value,
     read_input_text,
     validate_date,
     validate_family,
@@ -151,7 +152,7 @@ def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
     value = lines[index][len(prefix):].strip()
     if not value:
         raise CorpusError(f"{path}: line {index + 1} has an empty {key}")
-    return value
+    return decoded_value(value, f"{path}:{index + 1}")
 
 
 def parse_path_file(path: Path | str) -> tuple[PathFileMeta, list[AsPath], FilterReport]:
@@ -224,12 +225,15 @@ class MonitorSet:
         label = lines[0][len("# set: "):].strip()
         if not label:
             raise CorpusError(f"{path}: empty set name")
+        if not label.isascii():
+            # The name goes into every snapshot's ASCII edge-list header.
+            raise CorpusError(f"{path}:1: set name {label!r} is not ASCII")
         monitors = set()
-        for raw in lines[1:]:
+        for lineno, raw in enumerate(lines[1:], 2):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            monitors.add(line)
+            monitors.add(decoded_value(line, f"{path}:{lineno}"))
         if not monitors:
             raise CorpusError(f"{path}: monitor set {label!r} lists no monitors")
         return cls(label=label, monitors=frozenset(monitors))

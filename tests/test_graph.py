@@ -244,6 +244,23 @@ def test_pair_distances_other_component():
     assert got.tolist() == [UNREACHABLE, 2, UNREACHABLE, 1]
 
 
+def test_pair_distances_stops_before_frontier_runs_out(monkeypatch):
+    """A pair into another component must not keep its batch traversing:
+    on a 20-hop path with an island, the batch stops at level 1."""
+    levels = []
+    run = CsrGraph._levels
+
+    def counted(self, batch):
+        for frontier in run(self, batch):
+            levels.append(frontier)
+            yield frontier
+
+    monkeypatch.setattr(CsrGraph, "_levels", counted)
+    g = AsGraph.from_edges([(i, i + 1) for i in range(20)] + [(100, 101)])
+    assert CsrGraph(g).pair_distances([(0, 1), (0, 100)]).tolist() == [1, UNREACHABLE]
+    assert len(levels) == 1
+
+
 def test_pair_distances_unknown_as():
     csr = CsrGraph(AsGraph.from_edges([(1, 2), (3, 4)]))
     with pytest.raises(UnknownNodeError, match="AS 9 "):
@@ -291,6 +308,13 @@ def test_edgelist_undecodable_comment_is_ignored(tmp_path):
     path.write_bytes(b"# note \xff\xe9\n1 2\n")
     g, _ = read_edgelist(path)
     assert sorted(g.edges()) == [(1, 2)]
+
+
+def test_edgelist_undecodable_directive_value_names_line(tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"# date: 2001-01\n# monitor_set: S\xe9\n1 2\n")
+    with pytest.raises(CorpusError, match=r"bad\.edges:2: undecodable byte"):
+        read_edgelist(path)
 
 
 def test_edgelist_undecodable_data_line_names_line(tmp_path):

@@ -171,6 +171,28 @@ def test_monitor_set_undecodable_comment_is_ignored(tmp_path):
     assert MonitorSet.load(f).monitors == frozenset({"mon1"})
 
 
+def test_monitor_set_undecodable_monitor_id_names_line(tmp_path):
+    f = tmp_path / "set.txt"
+    f.write_bytes(b"# set: S\nmon1\nmon\xe92\n")
+    with pytest.raises(CorpusError, match=r"set\.txt:3: undecodable byte"):
+        MonitorSet.load(f)
+
+
+@pytest.mark.parametrize("name", [b"S\xff", "caf\u00e9".encode()])
+def test_monitor_set_non_ascii_set_name_names_line(tmp_path, name):
+    f = tmp_path / "set.txt"
+    f.write_bytes(b"# set: " + name + b"\nmon1\n")
+    with pytest.raises(CorpusError, match=r"set\.txt:1: set name .* is not ASCII"):
+        MonitorSet.load(f)
+
+
+def test_parse_path_file_undecodable_header_names_line(tmp_path):
+    f = tmp_path / "mon1.paths"
+    f.write_bytes(b"# date: 2001-01\n# monitor: mon\xe91\n# family: ipv4\n1 2\n")
+    with pytest.raises(CorpusError, match=r"mon1\.paths:2: undecodable byte"):
+        parse_path_file(f)
+
+
 def test_load_series_all_months(tmp_path):
     expected = build_growing_corpus(tmp_path)
     series = load_series(tmp_path)
