@@ -48,7 +48,6 @@ from .ingest import (
     PathFileMeta,
     build_graph,
     load_series,
-    merge_monitors,
     parse_path_file,
     parse_path_line,
 )

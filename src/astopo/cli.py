@@ -219,53 +219,30 @@ def cmd_metrics(args) -> None:
     out = _outdir(args)
     store_dir = Path(args.input)
     series = store.read_store(store_dir)
-    aspl_sources = _parse_aspl_mode(args.aspl_mode)
+    table = metrics.metrics_series(series, _parse_aspl_mode(args.aspl_mode), args.seed, args.kmin)
 
-    rows: list[metrics.MetricRow] = []
-    warnings: list[str] = []
-    for snap in series.snapshots:
-        try:
-            row = metrics.metric_row(snap, aspl_sources, args.seed, args.kmin)
-        except AsTopoError as exc:
-            warnings.append(f"{snap.date}: {exc}")
-            row = metrics.MetricRow(
-                date=snap.date,
-                N=snap.graph.node_count,
-                L=snap.graph.edge_count,
-                k_max=None, k_avg=None, aspl=None, C=None, rho=None, r=None,
-            )
-        rows.append(row)
+    for row in table.rows:
         if row.ccdf:
-            (out / f"ccdf_{snap.date}.csv").write_text(metrics.ccdf_to_csv(row.ccdf))
-
-    table = metrics.MetricSeries(rows=rows, family=series.family, monitor_set=series.monitor_set)
-    csv_path = out / "metrics.csv"
-    csv_path.write_text(table.to_csv())
+            (out / f"ccdf_{row.date}.csv").write_text(metrics.ccdf_to_csv(row.ccdf))
+    (out / "metrics.csv").write_text(table.to_csv())
     (out / "metrics.json").write_text(
         json.dumps(
-            {"family": series.family, "monitor_set": series.monitor_set, "rows": table.to_dicts()},
+            {"family": table.family, "monitor_set": table.monitor_set, "rows": table.to_dicts()},
             sort_keys=True,
             indent=2,
         )
         + "\n"
     )
-    (out / "warnings.txt").write_text("\n".join(warnings) + ("\n" if warnings else ""))
+    (out / "warnings.txt").write_text("".join(f"{w}\n" for w in table.warnings))
 
     if args.plots:
-        dates, columns = _read_metrics_csv(csv_path)
-        ticks = _date_ticks(dates)
+        dates = [row.date for row in table.rows]
         for col in METRIC_COLUMNS:
-            values = columns.get(col, [])
-            xs = [float(i + 1) for i, v in enumerate(values) if v is not None]
-            ys = [v for v in values if v is not None]
-            if not xs:
+            values = [getattr(row, col) for row in table.rows]
+            if all(v is None for v in values):
                 continue
-            svg = svgplot.render_chart(
-                [svgplot.Series(label=col, xs=xs, ys=ys, draw_points=True)],
-                title=f"{col} by month ({series.family}, {series.monitor_set})",
-                x_label="month",
-                y_label=col,
-                x_tick_labels=ticks,
+            svg = _month_chart(
+                dates, values, col, f"{col} by month ({table.family}, {table.monitor_set})", col
             )
             (out / f"metric_{col}.svg").write_text(svg)
 
@@ -283,24 +260,64 @@ def cmd_metrics(args) -> None:
     )
 
 
-def _column_points(
-    dates: list[str], values: list[float | None], exclude: set[str]
-) -> list[phasefit.SeriesPoint]:
-    """Month positions stay 1-based over the full series; dropped months leave gaps."""
-    return [
+def _month_chart(
+    dates: list[str], values: list[float | None], label: str, title: str, y_label: str
+) -> str:
+    """One value per month at its 1-based position; a None month is a gap."""
+    points = [(float(i + 1), float(v)) for i, v in enumerate(values) if v is not None]
+    return svgplot.render_chart(
+        [
+            svgplot.Series(
+                label=label, xs=[x for x, _ in points], ys=[y for _, y in points], draw_points=True
+            )
+        ],
+        title=title,
+        x_label="month",
+        y_label=y_label,
+        x_tick_labels=_date_ticks(dates),
+    )
+
+
+def _fit_column(
+    args, dates: list[str], values: list[float | None], exclude: set[str], metric: str
+) -> tuple[list[phasefit.SeriesPoint], phasefit.PhaseFit]:
+    """Validated points of one metrics-CSV column and their phase fit.
+
+    Month positions stay 1-based over the full series; dropped months leave gaps.
+    """
+    points = [
         phasefit.SeriesPoint(i + 1, v)
         for i, (date, v) in enumerate(zip(dates, values))
         if v is not None and date not in exclude
     ]
-
-
-def _check_positive(points, dates: list[str], metric: str) -> None:
+    needed = 2 * args.min_segment
+    if len(points) < needed:
+        raise InsufficientDataError(f"{len(points)} usable points, need >= {needed}")
     for pt in points:
         if pt.y <= 0:
             raise DomainError(
                 f"column {metric} has nonpositive value {pt.y} at {dates[pt.x - 1]}; "
                 "exponential fitting needs y > 0"
             )
+    return points, phasefit.detect_phase_change(points, args.min_segment, args.parsimony)
+
+
+def _fit_record(metric: str, fit: phasefit.PhaseFit, dates: list[str]) -> dict:
+    return {
+        "metric": metric,
+        "summary": phasefit.classify_transition(fit, metric, dates),
+        "breakpoint_date": dates[fit.breakpoint - 1] if fit.breakpoint is not None else None,
+        **fit.to_dict(),
+    }
+
+
+def _fit_inputs(args) -> dict[str, str]:
+    """Manifest inputs of fit and report: the metrics CSV and the exclude file."""
+    csv_path = Path(args.input)
+    inputs = {f"metrics/{csv_path.name}": _sha256(csv_path)}
+    if args.exclude_dates:
+        inputs[f"exclude/{Path(args.exclude_dates).name}"] = _sha256(Path(args.exclude_dates))
+    return inputs
 
 
 def _fit_svg(points, fit: phasefit.PhaseFit, metric: str, dates: list[str]) -> str:
@@ -342,31 +359,18 @@ def cmd_fit(args) -> None:
     if args.metric not in columns:
         raise CorpusError(f"{csv_path} has no column {args.metric!r}")
     exclude = _load_exclude_dates(args.exclude_dates)
-    points = _column_points(dates, columns[args.metric], exclude)
-    needed = 2 * args.min_segment
-    if len(points) < needed:
-        raise InsufficientDataError(
-            f"column {args.metric} has {len(points)} usable points, need >= {needed}"
-        )
-    _check_positive(points, dates, args.metric)
-    fit = phasefit.detect_phase_change(points, args.min_segment, args.parsimony)
+    try:
+        points, fit = _fit_column(args, dates, columns[args.metric], exclude, args.metric)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"column {args.metric} has {exc}") from None
 
     report = {
-        "metric": args.metric,
-        "summary": phasefit.classify_transition(fit, args.metric, dates),
-        "breakpoint_date": (
-            dates[fit.breakpoint - 1] if fit.breakpoint is not None else None
-        ),
+        **_fit_record(args.metric, fit, dates),
         "points_used": len(points),
         "excluded_dates": sorted(exclude & set(dates)),
-        **fit.to_dict(),
     }
     (out / f"fit_{args.metric}.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     (out / f"fit_{args.metric}.svg").write_text(_fit_svg(points, fit, args.metric, dates))
-
-    inputs = {f"metrics/{csv_path.name}": _sha256(csv_path)}
-    if args.exclude_dates:
-        inputs[f"exclude/{Path(args.exclude_dates).name}"] = _sha256(Path(args.exclude_dates))
     _write_manifest(
         out,
         "fit",
@@ -377,7 +381,7 @@ def cmd_fit(args) -> None:
             "parsimony": args.parsimony,
             "exclude_dates_file": args.exclude_dates,
         },
-        inputs,
+        _fit_inputs(args),
     )
 
 
@@ -445,25 +449,13 @@ def cmd_tunnel(args) -> None:
 
     for dist in dists:
         (out / f"tunnel_{dist.date}.csv").write_text(crossnet.distribution_to_csv(dist))
-    summary_path = out / "tunnel_summary.csv"
-    summary_path.write_text(crossnet.series_summary_to_csv(dists))
-
-    # The plot is derived from the summary CSV it sits next to, nothing else.
-    dates = []
-    xs = []
-    ys = []
-    for i, line in enumerate(summary_path.read_text().splitlines()[1:]):
-        cells = line.split(",")
-        dates.append(cells[0])
-        if cells[1]:
-            xs.append(float(i + 1))
-            ys.append(float(cells[1]))
-    svg = svgplot.render_chart(
-        [svgplot.Series(label="ASPL on IPv4", xs=xs, ys=ys, draw_points=True)],
-        title="IPv4 path length of IPv6 adjacencies",
-        x_label="month",
-        y_label="mean hops",
-        x_tick_labels=_date_ticks(dates),
+    (out / "tunnel_summary.csv").write_text(crossnet.series_summary_to_csv(dists))
+    svg = _month_chart(
+        [dist.date for dist in dists],
+        [dist.aspl for dist in dists],
+        "ASPL on IPv4",
+        "IPv4 path length of IPv6 adjacencies",
+        "mean hops",
     )
     (out / "tunnel_aspl.svg").write_text(svg)
 
@@ -485,44 +477,23 @@ def cmd_report(args) -> None:
     for col in METRIC_COLUMNS:
         if col not in columns:
             continue
-        points = _column_points(dates, columns[col], exclude)
-        note = ""
-        fit = None
         try:
-            if len(points) < 2 * args.min_segment:
-                raise InsufficientDataError(
-                    f"{len(points)} usable points, need >= {2 * args.min_segment}"
-                )
-            _check_positive(points, dates, col)
-            fit = phasefit.detect_phase_change(points, args.min_segment, args.parsimony)
+            _, fit = _fit_column(args, dates, columns[col], exclude, col)
         except (DomainError, InsufficientDataError) as exc:
-            note = str(exc)
-        if fit is None:
-            summary_lines.append(f"{col},,,,,,,{_csv_quote(note)}")
-            fits_json.append({"metric": col, "skipped": note})
+            summary_lines.append(f"{col},,,,,,,{_csv_quote(str(exc))}")
+            fits_json.append({"metric": col, "skipped": str(exc)})
             continue
-        break_date = dates[fit.breakpoint - 1] if fit.breakpoint is not None else ""
+        record = _fit_record(col, fit, dates)
         pre = phasefit.trend_label(fit.first_segment)
         post = phasefit.trend_label(fit.second_segment) if fit.second_segment else ""
         summary_lines.append(
             f"{col},{fit.pattern.value},{fit.breakpoint if fit.breakpoint is not None else ''},"
-            f"{break_date},{pre},{post},{repr(fit.total_sse)},"
+            f"{record['breakpoint_date'] or ''},{pre},{post},{repr(fit.total_sse)},"
         )
-        fits_json.append(
-            {
-                "metric": col,
-                "summary": phasefit.classify_transition(fit, col, dates),
-                "breakpoint_date": break_date or None,
-                **fit.to_dict(),
-            }
-        )
+        fits_json.append(record)
 
     (out / "phase_summary.csv").write_text("\n".join(summary_lines) + "\n")
     (out / "report.json").write_text(json.dumps(fits_json, sort_keys=True, indent=2) + "\n")
-
-    inputs = {f"metrics/{csv_path.name}": _sha256(csv_path)}
-    if args.exclude_dates:
-        inputs[f"exclude/{Path(args.exclude_dates).name}"] = _sha256(Path(args.exclude_dates))
     _write_manifest(
         out,
         "report",
@@ -532,7 +503,7 @@ def cmd_report(args) -> None:
             "parsimony": args.parsimony,
             "exclude_dates_file": args.exclude_dates,
         },
-        inputs,
+        _fit_inputs(args),
     )
 
 

@@ -222,11 +222,8 @@ def _ring_graph(m0: int) -> AsGraph:
     g = AsGraph()
     for i in range(m0):
         g.add_node(i)
-    if m0 == 2:
-        g.add_edge(0, 1)
-    else:
-        for i in range(m0):
-            g.add_edge(i, (i + 1) % m0)
+    for i in range(m0):
+        g.add_edge(i, (i + 1) % m0)  # for m0 = 2 the closing edge (1, 0) is a duplicate
     return g
 
 
@@ -481,14 +478,11 @@ def _run(params: GeneratorParams, checkpoints: Sequence[int] | None) -> tuple[As
 def _generate_for(model: str, params: GeneratorParams) -> AsGraph:
     if params.model != model:
         raise ParameterError(f"params.model is {params.model!r}, expected {model!r}")
-    graph, _ = _run(params, None)
-    return graph
+    return generate(params)
 
 
 def generate(params: GeneratorParams) -> AsGraph:
     """Grow one topology under params.model; deterministic in (params, seed)."""
-    if params.model not in _GROWERS:
-        raise ParameterError(f"unknown model {params.model!r} (expected one of {MODELS})")
     graph, _ = _run(params, None)
     return graph
 

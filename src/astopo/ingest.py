@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CorpusError
 from .graph import (
@@ -181,30 +181,6 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, list[AsPath], Filte
     return meta, accepted, report
 
 
-def merge_monitors(
-    per_monitor: Sequence[tuple[PathFileMeta, list[AsPath]]], monitor_set: str
-) -> Snapshot:
-    """Union one month's filtered paths from several monitors into a Snapshot."""
-    if not per_monitor:
-        raise CorpusError("no monitor files to merge")
-    first = per_monitor[0][0]
-    g = AsGraph()
-    for meta, paths in per_monitor:
-        if meta.date != first.date:
-            raise CorpusError(
-                f"monitor {meta.monitor_id!r} has date {meta.date}, expected {first.date}"
-            )
-        if meta.family != first.family:
-            raise CorpusError(
-                f"monitor {meta.monitor_id!r} has family {meta.family}, expected {first.family}"
-            )
-        for path in paths:
-            g.add_node(path[0])
-            for a, b in zip(path, path[1:]):
-                g.add_edge(a, b)
-    return Snapshot(graph=g, date=first.date, monitor_set=monitor_set, family=first.family)
-
-
 @dataclass(frozen=True)
 class MonitorSet:
     """Named monitor grouping; monitors=None admits every monitor."""
@@ -247,8 +223,9 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
 
     Layout is <root>/<YYYY-MM>/<monitor_id>.paths. Only files whose stem the
     config admits are read; months with no admitted files are simply absent.
-    Per-month FilterReports (merged across monitors) ride on the returned
-    series as .filter_reports.
+    A month's graph is built one file at a time, so only one file's paths are
+    held in memory at once. Per-month FilterReports (merged across monitors)
+    ride on the returned series as .filter_reports.
     """
     root = Path(root)
     if not root.is_dir():
@@ -256,31 +233,36 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
     snapshots: list[Snapshot] = []
     reports: dict[str, FilterReport] = {}
     family: str | None = None
-    for month_dir in sorted(p for p in root.iterdir() if p.is_dir() and _MONTH_DIR_RE.match(p.name)):
-        files = sorted(p for p in month_dir.glob("*.paths") if config.admits(p.stem))
-        if not files:
-            continue
-        month_report = FilterReport()
-        parsed = []
+
+    def accepted_paths(month: str, files: list[Path], report: FilterReport) -> Iterator[AsPath]:
+        nonlocal family
         for f in files:
             meta, paths, rep = parse_path_file(f)
-            if meta.date != month_dir.name:
+            if meta.date != month:
                 raise CorpusError(
-                    f"{f}: header date {meta.date} does not match directory {month_dir.name}"
+                    f"{f}: header date {meta.date} does not match directory {month}"
                 )
             if meta.monitor_id != f.stem:
                 raise CorpusError(
                     f"{f}: header monitor {meta.monitor_id!r} does not match filename"
                 )
-            parsed.append((meta, paths))
-            month_report.merge(rep)
-        snap = merge_monitors(parsed, config.label)
-        if family is None:
-            family = snap.family
-        elif snap.family != family:
-            raise CorpusError(f"{month_dir.name}: family {snap.family} differs from {family}")
-        snapshots.append(snap)
-        reports[snap.date] = month_report
+            if family is None:
+                family = meta.family
+            elif meta.family != family:
+                raise CorpusError(
+                    f"{f}: header family {meta.family} does not match series family {family}"
+                )
+            report.merge(rep)
+            yield from paths
+
+    for month_dir in sorted(p for p in root.iterdir() if p.is_dir() and _MONTH_DIR_RE.match(p.name)):
+        files = sorted(p for p in month_dir.glob("*.paths") if config.admits(p.stem))
+        if not files:
+            continue
+        month = month_dir.name
+        reports[month] = FilterReport()
+        graph = build_graph(accepted_paths(month, files, reports[month]))
+        snapshots.append(Snapshot(graph=graph, date=month, monitor_set=config.label, family=family))
     if family is None:
         raise CorpusError(f"no admitted path files under {root}")
     return SnapshotSeries(

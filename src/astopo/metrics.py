@@ -82,9 +82,13 @@ class MetricRow:
 
 @dataclass
 class MetricSeries:
+    """Rows in series order; warnings holds one '<date>: <error>' line per
+    month whose metrics could not be computed."""
+
     rows: list[MetricRow]
     family: str
     monitor_set: str
+    warnings: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER] + [row.to_csv_row() for row in self.rows]
@@ -247,14 +251,28 @@ def metrics_series(
     seed: int = 0,
     k_min: int = 1,
 ) -> MetricSeries:
-    """One MetricRow per snapshot, in series order; errors carry the date."""
+    """One MetricRow per snapshot, in series order.
+
+    A month whose metric_row raises AsTopoError gets a row with only N and L
+    filled and a '<date>: <error>' line on the result's .warnings.
+    """
     rows = []
+    warnings = []
     for snap in series.snapshots:
         try:
-            rows.append(metric_row(snap, aspl_sources, seed, k_min))
+            row = metric_row(snap, aspl_sources, seed, k_min)
         except AsTopoError as exc:
-            raise type(exc)(f"{snap.date}: {exc}") from exc
-    return MetricSeries(rows=rows, family=series.family, monitor_set=series.monitor_set)
+            warnings.append(f"{snap.date}: {exc}")
+            row = MetricRow(
+                date=snap.date,
+                N=snap.graph.node_count,
+                L=snap.graph.edge_count,
+                k_max=None, k_avg=None, aspl=None, C=None, rho=None, r=None,
+            )
+        rows.append(row)
+    return MetricSeries(
+        rows=rows, family=series.family, monitor_set=series.monitor_set, warnings=warnings
+    )
 
 
 def ccdf_to_csv(points: Sequence[CcdfPoint]) -> str:

@@ -34,12 +34,15 @@ def read_snapshot(path: Path | str) -> Snapshot:
     for key in ("date", "monitor_set", "family"):
         if key not in directives:
             raise CorpusError(f"{path}: missing '# {key}:' directive")
-    return Snapshot(
-        graph=graph,
-        date=directives["date"],
-        monitor_set=directives["monitor_set"],
-        family=directives["family"],
-    )
+    try:
+        return Snapshot(
+            graph=graph,
+            date=directives["date"],
+            monitor_set=directives["monitor_set"],
+            family=directives["family"],
+        )
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def write_store(out_dir: Path | str, series: SnapshotSeries) -> list[Path]:
@@ -54,13 +57,30 @@ def write_store(out_dir: Path | str, series: SnapshotSeries) -> list[Path]:
 
 
 def read_store(store_dir: Path | str) -> SnapshotSeries:
+    """Every <YYYY-MM>.edges file under store_dir, in date order.
+
+    A file whose '# date:' is not its stem, or whose family or monitor set
+    differs from the first file's, is a CorpusError naming that file.
+    """
     store_dir = Path(store_dir)
     if not store_dir.is_dir():
         raise CorpusError(f"snapshot store {store_dir} is not a directory")
     files = sorted(store_dir.glob("*.edges"))
     if not files:
         raise CorpusError(f"no .edges files in {store_dir}")
-    snapshots = [read_snapshot(f) for f in files]
+    snapshots = []
+    for f in files:
+        snap = read_snapshot(f)
+        if snap.date != f.stem:
+            raise CorpusError(f"{f}: header date {snap.date} does not match file name")
+        first = snapshots[0] if snapshots else snap
+        for key in ("family", "monitor_set"):
+            if getattr(snap, key) != getattr(first, key):
+                raise CorpusError(
+                    f"{f}: {key} {getattr(snap, key)!r} differs from "
+                    f"{getattr(first, key)!r} in {files[0].name}"
+                )
+        snapshots.append(snap)
     return SnapshotSeries(
         snapshots=snapshots,
         family=snapshots[0].family,

@@ -93,6 +93,22 @@ def test_metrics_on_triangle_month(tmp_path):
     assert structured["rows"][0]["N"] == 3 and structured["rows"][0]["rho"] is None
 
 
+def test_metrics_all_rejected_month_warns_and_continues(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_path_file(corpus, "2001-01", "m", "ipv4", ["1 {2} 3", "1 64512", "junk"])
+    write_path_file(corpus, "2001-02", "m", "ipv4", ["1 2 3", "3 1"])
+    store = tmp_path / "store"
+    out = tmp_path / "metrics"
+    assert run("ingest", "--input", corpus, "--out", store) == 0
+    assert run("metrics", "--input", store, "--out", out, "--plots") == 0
+    lines = read_lines(out / "metrics.csv")
+    assert lines[1:] == ["2001-01,0,0,,,,,,", "2001-02,3,3,2,2.0,1.0,1.0,,"]
+    assert (out / "warnings.txt").read_text() == "2001-01: snapshot 2001-01 has no nodes\n"
+    assert not (out / "ccdf_2001-01.csv").exists()
+    assert (out / "ccdf_2001-02.csv").exists()
+    assert (out / "metric_k_max.svg").exists() and not (out / "metric_rho.svg").exists()
+
+
 def test_metrics_growing_corpus_n_column(tmp_path):
     corpus = tmp_path / "corpus"
     expected = build_growing_corpus(corpus)

@@ -11,7 +11,6 @@ from astopo.ingest import (
     build_graph,
     is_private_asn,
     load_series,
-    merge_monitors,
     parse_path_file,
     parse_path_line,
 )
@@ -91,34 +90,30 @@ def test_filter_report_accounting():
     assert report.total == len(lines)
 
 
-def test_merge_monitors_union():
-    meta_a = PathFileMeta("2001-01", "a", "ipv4")
-    meta_b = PathFileMeta("2001-01", "b", "ipv4")
-    snap = merge_monitors([(meta_a, [[1, 2, 3]]), (meta_b, [[3, 4]])], "ALL")
-    assert sorted(snap.graph.edges()) == [(1, 2), (2, 3), (3, 4)]
-    snap = merge_monitors([(meta_a, [[1, 2]])], "ALL")
-    assert (snap.graph.node_count, snap.graph.edge_count) == (2, 1)
+def test_load_series_monitor_union(tmp_path):
+    write_path_file(tmp_path, "2001-01", "a", "ipv4", ["1 2 3"])
+    write_path_file(tmp_path, "2001-01", "b", "ipv4", ["3 4"])
+    write_path_file(tmp_path, "2001-02", "a", "ipv4", ["1 2"])
+    series = load_series(tmp_path)
+    assert sorted(series.snapshots[0].graph.edges()) == [(1, 2), (2, 3), (3, 4)]
+    g = series.snapshots[1].graph
+    assert (g.node_count, g.edge_count) == (2, 1)
 
 
-def test_merge_monitors_no_double_count():
-    meta_a = PathFileMeta("2001-01", "a", "ipv4")
-    meta_b = PathFileMeta("2001-01", "b", "ipv4")
-    snap = merge_monitors([(meta_a, [[1, 2], [2, 3]]), (meta_b, [[1, 2], [2, 3]])], "ALL")
-    assert snap.graph.edge_count == 2
+def test_load_series_monitors_no_double_count(tmp_path):
+    for monitor in ("a", "b"):
+        write_path_file(tmp_path, "2001-01", monitor, "ipv4", ["1 2", "2 3"])
+    series = load_series(tmp_path)
+    assert series.snapshots[0].graph.edge_count == 2
+    assert series.filter_reports["2001-01"].accepted == 4
 
 
-def test_merge_monitors_rejects_mixed_dates():
-    meta_a = PathFileMeta("2001-01", "a", "ipv4")
-    meta_b = PathFileMeta("2001-02", "b", "ipv4")
-    with pytest.raises(CorpusError, match="b"):
-        merge_monitors([(meta_a, [[1, 2]]), (meta_b, [[3, 4]])], "ALL")
-
-
-def test_merge_monitors_rejects_mixed_families():
-    meta_a = PathFileMeta("2001-01", "a", "ipv4")
-    meta_b = PathFileMeta("2001-01", "b", "ipv6")
-    with pytest.raises(CorpusError, match="b"):
-        merge_monitors([(meta_a, [[1, 2]]), (meta_b, [[3, 4]])], "ALL")
+@pytest.mark.parametrize("second_month", ["2001-01", "2001-02"])
+def test_load_series_mixed_families_names_file(tmp_path, second_month):
+    write_path_file(tmp_path, "2001-01", "a", "ipv4", ["1 2"])
+    write_path_file(tmp_path, second_month, "b", "ipv6", ["3 4"])
+    with pytest.raises(CorpusError, match=rf"{second_month}[/\\]b\.paths: header family ipv6"):
+        load_series(tmp_path)
 
 
 def test_parse_path_file(tmp_path):

@@ -324,6 +324,7 @@ def test_metrics_series_rows_in_order():
     graphs = [triangle(), star(4), AsGraph.from_edges([(1, 2), (2, 3)])]
     table = metrics_series(series_of(graphs))
     assert [row.date for row in table.rows] == ["2001-01", "2001-02", "2001-03"]
+    assert table.warnings == []
 
 
 def test_metrics_series_nested_growth_monotone_n():
@@ -344,10 +345,12 @@ def test_metrics_series_deterministic():
 
 
 def test_metrics_series_error_carries_date():
-    bad = series_of([triangle()])
+    bad = series_of([triangle(), triangle()])
     bad.snapshots[0].graph = AsGraph()
-    with pytest.raises(EmptyGraphError, match="2001-01"):
-        metrics_series(bad)
+    table = metrics_series(bad)
+    assert table.warnings == ["2001-01: snapshot 2001-01 has no nodes"]
+    assert table.rows[0].to_csv_row() == "2001-01,0,0,,,,,,"
+    assert table.rows[1].to_dict() == metric_row(bad.snapshots[1]).to_dict()
 
 
 def test_csv_shape():

@@ -46,3 +46,32 @@ def test_store_roundtrip_preserves_series(tmp_path):
 def test_read_store_empty(tmp_path):
     with pytest.raises(CorpusError):
         read_store(tmp_path)
+
+
+def write_edges_file(store_dir, stem, date, family="ipv4", monitor_set="ALL"):
+    store_dir.mkdir(exist_ok=True)
+    path = store_dir / f"{stem}.edges"
+    path.write_text(f"# date: {date}\n# monitor_set: {monitor_set}\n# family: {family}\n1 2\n")
+    return path
+
+
+@pytest.mark.parametrize("date", ["2001-05", "garbage"])
+def test_read_store_header_date_must_match_file_name(tmp_path, date):
+    write_edges_file(tmp_path, "2001-01", date)
+    with pytest.raises(CorpusError, match=r"2001-01\.edges: "):
+        read_store(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"family": "ipv6"}, "family 'ipv6' differs from 'ipv4' in 2001-01.edges"),
+        ({"monitor_set": "Set2"}, "monitor_set 'Set2' differs from 'ALL' in 2001-01.edges"),
+    ],
+    ids=["family", "monitor_set"],
+)
+def test_read_store_provenance_mismatch_names_file(tmp_path, header, message):
+    write_edges_file(tmp_path, "2001-01", "2001-01")
+    write_edges_file(tmp_path, "2001-02", "2001-02", **header)
+    with pytest.raises(CorpusError, match=rf"2001-02\.edges: {message}"):
+        read_store(tmp_path)
