@@ -160,7 +160,14 @@ def _read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | Non
     columns: dict[str, list[float | None]] = {c: [] for c in reader.fieldnames if c != "date"}
     dates: list[str] = []
     for row in reader:
-        dates.append(row["date"])
+        date, where = row["date"], f"{path}:{reader.line_num}"
+        try:
+            validate_date(date)
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
+        if dates and date <= dates[-1]:
+            raise CorpusError(f"{where}: date {date!r} is not after {dates[-1]!r}")
+        dates.append(date)
         for col in columns:
             cell = row[col]  # None when the row is short
             try:

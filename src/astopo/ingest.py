@@ -4,11 +4,16 @@ Path files are plain text: three header lines ('# date:', '# monitor:',
 '# family:') followed by one AS path per line, origin last. Paths containing
 AS sets, private or reserved ASNs, or loops are dropped; consecutive repeats
 are collapsed as prepending. Every drop is accounted per reason.
+
+A RIB dump repeats a path once per prefix behind it, so each distinct line of
+a file is parsed once and counted as often as it occurs, and a file's
+accepted paths come one per distinct accepted line.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -74,11 +79,11 @@ class FilterReport:
     def total(self) -> int:
         return self.accepted + self.rejected
 
-    def record(self, reason: str | None) -> None:
+    def record(self, reason: str | None, count: int = 1) -> None:
         if reason is None:
-            self.accepted += 1
+            self.accepted += count
         elif reason in REJECT_REASONS:
-            setattr(self, reason, getattr(self, reason) + 1)
+            setattr(self, reason, getattr(self, reason) + count)
         else:
             raise ValueError(f"unknown rejection reason {reason!r}")
 
@@ -156,7 +161,14 @@ def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
 
 
 def parse_path_file(path: Path | str) -> tuple[PathFileMeta, list[AsPath], FilterReport]:
-    """Parse one path file into (meta, accepted paths, filter report)."""
+    """Parse one path file into (meta, accepted paths, filter report).
+
+    Each distinct data line (stripped of surrounding whitespace) is parsed
+    once and recorded in the report as many times as the file holds it.
+    paths holds one path per distinct accepted line, in first-seen order;
+    two lines that differ only in prepending or inner whitespace give two
+    equal paths.
+    """
     path = Path(path)
     lines = read_input_text(path).splitlines()
     date = _header_value(path, lines, 0, "date")
@@ -168,14 +180,13 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, list[AsPath], Filte
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
     meta = PathFileMeta(date=date, monitor_id=monitor, family=family)
+    stripped = map(str.strip, lines[3:])
+    counts = Counter(line for line in stripped if line and not line.startswith("#"))
     report = FilterReport()
     accepted: list[AsPath] = []
-    for raw in lines[3:]:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line, n in counts.items():
         hops, reason = parse_path_line(line)
-        report.record(reason)
+        report.record(reason, n)
         if hops is not None:
             accepted.append(hops)
     return meta, accepted, report

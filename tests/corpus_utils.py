@@ -72,6 +72,66 @@ def build_growing_corpus(root: Path, months=("2001-01", "2001-02", "2001-03")) -
     return expected
 
 
+# Data lines for the repeat-heavy files: clean paths, prepending and
+# whitespace variants of one path, every reject kind (including a byte that is
+# not UTF-8 and a non-ASCII digit), comments and blank lines.
+REPEAT_POOL = [
+    b"701 1239 3356",
+    b"701 1239 3356 3356",      # prepending: same path, different line
+    b"  701 1239 3356 \t",      # strips to the first line
+    b"701  1239 3356",          # inner whitespace: same path, different line
+    b"701 7018",
+    b"3356 174 2914 15169",
+    b"174 6939",
+    b"6939",
+    b"2914 6939 13335",
+    b"1 {2,3} 4",
+    b"701 {1239}",
+    b"701 64512 3356",
+    b"23456 701",
+    b"701 4294967295",
+    b"701 1239 701",
+    b"174 174 6939 174",
+    b"701 abc 3356",
+    b"701 99999999999",
+    b"701 \xff 3356",
+    b"\xef\xbc\x91 701",          # fullwidth digit one
+    b"# comment",
+    b"#",
+    b"",
+    b"   ",
+]
+LAST_LINE = b"701 1239 3356"
+
+
+def write_repetitive_path_file(root: Path, date: str, monitor: str, rng, n_lines, pool=REPEAT_POOL) -> Path:
+    """A path file of n_lines drawn from pool with heavy-tailed repeats.
+
+    Line endings are LF or CRLF at random, and the file ends in LAST_LINE
+    with no newline.
+    """
+    order = rng.sample(pool, len(pool))
+    body = rng.choices(order, weights=[1 / (i + 1) for i in range(len(order))], k=n_lines)
+    header = f"# date: {date}\n# monitor: {monitor}\n# family: ipv4\n".encode()
+    data = b"".join(line + rng.choice((b"\n", b"\r\n")) for line in body)
+    path = root / date / f"{monitor}.paths"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(header + data + LAST_LINE)
+    return path
+
+
+def build_repetitive_corpus(root: Path, rng, months=4, monitors=("a", "b", "c"), n_lines=300) -> None:
+    """Repeat-heavy files for every monitor of every month. Each month draws
+    from its own random share of REPEAT_POOL plus one path of its own, so
+    lines recur across monitors, carry over between months and skip months.
+    """
+    for m in range(months):
+        pool = [line for line in REPEAT_POOL if rng.random() < 0.7]
+        pool.append(f"{m + 100} {m + 200} 701".encode())
+        for monitor in monitors:
+            write_repetitive_path_file(root, f"2001-{m + 1:02d}", monitor, rng, n_lines, pool)
+
+
 def write_monitor_set(path: Path, label: str, monitors) -> Path:
     lines = [f"# set: {label}"] + list(monitors)
     path.write_text("\n".join(lines) + "\n")

@@ -9,8 +9,11 @@ back as None.
 import random
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+from astopo.ingest import FilterReport, PathFileMeta, parse_path_line
 
 
 def degrees(g):
@@ -194,3 +197,45 @@ def bf_assortativity(g):
     if np.var(x) == 0 or np.var(y) == 0:
         return None
     return float(np.corrcoef(x, y)[0, 1])
+
+
+def parse_path_file_reference(path, distinct_lines=False):
+    """(meta, paths, report) of parse_path_file, the way astopo computed it
+    before counting distinct lines: one parse_path_line call per data line,
+    and every repeat kept in paths. With distinct_lines, a path whose
+    stripped line was seen before is left out of paths (it still counts in
+    the report). The per-line parser is astopo's own; what this checks is
+    the per-file assembly around it. Headers are trusted.
+    """
+    lines = Path(path).read_text(encoding="utf-8", errors="replace").splitlines()
+    meta = PathFileMeta(*(line.split(": ", 1)[1].strip() for line in lines[:3]))
+    report = FilterReport()
+    paths = []
+    seen = set()
+    for raw in lines[3:]:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        hops, reason = parse_path_line(line)
+        report.record(reason)
+        if hops is not None and not (distinct_lines and line in seen):
+            paths.append(hops)
+        seen.add(line)
+    return meta, paths, report
+
+
+def load_series_reference(root):
+    """{month: (nodes, edges, report dict)} that load_series gives with every
+    monitor admitted, assembled with plain sets from parse_path_file_reference.
+    """
+    months = {}
+    for month_dir in sorted(p for p in Path(root).iterdir() if p.is_dir()):
+        nodes, edges, report = set(), set(), FilterReport()
+        for f in sorted(month_dir.glob("*.paths")):
+            _, paths, file_report = parse_path_file_reference(f)
+            report.merge(file_report)
+            for path in paths:
+                nodes.update(path)
+                edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+        months[month_dir.name] = (nodes, edges, report.to_dict())
+    return months

@@ -311,6 +311,26 @@ def test_report_non_numeric_cell_fails_naming_file(tmp_path, capsys):
     assert "2001-02" in err and "column N" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+@pytest.mark.parametrize(
+    "bad_date, message",
+    [
+        ("2000-01", "date '2000-01' is not after '2001-03'"),  # out of order
+        ("2001-03", "date '2001-03' is not after '2001-03'"),  # repeated
+        ("2001-13", "bad date '2001-13' (expected YYYY-MM)"),  # malformed
+        ("", "bad date '' (expected YYYY-MM)"),  # empty
+    ],
+)
+def test_metrics_csv_date_must_follow_previous(tmp_path, capsys, command, bad_date, message):
+    csv_path = tmp_path / "metrics.csv"
+    dates = month_labels(30, start_year=2001)
+    dates[3] = bad_date  # line 5: header, then rows 2001-01 to 2001-03
+    write_metrics_csv(csv_path, dates, [float(i + 1) for i in range(30)])
+    argv = [command, "--input", csv_path, "--out", tmp_path / "out"]
+    assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}:5: {message}\n"
+
+
 def test_unknown_metric_column(tmp_path, capsys):
     csv_path = tmp_path / "m.csv"
     csv_path.write_text("date,weird\n2001-01,1\n")

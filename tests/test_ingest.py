@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
+import astopo.ingest
+import oracles
 from astopo import CorpusError
+from astopo.cli import main
 from astopo.ingest import (
     ALL_MONITORS,
     FilterReport,
@@ -14,7 +18,14 @@ from astopo.ingest import (
     parse_path_file,
     parse_path_line,
 )
-from corpus_utils import build_filter_corpus, build_growing_corpus, write_monitor_set, write_path_file
+from corpus_utils import (
+    build_filter_corpus,
+    build_growing_corpus,
+    build_repetitive_corpus,
+    write_monitor_set,
+    write_path_file,
+    write_repetitive_path_file,
+)
 
 
 def test_parse_clean_path():
@@ -273,3 +284,60 @@ def test_monitor_set_load_errors(tmp_path):
     f.write_text("mon1\n")
     with pytest.raises(CorpusError, match="set"):
         MonitorSet.load(f)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_path_file_matches_line_at_a_time_reference(tmp_path, seed):
+    f = write_repetitive_path_file(tmp_path, "2001-01", "m", random.Random(seed), 400)
+    meta, paths, report = parse_path_file(f)
+    ref_meta, ref_paths, ref_report = oracles.parse_path_file_reference(f)
+    assert all(ref_report.to_dict().values())  # every reject kind is present
+    assert meta == ref_meta
+    assert report.to_dict() == ref_report.to_dict()
+    assert paths == oracles.parse_path_file_reference(f, distinct_lines=True)[1]
+    assert len(paths) < len(ref_paths)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_load_series_matches_reference_assembly(tmp_path, seed):
+    build_repetitive_corpus(tmp_path, random.Random(seed))
+    series = load_series(tmp_path)
+    expected = oracles.load_series_reference(tmp_path)
+    assert series.dates() == list(expected)
+    for snap in series:
+        nodes, edges, report = expected[snap.date]
+        assert set(snap.graph.nodes()) == nodes
+        assert set(snap.graph.edges()) == edges
+        assert series.filter_reports[snap.date].to_dict() == report
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Counter of parse_path_line calls per line, made while the test runs."""
+    calls = Counter()
+    parse = astopo.ingest.parse_path_line
+
+    def counting(line):
+        calls[line] += 1
+        return parse(line)
+
+    monkeypatch.setattr(astopo.ingest, "parse_path_line", counting)
+    return calls
+
+
+def test_line_repeated_in_a_file_is_parsed_once_per_file(tmp_path, parse_calls):
+    for monitor in ("a", "b"):
+        write_path_file(tmp_path, "2001-01", monitor, "ipv4", ["1 2 3"] * 3)
+    write_path_file(tmp_path, "2001-02", "a", "ipv4", ["1 2 3", " 1 2 3 "])
+    series = load_series(tmp_path)
+    assert parse_calls == {"1 2 3": 3}
+    assert [series.filter_reports[d].accepted for d in series.dates()] == [6, 2]
+
+
+def test_rejected_line_repeated_next_month_counts_in_both_months(tmp_path, parse_calls):
+    write_path_file(tmp_path / "corpus", "2001-01", "a", "ipv4", ["1 {2} 3", "1 2"])
+    write_path_file(tmp_path / "corpus", "2001-02", "a", "ipv4", ["1 {2} 3", "1 2", "1 {2} 3"])
+    assert main(["ingest", "--input", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "filter_summary.csv").read_text().splitlines()
+    assert rows[1:] == ["2001-01,2,1,1,0,0,0", "2001-02,3,1,2,0,0,0"]
+    assert parse_calls == {"1 {2} 3": 2, "1 2": 2}
