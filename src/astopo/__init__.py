@@ -36,6 +36,7 @@ from .graph import (
     IPV4,
     IPV6,
     AsGraph,
+    CsrGraph,
     Snapshot,
     SnapshotSeries,
     read_edgelist,

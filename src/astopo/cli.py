@@ -426,7 +426,7 @@ def cmd_generate(args) -> None:
     else:
         checkpoints = _default_checkpoints(params.seed_size(), params.n_target)
     graph, trajectory = generators.generate_with_trajectory(params, checkpoints)
-    write_edgelist(graph, out / "graph.edges", directives={"model": params.model})
+    write_edgelist(graph.freeze(), out / "graph.edges", directives={"model": params.model})
     (out / "trajectory.csv").write_text(trajectory.to_csv())
     _write_manifest(
         out,

@@ -6,13 +6,14 @@ native; larger distances suggest the IPv6 session is tunnelled across IPv4
 infrastructure. Edges whose endpoints are absent from the IPv4 graph, or
 present but unreachable, are excluded from the average and reported apart.
 
-Native edges are counted by an O(1) adjacency check. The rest are measured
-over a CSR copy of the IPv4 graph: one component labelling settles the pairs
-in different components, and one multi-source BFS, batched over the distinct
-endpoints of the remaining pairs, stops each batch at the level where its
-farthest pair meets. The traversal cost thus follows the tunnelled edges and
-how far apart their ends sit, not the number of IPv6 endpoints or the depth
-of the IPv4 graph.
+Both snapshots arrive as CsrGraphs and nothing is rebuilt. The IPv6 edges
+are classified against the IPv4 graph by sorted-label lookups (an endpoint
+missing) and edge-key lookups (native). Only the rest are traversed: one
+component labelling settles the pairs in different components, and one
+multi-source BFS, batched over the distinct endpoints of the remaining
+pairs, stops each batch at the level where its farthest pair meets. The
+traversal cost thus follows the tunnelled edges and how far apart their ends
+sit, not the number of IPv6 endpoints or the depth of the IPv4 graph.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInputError, NoOverlapError
-from .graph import UNREACHABLE, AsGraph, CsrGraph, SnapshotSeries
+from .graph import UNREACHABLE, CsrGraph, SnapshotSeries
 
 DISTRIBUTION_CSV_HEADER = "d,count,probability"
 SUMMARY_CSV_HEADER = "date,aspl,p1,missing,disconnected"
@@ -66,27 +69,22 @@ class TunnelDistribution:
         }
 
 
-def tunnel_path_lengths(g6: AsGraph, g4: AsGraph, date: str | None = None) -> TunnelDistribution:
+def tunnel_path_lengths(g6: CsrGraph, g4: CsrGraph, date: str | None = None) -> TunnelDistribution:
     """IPv4 shortest-path distribution over the IPv6 edge set.
 
     An edge that IPv4 also has is native (distance 1) without any traversal.
-    Only the remaining edges are resolved, by CsrGraph.pair_distances over a
-    CSR copy of the IPv4 graph, so an all-native month costs one has_edge
-    check per edge.
+    Only the remaining edges are resolved, by g4.pair_distances, so an
+    all-native month runs no traversal at all.
     """
     if g6.edge_count == 0:
         raise DegenerateInputError("IPv6 graph has no edges")
-    missing = native = 0
-    pending: list[tuple[int, int]] = []
-    for u, v in g6.edges():
-        if u not in g4 or v not in g4:
-            missing += 1
-        elif g4.has_edge(u, v):
-            native += 1
-        else:
-            pending.append((u, v))
-    counts = Counter(CsrGraph(g4).pair_distances(pending).tolist()) if pending else Counter()
+    ends = g6.edges()
+    shared = ends[np.isin(ends, g4.labels).all(axis=1)]
+    is_native = g4.has_edges(shared)
+    pending = shared[~is_native]
+    counts = Counter(g4.pair_distances(pending).tolist()) if len(pending) else Counter()
     disconnected = counts.pop(UNREACHABLE, 0)
+    native = int(np.count_nonzero(is_native))
     if native:
         counts[1] = native
     measured = sum(counts.values())
@@ -94,7 +92,7 @@ def tunnel_path_lengths(g6: AsGraph, g4: AsGraph, date: str | None = None) -> Tu
     return TunnelDistribution(
         date=date,
         counts=dict(sorted(counts.items())),
-        missing=missing,
+        missing=len(ends) - len(shared),
         disconnected=disconnected,
         aspl=aspl,
     )

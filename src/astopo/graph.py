@@ -1,10 +1,15 @@
-"""Undirected simple AS graph, its CSR traversal form, and monthly snapshot containers.
+"""AS graphs: the mutable graph the generators grow, the CSR analysis graph, and monthly snapshots.
 
 AS numbers are plain ints in the 32-bit range and are never remapped: the
 number that goes in is the number that comes back out of every traversal,
-serialization, and report. CsrGraph indexes nodes by their position in the
-sorted AS numbers internally, and takes and returns AS numbers at its
-boundary.
+serialization, and report.
+
+CsrGraph is the one graph every analysis layer sees: store and ingest build
+one per month from edge pairs, and metrics and crossnet read it without
+building another. It indexes nodes by their position in the sorted AS
+numbers internally, and takes and returns AS numbers at its boundary.
+AsGraph, a dict of neighbour sets, is only what the growth models mutate
+edge by edge.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ MSBFS_BATCH = 512
 
 # CsrGraph.pair_distances value for a pair whose ends share no component.
 UNREACHABLE = -1
+
+# Edges formatted per write by write_edgelist.
+_WRITE_BLOCK = 1 << 14
 
 # Set bits per byte value; numpy gained bitwise_count only in 2.0.
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -54,10 +62,10 @@ def validate_family(family: str) -> str:
 
 
 class AsGraph:
-    """Undirected simple graph over AS numbers.
+    """Mutable undirected simple graph over AS numbers, grown edge by edge by the generators.
 
-    Self-loops and duplicate edges are silently refused by add_edge, which is
-    exactly what collapsing repeated BGP announcements needs.
+    Self-loops and duplicate edges are silently refused by add_edge. Analysis
+    runs on the CsrGraph that freeze returns.
     """
 
     __slots__ = ("_adj", "_edge_count")
@@ -72,9 +80,6 @@ class AsGraph:
         for u, v in pairs:
             g.add_edge(u, v)
         return g
-
-    def __contains__(self, u: int) -> bool:
-        return u in self._adj
 
     @property
     def node_count(self) -> int:
@@ -117,10 +122,6 @@ class AsGraph:
         self._edge_count -= 1
         return True
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self._adj.get(u)
-        return nbrs is not None and v in nbrs
-
     def nodes(self) -> Iterator[int]:
         return iter(self._adj)
 
@@ -130,6 +131,11 @@ class AsGraph:
             for v in nbrs:
                 if u < v:
                     yield u, v
+
+    def freeze(self) -> "CsrGraph":
+        """This graph as a CsrGraph, for analysis and writing."""
+        pairs = np.fromiter(chain.from_iterable(self.edges()), np.int64, 2 * self._edge_count)
+        return CsrGraph(pairs.reshape(-1, 2), np.fromiter(self._adj, np.int64, len(self._adj)))
 
     def neighbors(self, u: int) -> set[int]:
         """Neighbor set of u. Treat as read-only."""
@@ -157,16 +163,6 @@ class AsGraph:
                     queue.append(v)
         return dist
 
-    def components(self) -> Iterator[set[int]]:
-        """Connected components, in ascending order of their smallest AS number."""
-        if not self._adj:
-            return
-        csr = CsrGraph(self)
-        roots = csr.component_roots()
-        order = np.argsort(roots, kind="stable")
-        for comp in np.split(csr.labels[order], np.flatnonzero(np.diff(roots[order])) + 1):
-            yield set(comp.tolist())
-
     def giant_component(self) -> "AsGraph":
         """Induced subgraph of the largest component.
 
@@ -175,7 +171,7 @@ class AsGraph:
         """
         if not self._adj:
             raise EmptyGraphError("graph has no nodes")
-        csr = CsrGraph(self)
+        csr = self.freeze()
         sub = AsGraph()
         # A component is closed under adjacency, so whole neighbour sets carry over.
         for u in csr.labels[csr.giant()].tolist():
@@ -185,34 +181,107 @@ class AsGraph:
         return sub
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct entries of values, which is sorted in place.
+
+    Unlike np.unique, it makes no sorted copy and needs no masked-array import.
+    """
+    values.sort()
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def _popcount(words: np.ndarray) -> int:
     """Number of set bits in a C-contiguous array of unsigned integers."""
     return int(_POPCOUNT8[words.view(np.uint8)].sum())
 
 
 class CsrGraph:
-    """Read-only compressed-sparse-row copy of an AsGraph, for numpy traversal.
+    """Read-only undirected simple graph in compressed sparse rows.
 
     labels holds the AS numbers in ascending order; the neighbours of the node
-    at position i are labels[indices[indptr[i]:indptr[i + 1]]].
+    at position i are labels[indices[indptr[i]:indptr[i + 1]]], in ascending
+    order.
     """
 
     __slots__ = ("labels", "indptr", "indices", "_gather", "_isolated")
 
-    def __init__(self, g: AsGraph) -> None:
-        adj = g._adj
-        order = sorted(adj)
-        self.labels = np.array(order, dtype=np.int64)
-        self.indptr = np.zeros(len(order) + 1, dtype=np.intp)
-        np.cumsum([len(adj[u]) for u in order], out=self.indptr[1:])
-        flat = np.fromiter(chain.from_iterable(adj[u] for u in order), np.int64, int(self.indptr[-1]))
-        self.indices = np.searchsorted(self.labels, flat)
-        isolated = np.diff(self.indptr) == 0
+    def __init__(self, pairs=(), nodes=()) -> None:
+        """Graph of the (u, v) edge pairs plus every AS number in nodes.
+
+        A pair given more than once, in either orientation, is one edge. A
+        self-loop is refused the way AsGraph.add_edge refuses it: it adds
+        neither an edge nor a node.
+        """
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        labels = _distinct(np.concatenate((ends.ravel(), np.asarray(nodes, dtype=np.int64))))
+        n = len(labels)
+        ends = np.searchsorted(labels, ends)
+        ends.sort(axis=1)
+        keys = _distinct(ends[:, 0] * n + ends[:, 1])
+        del ends
+        # Both orientations of every edge, ordered by row, then by neighbour.
+        arcs = np.concatenate((keys, keys % n * n + keys // n))
+        del keys
+        arcs.sort()
+        cols = arcs % n
+        self._set(labels, np.bincount(np.floor_divide(arcs, n, out=arcs), minlength=n), cols)
+
+    def _set(self, labels: np.ndarray, degrees: np.ndarray, indices: np.ndarray) -> None:
+        self.labels = labels
+        self.indptr = np.zeros(len(labels) + 1, dtype=np.intp)
+        np.cumsum(degrees, out=self.indptr[1:])
+        self.indices = indices.astype(np.intp, copy=False)
+        isolated = degrees == 0
         self._isolated = np.flatnonzero(isolated)
         # reduceat rejects a start offset equal to the array length, which an
         # isolated last node has. One padding entry makes it valid and lies in
         # no other node's range; _pull overwrites the rows of isolated nodes.
         self._gather = np.append(self.indices, 0) if isolated[-1:].any() else self.indices
+
+    @property
+    def node_count(self) -> int:
+        return len(self.labels)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.indices) // 2
+
+    def degrees(self) -> np.ndarray:
+        """Degree of the node at each position."""
+        return np.diff(self.indptr)
+
+    def rows(self) -> np.ndarray:
+        """Row of each entry of indices: the tail position of every directed arc."""
+        return np.repeat(np.arange(len(self.labels)), self.degrees())
+
+    def edges(self) -> np.ndarray:
+        """Every edge once, as an (L, 2) int64 array of AS numbers (u, v) with
+        u < v, in ascending order."""
+        rows = self.rows()
+        upper = self.indices > rows
+        return np.column_stack((self.labels[rows[upper]], self.labels[self.indices[upper]]))
+
+    def has_edges(self, pairs) -> np.ndarray:
+        """Whether each (u, v) pair of AS numbers is an edge.
+
+        UnknownNodeError names the first AS absent from the graph.
+        """
+        ends = self._positions(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+        n = len(self.labels)
+        return np.isin(ends[:, 0] * n + ends[:, 1], self.rows() * n + self.indices)
+
+    def subgraph(self, keep: np.ndarray) -> "CsrGraph":
+        """Sub-graph induced by the ascending node positions keep."""
+        new = np.full(len(self.labels), -1, dtype=np.intp)
+        new[keep] = np.arange(len(keep))
+        rows, cols = new[self.rows()], new[self.indices]
+        inside = (rows >= 0) & (cols >= 0)
+        sub = object.__new__(CsrGraph)
+        sub._set(self.labels[keep], np.bincount(rows[inside], minlength=len(keep)), cols[inside])
+        return sub
 
     def _pull(self, ufunc: np.ufunc, values: np.ndarray, empty) -> np.ndarray:
         """ufunc-reduce the rows of values over each node's neighbours; empty for isolated nodes."""
@@ -324,7 +393,7 @@ class CsrGraph:
 class Snapshot:
     """One month's merged AS graph plus provenance."""
 
-    graph: AsGraph
+    graph: CsrGraph
     date: str
     monitor_set: str
     family: str
@@ -402,30 +471,38 @@ def _parse_asn(token: str, where: str) -> int:
     return value
 
 
-def write_edgelist(graph: AsGraph, path: Path | str, directives: dict[str, str] | None = None) -> None:
+def write_edgelist(graph: CsrGraph, path: Path | str, directives: dict[str, str] | None = None) -> None:
     """Write the shared edge-list text format.
 
     One "u v" line per edge with u < v, sorted; '# key: value' comment
     directives first; isolated nodes are preserved as '# node: N' lines so
     node counts survive a round trip.
     """
-    lines = [f"# {key}: {value}" for key, value in (directives or {}).items()]
-    isolated = sorted(u for u in graph.nodes() if graph.degree(u) == 0)
-    lines.extend(f"# node: {u}" for u in isolated)
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines = [f"# {key}: {value}\n" for key, value in (directives or {}).items()]
+    lines.extend(f"# node: {u}\n" for u in graph.labels[graph.degrees() == 0].tolist())
+    edges = graph.edges()
+    with open(path, "w", encoding="ascii") as f:
+        f.write("".join(lines))
+        # One format per block of edges, so no Python object is made per edge
+        # beyond the block's AS numbers.
+        for lo in range(0, len(edges), _WRITE_BLOCK):
+            block = edges[lo:lo + _WRITE_BLOCK]
+            f.write(("%d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_edgelist(path: Path | str) -> tuple[AsGraph, dict[str, str]]:
+def read_edgelist(path: Path | str) -> tuple[CsrGraph, dict[str, str]]:
     """Read the shared edge-list format; returns (graph, comment directives).
 
-    '# node: N' directives become isolated nodes; every other '# key: value'
+    '# node: N' directives add isolated nodes; every other '# key: value'
     comment is collected (first occurrence wins); remaining comments and
-    blank lines are ignored.
+    blank lines are ignored. A repeated edge is kept once; a self-loop is a
+    CorpusError, since the writer never emits one.
     """
     path = Path(path)
     text = read_input_text(path)
-    g = AsGraph()
+    us: list[int] = []
+    vs: list[int] = []
+    nodes: list[int] = []
     directives: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -436,7 +513,7 @@ def read_edgelist(path: Path | str) -> tuple[AsGraph, dict[str, str]]:
             if m:
                 key, value = m.groups()
                 if key == "node":
-                    g.add_node(_parse_asn(value, f"{path}:{lineno}"))
+                    nodes.append(_parse_asn(value, f"{path}:{lineno}"))
                 else:
                     directives.setdefault(key, decoded_value(value, f"{path}:{lineno}"))
             continue
@@ -445,5 +522,8 @@ def read_edgelist(path: Path | str) -> tuple[AsGraph, dict[str, str]]:
             raise CorpusError(f"{path}:{lineno}: expected two AS numbers, got {line!r}")
         u = _parse_asn(parts[0], f"{path}:{lineno}")
         v = _parse_asn(parts[1], f"{path}:{lineno}")
-        g.add_edge(u, v)
-    return g, directives
+        if u == v:
+            raise CorpusError(f"{path}:{lineno}: self-loop {line!r}")
+        us.append(u)
+        vs.append(v)
+    return CsrGraph(np.array((us, vs), dtype=np.int64).T, nodes), directives

@@ -7,7 +7,9 @@ are collapsed as prepending. Every drop is accounted per reason.
 
 A RIB dump repeats a path once per prefix behind it, so each distinct line of
 a file is parsed once and counted as often as it occurs, and a file's
-accepted paths come one per distinct accepted line.
+accepted paths come one per distinct accepted line. A file's hop pairs are
+then collected as arrays and deduplicated, and each month's files build one
+CsrGraph.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import CorpusError
 from .graph import (
     AS_MAX,
-    AsGraph,
+    CsrGraph,
     Snapshot,
     SnapshotSeries,
     decoded_value,
@@ -140,14 +144,28 @@ def parse_path_line(line: str) -> tuple[AsPath | None, str | None]:
     return collapsed, None
 
 
-def build_graph(paths: Iterable[AsPath]) -> AsGraph:
-    """Union graph of adjacent hop pairs; one-hop paths contribute bare nodes."""
-    g = AsGraph()
+def _hop_pairs(paths: Iterable[AsPath]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct adjacent hop pairs of paths as (lower, higher) int64 rows, plus
+    the AS of every one-hop path."""
+    tails: list[int] = []
+    heads: list[int] = []
+    bare: list[int] = []
     for path in paths:
-        g.add_node(path[0])
-        for a, b in zip(path, path[1:]):
-            g.add_edge(a, b)
-    return g
+        if len(path) == 1:
+            bare.append(path[0])
+        tails.extend(path[:-1])
+        heads.extend(path[1:])
+    u = np.array(tails, dtype=np.uint64)
+    v = np.array(heads, dtype=np.uint64)
+    # AS numbers fit 32 bits, so one uint64 key holds an unordered pair.
+    keys = np.unique(np.minimum(u, v) << np.uint64(32) | np.maximum(u, v))
+    pairs = np.column_stack((keys >> np.uint64(32), keys & np.uint64(AS_MAX))).astype(np.int64)
+    return pairs, np.array(bare, dtype=np.int64)
+
+
+def build_graph(paths: Iterable[AsPath]) -> CsrGraph:
+    """Union graph of adjacent hop pairs; one-hop paths contribute bare nodes."""
+    return CsrGraph(*_hop_pairs(paths))
 
 
 def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
@@ -234,9 +252,11 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
 
     Layout is <root>/<YYYY-MM>/<monitor_id>.paths. Only files whose stem the
     config admits are read; months with no admitted files are simply absent.
-    A month's graph is built one file at a time, so only one file's paths are
-    held in memory at once. Per-month FilterReports (merged across monitors)
-    ride on the returned series as .filter_reports.
+    A month is read one file at a time: only one file's paths are held in
+    memory at once, next to the distinct hop pairs of the files before it,
+    and the month's CsrGraph is built once from all of them. Per-month
+    FilterReports (merged across monitors) ride on the returned series as
+    .filter_reports.
     """
     root = Path(root)
     if not root.is_dir():
@@ -245,7 +265,7 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
     reports: dict[str, FilterReport] = {}
     family: str | None = None
 
-    def accepted_paths(month: str, files: list[Path], report: FilterReport) -> Iterator[AsPath]:
+    def file_paths(month: str, files: list[Path], report: FilterReport) -> Iterator[list[AsPath]]:
         nonlocal family
         for f in files:
             meta, paths, rep = parse_path_file(f)
@@ -264,7 +284,7 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
                     f"{f}: header family {meta.family} does not match series family {family}"
                 )
             report.merge(rep)
-            yield from paths
+            yield paths
 
     for month_dir in sorted(p for p in root.iterdir() if p.is_dir() and _MONTH_DIR_RE.match(p.name)):
         files = sorted(p for p in month_dir.glob("*.paths") if config.admits(p.stem))
@@ -272,7 +292,8 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
             continue
         month = month_dir.name
         reports[month] = FilterReport()
-        graph = build_graph(accepted_paths(month, files, reports[month]))
+        pairs, bare = zip(*map(_hop_pairs, file_paths(month, files, reports[month])))
+        graph = CsrGraph(np.concatenate(pairs), np.concatenate(bare))
         snapshots.append(Snapshot(graph=graph, date=month, monitor_set=config.label, family=family))
     if family is None:
         raise CorpusError(f"no admitted path files under {root}")

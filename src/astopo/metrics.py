@@ -6,18 +6,20 @@ exponent) on its giant component, so disconnected fixture months stay well
 defined. Counting metrics use integer arithmetic until the final division,
 which makes them exact and relabeling-invariant bit for bit.
 
-metric_row finds the giant component once and hands it to every structure
-metric. ASPL freezes its graph to a CsrGraph and sums BFS distances with the
-bit-parallel multi-source BFS of CsrGraph.distance_total: MSBFS_BATCH (512)
-sources per batch, one bit each, so its working memory is O(L x 8) words
-whatever the number of sources. The total is a Python int divided once, so
-sampled ASPL with the source count capped equals exact ASPL bit for bit.
+Every metric reads the snapshot's CsrGraph. Degrees, k_max and the CCDF come
+from its row offsets, assortativity from int64 sums of degree products, and
+clustering from a triangle count over a degree-ordered orientation.
+metric_row takes the giant component once, as a CSR sub-graph, and hands it
+to every structure metric. ASPL sums BFS distances with the bit-parallel
+multi-source BFS of CsrGraph.distance_total: MSBFS_BATCH (512) sources per
+batch, one bit each, so its working memory is O(L x 8) words whatever the
+number of sources. The total is a Python int divided once, so sampled ASPL
+with the source count capped equals exact ASPL bit for bit.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,10 +32,14 @@ from .errors import (
     InsufficientDataError,
     UndefinedMetricError,
 )
-from .graph import AsGraph, CsrGraph, Snapshot, SnapshotSeries
+from .graph import CsrGraph, Snapshot, SnapshotSeries
 
 CSV_HEADER = "date,N,L,k_max,k_avg,aspl,C,rho,r"
 CCDF_CSV_HEADER = "k,p"
+
+# Wedges looked up per block of the triangle count: bounds its memory to a
+# few arrays of this many int64 keys, whatever the out-degrees.
+WEDGE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,32 +110,27 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def max_degree(g: AsGraph) -> int:
+def max_degree(g: CsrGraph) -> int:
     if g.node_count == 0:
         raise EmptyGraphError("max degree of an empty graph")
-    return max(len(g.neighbors(u)) for u in g.nodes())
+    return int(g.degrees().max())
 
 
-def average_degree(g: AsGraph) -> float:
+def average_degree(g: CsrGraph) -> float:
     """Exactly 2L/N."""
     if g.node_count == 0:
         raise EmptyGraphError("average degree of an empty graph")
     return 2 * g.edge_count / g.node_count
 
 
-def degree_ccdf(g: AsGraph) -> list[CcdfPoint]:
+def degree_ccdf(g: CsrGraph) -> list[CcdfPoint]:
     """One point per realized degree, ascending k; p(k) = |{v: deg(v) >= k}| / N."""
     if g.node_count == 0:
         raise EmptyGraphError("degree CCDF of an empty graph")
-    counts = Counter(len(g.neighbors(u)) for u in g.nodes())
+    ks, counts = np.unique(g.degrees(), return_counts=True)
+    at_least = np.cumsum(counts[::-1])[::-1]
     n = g.node_count
-    points: list[CcdfPoint] = []
-    cumulative = 0
-    for k in sorted(counts, reverse=True):
-        cumulative += counts[k]
-        points.append(CcdfPoint(k, cumulative / n))
-    points.reverse()
-    return points
+    return [CcdfPoint(k, c / n) for k, c in zip(ks.tolist(), at_least.tolist())]
 
 
 def powerlaw_exponent(ccdf: Sequence[CcdfPoint], k_min: int = 1) -> float:
@@ -150,7 +151,7 @@ def powerlaw_exponent(ccdf: Sequence[CcdfPoint], k_min: int = 1) -> float:
 
 
 def average_shortest_path_length(
-    g: AsGraph, n_sources: int | None = None, seed: int = 0
+    g: CsrGraph, n_sources: int | None = None, seed: int = 0
 ) -> float:
     """Mean hop count between node pairs of the giant component.
 
@@ -161,8 +162,7 @@ def average_shortest_path_length(
     """
     if g.node_count < 2:
         raise DegenerateInputError("ASPL needs at least 2 nodes")
-    csr = CsrGraph(g)
-    nodes = csr.labels[csr.giant()].tolist()
+    nodes = g.labels[g.giant()].tolist()
     n = len(nodes)
     if n < 2:
         raise DegenerateInputError("giant component has a single node")
@@ -172,34 +172,64 @@ def average_shortest_path_length(
         if n_sources < 1:
             raise DegenerateInputError("n_sources must be >= 1")
         sources = random.Random(seed).sample(nodes, n_sources)
-    return csr.distance_total(sources) / (len(sources) * (n - 1))
+    return g.distance_total(sources) / (len(sources) * (n - 1))
 
 
-def clustering_coefficient(g: AsGraph) -> float:
+def _triangles(g: CsrGraph) -> int:
+    """Number of triangles, by a degree-ordered orientation (Latapy, TCS 2008).
+
+    Each edge points from the lower to the higher (degree, AS number) rank, so
+    every triangle is found once, at its lowest-ranked node, as a pair of that
+    node's out-neighbours that is itself an edge, and out-lists stay short on
+    heavy-tailed graphs. Nodes are taken one out-degree class at a time, each
+    class's wedges WEDGE_BLOCK at a time, looked up in the sorted edge keys.
+    """
+    n = g.node_count
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g.degrees(), kind="stable")] = np.arange(n)
+    tail, head = rank[g.rows()], rank[g.indices]
+    up = tail < head
+    keys = np.sort(tail[up] * n + head[up])
+    tail, head = np.divmod(keys, n)
+    out_degree = np.bincount(tail, minlength=n)
+    first = np.searchsorted(tail, np.arange(n))
+    found = 0
+    for d in np.unique(out_degree[out_degree >= 2]).tolist():
+        i, j = np.triu_indices(d, 1)
+        starts = first[out_degree == d][:, None]
+        step = max(1, WEDGE_BLOCK // len(i))
+        for lo in range(0, len(starts), step):
+            block = starts[lo:lo + step]
+            wedges = head[block + i] * n + head[block + j]
+            at = np.minimum(np.searchsorted(keys, wedges), len(keys) - 1)
+            found += int(np.count_nonzero(keys[at] == wedges))
+    return found
+
+
+def clustering_coefficient(g: CsrGraph) -> float:
     """Three times triangles over connected triples (paths of length two)."""
     if g.node_count == 0:
         raise EmptyGraphError("clustering of an empty graph")
-    triples = sum(d * (d - 1) // 2 for d in (len(g.neighbors(u)) for u in g.nodes()))
+    deg = g.degrees().astype(np.int64)
+    triples = int(np.sum(deg * (deg - 1) // 2))
     if triples == 0:
         raise UndefinedMetricError("graph has no connected triples")
-    closed = 0  # each triangle contributes 3, once per edge
-    for u, v in g.edges():
-        closed += len(g.neighbors(u) & g.neighbors(v))
-    return closed / triples
+    return 3 * _triangles(g) / triples
 
 
-def assortativity_coefficient(g: AsGraph) -> float:
-    """Pearson correlation of end degrees over both orientations of every edge."""
+def assortativity_coefficient(g: CsrGraph) -> float:
+    """Pearson correlation of end degrees over both orientations of every edge.
+
+    A node of degree d is an end of d edges, so the sums over edge ends are
+    sums of d^2 and d^3 over nodes; the cross term sums over directed arcs.
+    """
     if g.edge_count == 0:
         raise UndefinedMetricError("assortativity needs at least one edge")
+    deg = g.degrees().astype(np.int64)
     m2 = 2 * g.edge_count
-    s_x = s_xx = s_xy = 0
-    for u, v in g.edges():
-        du = len(g.neighbors(u))
-        dv = len(g.neighbors(v))
-        s_x += du + dv
-        s_xx += du * du + dv * dv
-        s_xy += 2 * du * dv
+    s_x = int(deg @ deg)
+    s_xx = int(deg * deg @ deg)
+    s_xy = int(deg[g.rows()] @ deg[g.indices])
     var_num = m2 * s_xx - s_x * s_x
     if var_num == 0:
         raise UndefinedMetricError("edge-end degrees have zero variance")
@@ -223,7 +253,7 @@ def metric_row(
     g = snapshot.graph
     if g.node_count == 0:
         raise EmptyGraphError(f"snapshot {snapshot.date} has no nodes")
-    gc = g.giant_component()
+    gc = g.subgraph(g.giant())
     ccdf = degree_ccdf(gc)
     aspl = _optional(
         lambda: average_shortest_path_length(gc, aspl_sources, seed), DegenerateInputError

@@ -2,7 +2,8 @@
 
 Files are named <YYYY-MM>.edges and carry '# date:', '# monitor_set:' and
 '# family:' directives, so a store round-trips a SnapshotSeries exactly
-(isolated nodes included, via '# node:' lines).
+(isolated nodes included, via '# node:' lines). Each file is read straight
+into its month's CsrGraph.
 """
 
 from __future__ import annotations

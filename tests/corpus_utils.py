@@ -163,3 +163,8 @@ def sparse_graph(rng, n, avg_degree=2.5):
         g.add_edge(*rng.sample(labels, 2))
     g.add_node(2**32 - 1)
     return g
+
+
+def edge_list(g):
+    """A CsrGraph's edges as sorted (u, v) tuples with u < v."""
+    return [tuple(e) for e in g.edges().tolist()]

@@ -1,18 +1,20 @@
 """Independent brute-force references used to cross-check the fast paths.
 
 Everything here is written the slow, obvious way (triple enumeration,
-Floyd-Warshall, one dict BFS per source, numpy Pearson) on purpose; none of
-it shares code with the implementations it checks. Undefined quantities come
-back as None.
+Floyd-Warshall, one dict BFS per source, numpy Pearson, loops over neighbour
+sets) on purpose, over the dict-of-sets AsGraph; none of it shares code with
+the CsrGraph implementations it checks. Undefined quantities come back as
+None, except in the set_* references, which keep the replaced code's errors.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
+from astopo.errors import EmptyGraphError, UndefinedMetricError
 from astopo.ingest import FilterReport, PathFileMeta, parse_path_line
 
 
@@ -143,8 +145,9 @@ def bfs_tunnel_distribution(g6, g4, date=None):
     """
     by_source = {}
     missing = 0
+    nodes4 = set(g4.nodes())
     for u, v in g6.edges():
-        if u in g4 and v in g4:
+        if u in nodes4 and v in nodes4:
             by_source.setdefault(u, []).append(v)
         else:
             missing += 1
@@ -172,7 +175,7 @@ def bf_clustering(g):
     nodes = sorted(g.nodes())
     triangles = 0
     for a, b, c in combinations(nodes, 3):
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+        if b in g.neighbors(a) and c in g.neighbors(b) and c in g.neighbors(a):
             triangles += 1
     paths2 = 0
     for center in nodes:
@@ -197,6 +200,54 @@ def bf_assortativity(g):
     if np.var(x) == 0 or np.var(y) == 0:
         return None
     return float(np.corrcoef(x, y)[0, 1])
+
+
+def set_ccdf(g):
+    """degree_ccdf as (k, p) pairs, the way astopo computed it on neighbour
+    sets: a Counter of degrees, accumulated from the largest k down."""
+    if g.node_count == 0:
+        raise EmptyGraphError("degree CCDF of an empty graph")
+    counts = Counter(len(g.neighbors(u)) for u in g.nodes())
+    points = []
+    cumulative = 0
+    for k in sorted(counts, reverse=True):
+        cumulative += counts[k]
+        points.append((k, cumulative / g.node_count))
+    points.reverse()
+    return points
+
+
+def set_clustering(g):
+    """clustering_coefficient the way astopo computed it on neighbour sets:
+    one set intersection per edge, one integer division."""
+    if g.node_count == 0:
+        raise EmptyGraphError("clustering of an empty graph")
+    triples = sum(d * (d - 1) // 2 for d in (len(g.neighbors(u)) for u in g.nodes()))
+    if triples == 0:
+        raise UndefinedMetricError("graph has no connected triples")
+    closed = 0  # each triangle contributes 3, once per edge
+    for u, v in g.edges():
+        closed += len(g.neighbors(u) & g.neighbors(v))
+    return closed / triples
+
+
+def set_assortativity(g):
+    """assortativity_coefficient the way astopo computed it on neighbour sets:
+    Python-int sums over edges, one division."""
+    if g.edge_count == 0:
+        raise UndefinedMetricError("assortativity needs at least one edge")
+    m2 = 2 * g.edge_count
+    s_x = s_xx = s_xy = 0
+    for u, v in g.edges():
+        du = len(g.neighbors(u))
+        dv = len(g.neighbors(v))
+        s_x += du + dv
+        s_xx += du * du + dv * dv
+        s_xy += 2 * du * dv
+    var_num = m2 * s_xx - s_x * s_x
+    if var_num == 0:
+        raise UndefinedMetricError("edge-end degrees have zero variance")
+    return (m2 * s_xy - s_x * s_x) / var_num
 
 
 def parse_path_file_reference(path, distinct_lines=False):

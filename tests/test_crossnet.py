@@ -5,6 +5,7 @@ import pytest
 import oracles
 from astopo import (
     AsGraph,
+    CsrGraph,
     DegenerateInputError,
     NoOverlapError,
     Snapshot,
@@ -18,7 +19,7 @@ from corpus_utils import sparse_graph
 
 
 def path_graph(n):
-    return AsGraph.from_edges([(i, i + 1) for i in range(1, n)])
+    return CsrGraph([(i, i + 1) for i in range(1, n)])
 
 
 def series_from(graphs, family, dates=None):
@@ -29,7 +30,7 @@ def series_from(graphs, family, dates=None):
 
 def test_all_native_links():
     g4 = path_graph(4)
-    g6 = AsGraph.from_edges([(1, 2), (2, 3)])
+    g6 = CsrGraph([(1, 2), (2, 3)])
     dist = tunnel_path_lengths(g6, g4)
     assert dist.counts == {1: 2}
     assert dist.aspl == 1.0
@@ -37,13 +38,13 @@ def test_all_native_links():
 
 
 def test_single_tunnel_of_length_two():
-    dist = tunnel_path_lengths(AsGraph.from_edges([(1, 3)]), path_graph(3))
+    dist = tunnel_path_lengths(CsrGraph([(1, 3)]), path_graph(3))
     assert dist.counts == {2: 1}
     assert dist.aspl == 2.0
 
 
 def test_three_node_fixture():
-    g6 = AsGraph.from_edges([(1, 3), (1, 2)])
+    g6 = CsrGraph([(1, 3), (1, 2)])
     dist = tunnel_path_lengths(g6, path_graph(3))
     assert dist.counts == {1: 1, 2: 1}
     assert dist.aspl == 1.5
@@ -51,15 +52,15 @@ def test_three_node_fixture():
 
 
 def test_missing_endpoint_accounting():
-    g6 = AsGraph.from_edges([(1, 2), (1, 99)])  # 99 absent from IPv4
+    g6 = CsrGraph([(1, 2), (1, 99)])  # 99 absent from IPv4
     dist = tunnel_path_lengths(g6, path_graph(3))
     assert dist.missing == 1
     assert dist.counts == {1: 1}
 
 
 def test_disconnected_accounting():
-    g4 = AsGraph.from_edges([(1, 2), (3, 4)])
-    g6 = AsGraph.from_edges([(1, 3), (1, 2)])
+    g4 = CsrGraph([(1, 2), (3, 4)])
+    g6 = CsrGraph([(1, 3), (1, 2)])
     dist = tunnel_path_lengths(g6, g4)
     assert dist.disconnected == 1
     assert dist.counts == {1: 1}
@@ -67,8 +68,7 @@ def test_disconnected_accounting():
 
 
 def test_empty_ipv6_edge_set():
-    g6 = AsGraph()
-    g6.add_node(1)
+    g6 = CsrGraph(nodes=[1])
     with pytest.raises(DegenerateInputError):
         tunnel_path_lengths(g6, path_graph(3))
 
@@ -86,10 +86,11 @@ def test_conservation_and_symmetry_random():
                 g6_edges.add((min(u, v), max(u, v)))
         if g4.edge_count == 0:
             continue
-        g6 = AsGraph.from_edges(g6_edges)
+        g4 = g4.freeze()
+        g6 = CsrGraph(sorted(g6_edges))
         dist = tunnel_path_lengths(g6, g4)
         assert dist.measured + dist.missing + dist.disconnected == g6.edge_count
-        flipped = AsGraph.from_edges([(v, u) for u, v in g6_edges])
+        flipped = CsrGraph([(v, u) for u, v in g6_edges])
         other = tunnel_path_lengths(flipped, g4)
         assert other.counts == dist.counts
         assert (other.missing, other.disconnected, other.aspl) == (
@@ -110,8 +111,8 @@ def test_distance_one_iff_native_edge():
             u, v = rng.randint(1, 8), rng.randint(1, 8)
             if u != v:
                 g6.add_edge(u, v)
-        native = sum(1 for u, v in g6.edges() if g4.has_edge(u, v))
-        dist = tunnel_path_lengths(g6, g4)
+        native = len(set(g6.edges()) & set(g4.edges()))
+        dist = tunnel_path_lengths(g6.freeze(), g4.freeze())
         assert dist.counts.get(1, 0) == native
 
 
@@ -142,7 +143,7 @@ def test_matches_bruteforce_distances():
                 disconnected += 1
             else:
                 expected[d] = expected.get(d, 0) + 1
-        dist = tunnel_path_lengths(g6, g4)
+        dist = tunnel_path_lengths(g6.freeze(), g4.freeze())
         assert dist.counts == expected
         assert (dist.missing, dist.disconnected) == (missing, disconnected)
 
@@ -176,16 +177,22 @@ def ipv6_edges(rng, g4, n_edges, native_share):
     ],
 )
 def test_matches_dict_bfs_reference(seed, n, n_edges, native_share, batches):
-    """The last case has more distinct non-native sources than one MS-BFS batch holds."""
+    """The last case has more distinct non-native sources than one MS-BFS batch
+    holds. Every value the distribution carries is a Python int or float."""
     rng = random.Random(seed)
     g4 = sparse_graph(rng, n)
     g6 = ipv6_edges(rng, g4, n_edges, native_share)
-    sources = {u for u, v in g6.edges() if u in g4 and v in g4 and not g4.has_edge(u, v)}
+    nodes4 = set(g4.nodes())
+    sources = {
+        u for u, v in g6.edges() if u in nodes4 and v in nodes4 and v not in g4.neighbors(u)
+    }
     assert len(sources) > (batches - 1) * MSBFS_BATCH
     expected = oracles.bfs_tunnel_distribution(g6, g4, "2003-01")
-    dist = tunnel_path_lengths(g6, g4, "2003-01")
+    dist = tunnel_path_lengths(g6.freeze(), g4.freeze(), "2003-01")
     assert dist.to_dict() == expected
     assert expected["missing"] and expected["disconnected"]
+    assert all(type(k) is int and type(c) is int for k, c in dist.counts.items())
+    assert type(dist.missing) is type(dist.disconnected) is int and type(dist.aspl) is float
 
 
 def test_all_native_month_needs_no_traversal(monkeypatch):
@@ -193,8 +200,13 @@ def test_all_native_month_needs_no_traversal(monkeypatch):
     g4 = sparse_graph(rng, 500)
     g6 = AsGraph.from_edges(rng.sample(sorted(g4.edges()), 300))
     expected = oracles.bfs_tunnel_distribution(g6, g4)
-    monkeypatch.setattr("astopo.crossnet.CsrGraph", None)  # no CSR freeze, no traversal
-    assert tunnel_path_lengths(g6, g4).to_dict() == expected
+    csr6, csr4 = g6.freeze(), g4.freeze()
+
+    def no_traversal(self, pairs):
+        raise AssertionError("an all-native month must not traverse")
+
+    monkeypatch.setattr(CsrGraph, "pair_distances", no_traversal)
+    assert tunnel_path_lengths(csr6, csr4).to_dict() == expected
     assert expected["counts"] == {1: 300}
 
 
@@ -204,7 +216,9 @@ def test_tunnel_series_matches_dict_bfs_reference():
     g4s = [sparse_graph(rng, 400) for _ in range(4)]
     g6s = [ipv6_edges(rng, g4, 200, share) for g4, share in zip(g4s, (0.0, 0.4, 0.8))]
     g6s.append(AsGraph.from_edges(sorted(g4s[3].edges())[:200]))
-    dists = tunnel_series(series_from(g6s, "ipv6"), series_from(g4s, "ipv4"))
+    dists = tunnel_series(
+        series_from([g.freeze() for g in g6s], "ipv6"), series_from([g.freeze() for g in g4s], "ipv4")
+    )
     assert [d.to_dict() for d in dists] == [
         oracles.bfs_tunnel_distribution(g6, g4, d.date) for g6, g4, d in zip(g6s, g4s, dists)
     ]
@@ -212,7 +226,7 @@ def test_tunnel_series_matches_dict_bfs_reference():
 
 def test_tunnel_series_inner_join():
     g4s = [path_graph(4)] * 5
-    g6s = [AsGraph.from_edges([(1, 3)])] * 3
+    g6s = [CsrGraph([(1, 3)])] * 3
     s4 = series_from(g4s, "ipv4", dates=[f"2003-{m:02d}" for m in range(1, 6)])
     s6 = series_from(g6s, "ipv6", dates=["2003-02", "2003-04", "2003-07"])
     dists = tunnel_series(s6, s4)
@@ -231,7 +245,7 @@ def test_tunnel_series_progressive_natives_trend():
     from corpus_utils import TUNNEL_MONTHS, tunnel_month_edges
 
     g4s = [path_graph(6) for _ in TUNNEL_MONTHS]
-    g6s = [AsGraph.from_edges(tunnel_month_edges(i)) for i in range(len(TUNNEL_MONTHS))]
+    g6s = [CsrGraph(tunnel_month_edges(i)) for i in range(len(TUNNEL_MONTHS))]
     s4 = series_from(g4s, "ipv4", dates=list(TUNNEL_MONTHS))
     s6 = series_from(g6s, "ipv6", dates=list(TUNNEL_MONTHS))
     dists = tunnel_series(s6, s4)
@@ -245,13 +259,13 @@ def test_tunnel_series_progressive_natives_trend():
 
 def test_tunnel_series_no_overlap():
     s4 = series_from([path_graph(3)], "ipv4", dates=["2003-01"])
-    s6 = series_from([AsGraph.from_edges([(1, 2)])], "ipv6", dates=["2004-01"])
+    s6 = series_from([CsrGraph([(1, 2)])], "ipv6", dates=["2004-01"])
     with pytest.raises(NoOverlapError, match="2003-01"):
         tunnel_series(s6, s4)
 
 
 def test_distribution_csv_layout():
-    dist = tunnel_path_lengths(AsGraph.from_edges([(1, 3), (1, 2)]), path_graph(3), date="2003-01")
+    dist = tunnel_path_lengths(CsrGraph([(1, 3), (1, 2)]), path_graph(3), date="2003-01")
     text = distribution_to_csv(dist)
     lines = text.splitlines()
     assert lines[0] == "d,count,probability"
@@ -263,7 +277,7 @@ def test_distribution_csv_layout():
 
 
 def test_summary_csv_layout():
-    dist = tunnel_path_lengths(AsGraph.from_edges([(1, 3), (1, 2)]), path_graph(3), date="2003-01")
+    dist = tunnel_path_lengths(CsrGraph([(1, 3), (1, 2)]), path_graph(3), date="2003-01")
     text = series_summary_to_csv([dist])
     lines = text.splitlines()
     assert lines[0] == "date,aspl,p1,missing,disconnected"

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from astopo.graph import (
     read_edgelist,
     write_edgelist,
 )
-from corpus_utils import sparse_graph
+from corpus_utils import edge_list, sparse_graph
 
 
 def triangle():
@@ -154,29 +156,70 @@ def test_giant_component_is_connected_random():
 
 def test_components_match_bruteforce_random():
     rng = random.Random(15)
-    assert list(AsGraph().components()) == []
+    assert CsrGraph().component_roots().tolist() == []
     for _ in range(60):
         g = random_graph(rng, max_n=12)
-        assert list(g.components()) == oracles.bf_components(g)
+        csr = g.freeze()
+        roots = csr.component_roots().tolist()
+        comps = {}
+        for label, root in zip(csr.labels.tolist(), roots):
+            comps.setdefault(root, set()).add(label)
+        assert list(comps.values()) == oracles.bf_components(g)
+        assert all(csr.labels[r] == min(comps[r]) for r in comps)
 
 
 def test_giant_component_matches_bruteforce_random():
+    """AsGraph.giant_component and the CSR giant sub-graph, on graphs with
+    isolated nodes; every other graph has AS 2**32-1 as its isolated last CSR row."""
     rng = random.Random(16)
-    for _ in range(60):
+    for i in range(120):
         g = random_graph(rng, max_n=12)
+        if i % 2:
+            g.add_node(2**32 - 1)
+        expected_nodes = oracles.bf_giant_nodes(g)
+        expected_edges = sorted((u, v) for u, v in g.edges() if u in expected_nodes)
         giant = g.giant_component()
-        assert set(giant.nodes()) == oracles.bf_giant_nodes(g)
-        assert sorted(giant.edges()) == sorted((u, v) for u, v in g.edges() if u in giant)
+        assert set(giant.nodes()) == expected_nodes
+        assert sorted(giant.edges()) == expected_edges
+        csr = g.freeze()
+        sub = csr.subgraph(csr.giant())
+        assert sub.labels.tolist() == sorted(expected_nodes)
+        assert edge_list(sub) == expected_edges
+        assert sub.labels.dtype == np.int64 and sub.indptr.dtype == sub.indices.dtype == np.intp
+        assert sub.distance_total(sub.labels) == sum(
+            sum(oracles.bfs_distances(g, u).values()) for u in expected_nodes
+        )
 
 
 def test_csr_layout():
-    g = AsGraph.from_edges([(30, 10), (10, 20)])
-    g.add_node(5)
-    csr = CsrGraph(g)
+    csr = CsrGraph([(30, 10), (10, 20)], [5])
     assert csr.labels.tolist() == [5, 10, 20, 30]
     assert csr.indptr.tolist() == [0, 0, 2, 3, 4]
-    rows = [sorted(csr.labels[csr.indices[a:b]].tolist()) for a, b in zip(csr.indptr, csr.indptr[1:])]
+    rows = [csr.labels[csr.indices[a:b]].tolist() for a, b in zip(csr.indptr, csr.indptr[1:])]
     assert rows == [[], [20, 30], [10], [10]]
+    assert (csr.node_count, csr.edge_count) == (4, 2)
+    assert csr.degrees().tolist() == [0, 2, 1, 1]
+    assert edge_list(csr) == [(10, 20), (10, 30)]
+
+
+def test_csr_constructor_drops_repeats_and_self_loops():
+    """A pair in either orientation is one edge; a self-loop adds no node,
+    as AsGraph.add_edge refuses it; a node also listed as isolated is one node."""
+    csr = CsrGraph([(2, 1), (1, 2), (1, 2), (7, 7), (2, 3)], [3, 9, 9])
+    assert csr.labels.tolist() == [1, 2, 3, 9]
+    assert edge_list(csr) == [(1, 2), (2, 3)]
+    assert csr.indices.tolist() == [1, 0, 2, 1]
+    empty = CsrGraph([(4, 4)])
+    assert (empty.node_count, empty.edge_count, empty.edges().shape) == (0, 0, (0, 2))
+
+
+def test_csr_has_edges():
+    csr = triangle().freeze()
+    pairs = [(1, 2), (2, 1), (3, 1), (1, 1)]
+    assert csr.has_edges(pairs).tolist() == [True, True, True, False]
+    assert CsrGraph([(1, 2)], [5]).has_edges([(1, 5), (5, 2)]).tolist() == [False, False]
+    with pytest.raises(UnknownNodeError, match="AS 9 "):
+        csr.has_edges([(1, 9)])
 
 
 def test_popcount_edge_values():
@@ -195,19 +238,19 @@ def test_distance_total_matches_dict_bfs(n, k):
     sources = rng.sample(sorted(g.nodes()), k) + [2**32 - 1]
     sources.append(sources[0])
     expected = sum(sum(oracles.bfs_distances(g, s).values()) for s in sources)
-    assert CsrGraph(g).distance_total(sources) == expected
+    assert g.freeze().distance_total(sources) == expected
 
 
 def test_distance_total_edge_cases():
-    assert CsrGraph(AsGraph.from_edges([(1, 2)])).distance_total([]) == 0
+    assert CsrGraph([(1, 2)]).distance_total([]) == 0
     g = AsGraph()
     g.add_node(7)
     g.add_node(9)
-    assert CsrGraph(g).distance_total([7, 9]) == 0  # no edges at all
+    assert g.freeze().distance_total([7, 9]) == 0  # no edges at all
     with pytest.raises(UnknownNodeError):
-        CsrGraph(g).distance_total([7, 8])
+        g.freeze().distance_total([7, 8])
     with pytest.raises(UnknownNodeError):
-        CsrGraph(g).distance_total([10])
+        g.freeze().distance_total([10])
 
 
 @pytest.mark.parametrize("n, k, batches", [(5, 8, 1), (300, 200, 1), (2000, 3 * MSBFS_BATCH, 3)])
@@ -222,17 +265,17 @@ def test_pair_distances_match_dict_bfs(n, k, batches):
     assert len({s for s, _ in pairs}) > (batches - 1) * MSBFS_BATCH
     dist = {s: oracles.bfs_distances(g, s) for s, _ in pairs}
     expected = [dist[s].get(t, UNREACHABLE) for s, t in pairs]
-    got = CsrGraph(g).pair_distances(pairs)
+    got = g.freeze().pair_distances(pairs)
     assert got.dtype == np.int64
     assert got.tolist() == expected
 
 
 def test_pair_distances_empty_pair_list():
-    assert CsrGraph(AsGraph.from_edges([(1, 2)])).pair_distances([]).tolist() == []
+    assert CsrGraph([(1, 2)]).pair_distances([]).tolist() == []
 
 
 def test_pair_distances_repeated_sources():
-    csr = CsrGraph(AsGraph.from_edges([(i, i + 1) for i in range(1, 8)]))
+    csr = CsrGraph([(i, i + 1) for i in range(1, 8)])
     pairs = [(1, 2), (1, 8), (1, 2), (1, 5), (5, 1), (1, 1)]
     assert csr.pair_distances(pairs).tolist() == [1, 7, 1, 4, 4, 0]
 
@@ -240,7 +283,7 @@ def test_pair_distances_repeated_sources():
 def test_pair_distances_other_component():
     g = AsGraph.from_edges([(1, 2), (2, 3), (10, 11)])
     g.add_node(2**32 - 1)
-    got = CsrGraph(g).pair_distances([(1, 11), (1, 3), (2**32 - 1, 1), (10, 11)])
+    got = g.freeze().pair_distances([(1, 11), (1, 3), (2**32 - 1, 1), (10, 11)])
     assert got.tolist() == [UNREACHABLE, 2, UNREACHABLE, 1]
 
 
@@ -257,12 +300,12 @@ def test_pair_distances_stops_before_frontier_runs_out(monkeypatch):
 
     monkeypatch.setattr(CsrGraph, "_levels", counted)
     g = AsGraph.from_edges([(i, i + 1) for i in range(20)] + [(100, 101)])
-    assert CsrGraph(g).pair_distances([(0, 1), (0, 100)]).tolist() == [1, UNREACHABLE]
+    assert g.freeze().pair_distances([(0, 1), (0, 100)]).tolist() == [1, UNREACHABLE]
     assert len(levels) == 1
 
 
 def test_pair_distances_unknown_as():
-    csr = CsrGraph(AsGraph.from_edges([(1, 2), (3, 4)]))
+    csr = CsrGraph([(1, 2), (3, 4)])
     with pytest.raises(UnknownNodeError, match="AS 9 "):
         csr.pair_distances([(1, 2), (4, 9)])
     with pytest.raises(UnknownNodeError, match="AS 0 "):
@@ -272,21 +315,21 @@ def test_pair_distances_unknown_as():
 
 
 def test_edgelist_roundtrip(tmp_path):
-    g = AsGraph.from_edges([(4200, 1), (1, 99)])
-    g.add_node(7)  # isolated node must survive the round trip
+    g = CsrGraph([(4200, 1), (1, 99)], [7])  # isolated node must survive the round trip
     path = tmp_path / "g.edges"
     write_edgelist(g, path, directives={"date": "2001-01"})
+    assert path.read_text() == "# date: 2001-01\n# node: 7\n1 99\n1 4200\n"
     g2, directives = read_edgelist(path)
     assert directives["date"] == "2001-01"
-    assert set(g2.nodes()) == set(g.nodes())
-    assert sorted(g2.edges()) == sorted(g.edges())
+    assert g2.labels.tolist() == [1, 7, 99, 4200]
+    assert edge_list(g2) == [(1, 99), (1, 4200)]
 
 
 def test_edgelist_ignores_comments_and_blanks(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# a comment\n\n1 2\n# another\n2 3\n")
     g, _ = read_edgelist(path)
-    assert sorted(g.edges()) == [(1, 2), (2, 3)]
+    assert edge_list(g) == [(1, 2), (2, 3)]
 
 
 def test_edgelist_rejects_bad_lines(tmp_path):
@@ -294,6 +337,22 @@ def test_edgelist_rejects_bad_lines(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(CorpusError):
         read_edgelist(path)
+
+
+def test_edgelist_rejects_self_loop(tmp_path):
+    """The writer never emits a self-loop, so one is a corrupt line, not an
+    edge to drop along with its AS."""
+    path = tmp_path / "bad.edges"
+    path.write_text("1 2\n5 5\n2 3\n")
+    with pytest.raises(CorpusError, match=r"bad\.edges:2: self-loop '5 5'"):
+        read_edgelist(path)
+
+
+def test_edgelist_repeated_edge_is_kept_once(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("1 2\n2 1\n1 2\n")
+    g, _ = read_edgelist(path)
+    assert edge_list(g) == [(1, 2)]
 
 
 def test_edgelist_rejects_oversized_asn(tmp_path):
@@ -307,7 +366,7 @@ def test_edgelist_undecodable_comment_is_ignored(tmp_path):
     path = tmp_path / "g.edges"
     path.write_bytes(b"# note \xff\xe9\n1 2\n")
     g, _ = read_edgelist(path)
-    assert sorted(g.edges()) == [(1, 2)]
+    assert edge_list(g) == [(1, 2)]
 
 
 def test_edgelist_undecodable_directive_value_names_line(tmp_path):
@@ -322,3 +381,14 @@ def test_edgelist_undecodable_data_line_names_line(tmp_path):
     path.write_bytes(b"1 2\n3 4\xff\n")
     with pytest.raises(CorpusError, match=r"bad\.edges:2:"):
         read_edgelist(path)
+
+
+def test_benchmark_tracer_finds_every_graph_method():
+    """The benchmark's tracer wraps these AsGraph methods by name; one that is
+    gone would crash every traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.GRAPH_METHODS:
+        assert callable(getattr(AsGraph, name, None)), name

@@ -22,6 +22,7 @@ from corpus_utils import (
     build_filter_corpus,
     build_growing_corpus,
     build_repetitive_corpus,
+    edge_list,
     write_monitor_set,
     write_path_file,
     write_repetitive_path_file,
@@ -77,16 +78,16 @@ def test_private_ranges():
 
 def test_build_graph_examples():
     g = build_graph([[1, 2, 3]])
-    assert sorted(g.edges()) == [(1, 2), (2, 3)]
+    assert edge_list(g) == [(1, 2), (2, 3)]
     g = build_graph([[1, 2], [2, 1]])
-    assert sorted(g.edges()) == [(1, 2)]
+    assert edge_list(g) == [(1, 2)]
     g = build_graph([[1, 2, 3], [2, 3, 4]])
-    assert sorted(g.edges()) == [(1, 2), (2, 3), (3, 4)]
+    assert edge_list(g) == [(1, 2), (2, 3), (3, 4)]
 
 
 def test_build_graph_single_hop_adds_node():
     g = build_graph([[77]])
-    assert set(g.nodes()) == {77}
+    assert set(g.labels.tolist()) == {77}
     assert g.edge_count == 0
 
 
@@ -106,7 +107,7 @@ def test_load_series_monitor_union(tmp_path):
     write_path_file(tmp_path, "2001-01", "b", "ipv4", ["3 4"])
     write_path_file(tmp_path, "2001-02", "a", "ipv4", ["1 2"])
     series = load_series(tmp_path)
-    assert sorted(series.snapshots[0].graph.edges()) == [(1, 2), (2, 3), (3, 4)]
+    assert edge_list(series.snapshots[0].graph) == [(1, 2), (2, 3), (3, 4)]
     g = series.snapshots[1].graph
     assert (g.node_count, g.edge_count) == (2, 1)
 
@@ -204,7 +205,7 @@ def test_load_series_all_months(tmp_path):
     series = load_series(tmp_path)
     assert series.dates() == sorted(expected)
     for snap in series:
-        assert set(snap.graph.edges()) == expected[snap.date]
+        assert set(edge_list(snap.graph)) == expected[snap.date]
     assert series.monitor_set == "ALL"
 
 
@@ -212,12 +213,12 @@ def test_load_series_monitor_restriction(tmp_path):
     fixture = build_filter_corpus(tmp_path)
     all_series = load_series(tmp_path)
     only1 = load_series(tmp_path, MonitorSet("ONE", frozenset({"mon1"})))
-    edges_all = set(all_series.snapshots[0].graph.edges())
-    edges_one = set(only1.snapshots[0].graph.edges())
+    edges_all = set(edge_list(all_series.snapshots[0].graph))
+    edges_one = set(edge_list(only1.snapshots[0].graph))
     assert edges_all == fixture["edges_all"]
     assert edges_one == fixture["edges_mon1"]
     assert edges_one <= edges_all
-    assert set(only1.snapshots[0].graph.nodes()) <= set(all_series.snapshots[0].graph.nodes())
+    assert set(only1.snapshots[0].graph.labels) <= set(all_series.snapshots[0].graph.labels)
 
 
 def test_load_series_filter_accounting(tmp_path):
@@ -268,7 +269,7 @@ def test_load_series_order_independence(tmp_path):
     write_path_file(shuffled_root, "2001-01", "m", "ipv4", shuffled)
     other = load_series(shuffled_root)
 
-    assert sorted(base.snapshots[0].graph.edges()) == sorted(other.snapshots[0].graph.edges())
+    assert edge_list(base.snapshots[0].graph) == edge_list(other.snapshots[0].graph)
 
 
 def test_monitor_set_load(tmp_path):
@@ -306,8 +307,8 @@ def test_load_series_matches_reference_assembly(tmp_path, seed):
     assert series.dates() == list(expected)
     for snap in series:
         nodes, edges, report = expected[snap.date]
-        assert set(snap.graph.nodes()) == nodes
-        assert set(snap.graph.edges()) == edges
+        assert set(snap.graph.labels.tolist()) == nodes
+        assert set(edge_list(snap.graph)) == edges
         assert series.filter_reports[snap.date].to_dict() == report
 
 

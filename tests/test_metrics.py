@@ -6,6 +6,7 @@ import oracles
 from astopo import (
     AsGraph,
     CcdfPoint,
+    CsrGraph,
     DegenerateInputError,
     EmptyGraphError,
     InsufficientDataError,
@@ -22,6 +23,8 @@ from astopo import (
     metrics_series,
     powerlaw_exponent,
 )
+from astopo import metrics
+from astopo.generators import GeneratorParams, generate
 from astopo.graph import MSBFS_BATCH
 from astopo.metrics import CSV_HEADER, MetricSeries
 from corpus_utils import sparse_graph
@@ -30,11 +33,11 @@ TOL = 1e-12
 
 
 def triangle():
-    return AsGraph.from_edges([(1, 2), (2, 3), (1, 3)])
+    return CsrGraph([(1, 2), (2, 3), (1, 3)])
 
 
 def star(leaves, center=0):
-    return AsGraph.from_edges([(center, center + i) for i in range(1, leaves + 1)])
+    return CsrGraph([(center, center + i) for i in range(1, leaves + 1)])
 
 
 def random_graph(rng, max_n=8):
@@ -53,28 +56,27 @@ def random_graph(rng, max_n=8):
 
 def test_max_degree_examples():
     assert max_degree(star(6)) == 6
-    c5 = AsGraph.from_edges([(i, (i + 1) % 5) for i in range(5)])
+    c5 = CsrGraph([(i, (i + 1) % 5) for i in range(5)])
     assert max_degree(c5) == 2
-    pendant = triangle()
-    pendant.add_edge(1, 9)
+    pendant = CsrGraph([(1, 2), (2, 3), (1, 3), (1, 9)])
     assert max_degree(pendant) == 3  # enumerate: degrees 3,2,2,1
 
 
 def test_average_degree_examples():
     assert average_degree(triangle()) == 2.0
     assert average_degree(star(4)) == 1.6
-    assert average_degree(AsGraph.from_edges([(1, 2)])) == 1.0
+    assert average_degree(CsrGraph([(1, 2)])) == 1.0
 
 
 def test_empty_graph_errors():
-    g = AsGraph()
+    g = CsrGraph()
     for fn in (max_degree, average_degree, degree_ccdf, clustering_coefficient):
         with pytest.raises(EmptyGraphError):
             fn(g)
 
 
 def test_degree_ccdf_examples():
-    g = AsGraph.from_edges([(1, 2), (2, 3)])  # degrees 1, 2, 1
+    g = CsrGraph([(1, 2), (2, 3)])  # degrees 1, 2, 1
     assert degree_ccdf(g) == [CcdfPoint(1, 1.0), CcdfPoint(2, 1 / 3)]
     assert degree_ccdf(triangle()) == [CcdfPoint(2, 1.0)]
     assert degree_ccdf(star(3)) == [CcdfPoint(1, 1.0), CcdfPoint(3, 0.25)]
@@ -84,7 +86,7 @@ def test_ccdf_first_point_is_one_and_strictly_decreasing():
     rng = random.Random(21)
     for _ in range(40):
         g = random_graph(rng)
-        pts = degree_ccdf(g)
+        pts = degree_ccdf(g.freeze())
         assert pts[0].p == 1.0
         assert all(a.p > b.p for a, b in zip(pts, pts[1:]))
         assert all(a.k < b.k for a, b in zip(pts, pts[1:]))
@@ -104,7 +106,7 @@ def test_powerlaw_exponent_needs_three_points():
 
 def test_aspl_examples():
     assert average_shortest_path_length(triangle()) == 1.0
-    path = AsGraph.from_edges([(1, 2), (2, 3)])
+    path = CsrGraph([(1, 2), (2, 3)])
     assert average_shortest_path_length(path) == pytest.approx(4 / 3, abs=TOL)
     # star with q leaves: (q*1 + C(q,2)*2) / C(q+1,2)
     for q in (2, 3, 4, 7):
@@ -114,21 +116,17 @@ def test_aspl_examples():
 
 
 def test_aspl_uses_giant_component():
-    g = triangle()
-    g.add_edge(50, 51)
+    g = CsrGraph([(1, 2), (2, 3), (1, 3), (50, 51)])
     assert average_shortest_path_length(g) == 1.0
 
 
 def test_aspl_degenerate():
     with pytest.raises(DegenerateInputError):
-        average_shortest_path_length(AsGraph.from_edges([]), None)
-    g = AsGraph()
-    g.add_node(1)
+        average_shortest_path_length(CsrGraph([]), None)
     with pytest.raises(DegenerateInputError):
-        average_shortest_path_length(g)
-    g.add_node(2)
+        average_shortest_path_length(CsrGraph(nodes=[1]))
     with pytest.raises(DegenerateInputError):
-        average_shortest_path_length(g)  # two isolated nodes: giant has 1 node
+        average_shortest_path_length(CsrGraph(nodes=[1, 2]))  # two isolated nodes: giant has 1 node
 
 
 def test_sampled_aspl_with_all_sources_equals_exact():
@@ -138,8 +136,8 @@ def test_sampled_aspl_with_all_sources_equals_exact():
         giant = g.giant_component()
         if giant.node_count < 2:
             continue
-        exact = average_shortest_path_length(g)
-        sampled = average_shortest_path_length(g, n_sources=giant.node_count, seed=99)
+        exact = average_shortest_path_length(g.freeze())
+        sampled = average_shortest_path_length(g.freeze(), n_sources=giant.node_count, seed=99)
         assert sampled == exact
 
 
@@ -148,20 +146,21 @@ def test_aspl_matches_dict_bfs_reference(n, seed):
     """== with the per-source dict BFS it replaced, across every word and batch
     boundary of the kernel, on graphs with small components and isolated nodes."""
     g = sparse_graph(random.Random(seed), n)
+    csr = g.freeze()
     giant = len(oracles.bf_giant_nodes(g))
     exact = oracles.bfs_aspl(g)
-    assert average_shortest_path_length(g) == exact
+    assert average_shortest_path_length(csr) == exact
     for k in (giant, giant + 5):
-        assert average_shortest_path_length(g, k, seed) == exact
+        assert average_shortest_path_length(csr, k, seed) == exact
     for k in (1, 63, 64, 65, MSBFS_BATCH - 1, MSBFS_BATCH, MSBFS_BATCH + 1, giant - 1):
         if k < giant:
-            assert average_shortest_path_length(g, k, seed) == oracles.bfs_aspl(g, k, seed)
+            assert average_shortest_path_length(csr, k, seed) == oracles.bfs_aspl(g, k, seed)
 
 
 def test_exact_aspl_matches_dict_bfs_reference_2k():
     g = sparse_graph(random.Random(5), 2000)
     assert len(oracles.bf_giant_nodes(g)) > 3 * MSBFS_BATCH
-    assert average_shortest_path_length(g) == oracles.bfs_aspl(g)
+    assert average_shortest_path_length(g.freeze()) == oracles.bfs_aspl(g)
 
 
 def test_sampled_aspl_deterministic_for_seed():
@@ -169,6 +168,7 @@ def test_sampled_aspl_deterministic_for_seed():
     g = AsGraph()
     for _ in range(200):
         g.add_edge(rng.randrange(60), rng.randrange(60))
+    g = g.freeze()
     a = average_shortest_path_length(g, n_sources=10, seed=4)
     b = average_shortest_path_length(g, n_sources=10, seed=4)
     c = average_shortest_path_length(g, n_sources=10, seed=5)
@@ -178,37 +178,37 @@ def test_sampled_aspl_deterministic_for_seed():
 
 def test_clustering_examples():
     assert clustering_coefficient(triangle()) == 1.0
-    path = AsGraph.from_edges([(1, 2), (2, 3)])
+    path = CsrGraph([(1, 2), (2, 3)])
     assert clustering_coefficient(path) == 0.0
-    k4 = AsGraph.from_edges([(u, v) for u in range(4) for v in range(u + 1, 4)])
+    k4 = CsrGraph([(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert clustering_coefficient(k4) == 1.0
     # K4 minus one edge: 2 triangles, degrees 3,3,2,2 -> 3+3+1+1 = 8 triples
     k4e = AsGraph.from_edges([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-    assert clustering_coefficient(k4e) == pytest.approx(6 / 8, abs=TOL)
-    assert clustering_coefficient(k4e) == pytest.approx(oracles.bf_clustering(k4e), abs=TOL)
+    assert clustering_coefficient(k4e.freeze()) == pytest.approx(6 / 8, abs=TOL)
+    assert clustering_coefficient(k4e.freeze()) == pytest.approx(oracles.bf_clustering(k4e), abs=TOL)
 
 
 def test_clustering_undefined_on_matching():
-    matching = AsGraph.from_edges([(1, 2), (3, 4)])
+    matching = CsrGraph([(1, 2), (3, 4)])
     with pytest.raises(UndefinedMetricError):
         clustering_coefficient(matching)
 
 
 def test_assortativity_examples():
-    p4 = AsGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+    p4 = CsrGraph([(1, 2), (2, 3), (3, 4)])
     assert assortativity_coefficient(p4) == pytest.approx(-0.5, abs=TOL)
     for q in (2, 3, 5):
         assert assortativity_coefficient(star(q)) == pytest.approx(-1.0, abs=TOL)
 
 
 def test_assortativity_undefined_cases():
-    c5 = AsGraph.from_edges([(i, (i + 1) % 5) for i in range(5)])
+    c5 = CsrGraph([(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(UndefinedMetricError):
         assortativity_coefficient(c5)
     with pytest.raises(UndefinedMetricError):
-        assortativity_coefficient(AsGraph.from_edges([(1, 2)]))
+        assortativity_coefficient(CsrGraph([(1, 2)]))
     with pytest.raises(UndefinedMetricError):
-        assortativity_coefficient(AsGraph())
+        assortativity_coefficient(CsrGraph())
 
 
 def test_assortativity_bounds_random():
@@ -216,39 +216,73 @@ def test_assortativity_bounds_random():
     for _ in range(60):
         g = random_graph(rng)
         try:
-            rho = assortativity_coefficient(g)
+            rho = assortativity_coefficient(g.freeze())
         except UndefinedMetricError:
             continue
         assert -1.0 - TOL <= rho <= 1.0 + TOL
 
 
+def set_reference(fn, g):
+    """fn(g), or the type of the AsTopoError it raises."""
+    try:
+        return fn(g)
+    except (EmptyGraphError, UndefinedMetricError) as exc:
+        return type(exc)
+
+
 def test_metrics_match_bruteforce_on_small_graphs():
+    """Against the brute-force oracles and, bit for bit, the set-based
+    implementations the CSR metrics replaced; some graphs hold AS 2**32-1,
+    isolated or as the last CSR row of an edge."""
     rng = random.Random(77)
-    for _ in range(80):
+    for i in range(80):
         g = random_graph(rng)
-        assert max_degree(g) == oracles.bf_max_degree(g)
-        assert average_degree(g) == pytest.approx(oracles.bf_average_degree(g), abs=TOL)
-        assert [(pt.k, pt.p) for pt in degree_ccdf(g)] == [
-            (k, pytest.approx(p, abs=TOL)) for k, p in oracles.bf_ccdf(g)
-        ]
+        if i % 4 == 1:
+            g.add_node(2**32 - 1)
+        elif i % 4 == 3:
+            g.add_edge(min(g.nodes()), 2**32 - 1)
+        csr = g.freeze()
+        assert max_degree(csr) == oracles.bf_max_degree(g)
+        assert average_degree(csr) == pytest.approx(oracles.bf_average_degree(g), abs=TOL)
+        ccdf = [(pt.k, pt.p) for pt in degree_ccdf(csr)]
+        assert ccdf == oracles.set_ccdf(g) == oracles.bf_ccdf(g)
         expected_aspl = oracles.bf_aspl(g)
         if expected_aspl is None:
             with pytest.raises(DegenerateInputError):
-                average_shortest_path_length(g)
+                average_shortest_path_length(csr)
         else:
-            assert average_shortest_path_length(g) == pytest.approx(expected_aspl, abs=TOL)
+            assert average_shortest_path_length(csr) == pytest.approx(expected_aspl, abs=TOL)
+        assert set_reference(clustering_coefficient, csr) == set_reference(oracles.set_clustering, g)
         expected_c = oracles.bf_clustering(g)
         if expected_c is None:
             with pytest.raises(UndefinedMetricError):
-                clustering_coefficient(g)
+                clustering_coefficient(csr)
         else:
-            assert clustering_coefficient(g) == pytest.approx(expected_c, abs=TOL)
+            assert clustering_coefficient(csr) == expected_c
+        rho = set_reference(assortativity_coefficient, csr)
+        assert rho == set_reference(oracles.set_assortativity, g)
         expected_rho = oracles.bf_assortativity(g)
         if expected_rho is None:
             with pytest.raises(UndefinedMetricError):
-                assortativity_coefficient(g)
+                assortativity_coefficient(csr)
         else:
-            assert assortativity_coefficient(g) == pytest.approx(expected_rho, abs=TOL)
+            assert rho == pytest.approx(expected_rho, abs=TOL)
+
+
+@pytest.mark.parametrize("model, n, wedge_block", [
+    ("glp", 3000, metrics.WEDGE_BLOCK), ("pfp", 3000, metrics.WEDGE_BLOCK), ("pfp", 600, 7),
+])
+def test_structure_metrics_match_set_references_on_grown_graphs(monkeypatch, model, n, wedge_block):
+    """Heavy-tailed graphs with many triangles and many out-degree classes;
+    a tiny WEDGE_BLOCK splits every class into blocks, down to one node."""
+    monkeypatch.setattr(metrics, "WEDGE_BLOCK", wedge_block)
+    g = generate(GeneratorParams(model=model, n_target=n, seed=3))
+    g.add_node(2**32 - 1)
+    csr = g.freeze()
+    assert clustering_coefficient(csr) == oracles.set_clustering(g)
+    assert assortativity_coefficient(csr) == oracles.set_assortativity(g)
+    assert [(pt.k, pt.p) for pt in degree_ccdf(csr)] == oracles.set_ccdf(g)
+    assert max_degree(csr) == oracles.bf_max_degree(g)
 
 
 def test_label_invariance():
@@ -257,11 +291,8 @@ def test_label_invariance():
         g = random_graph(rng)
         nodes = sorted(g.nodes())
         perm = dict(zip(nodes, rng.sample(range(10_001, 20_000), len(nodes))))
-        h = AsGraph()
-        for u in nodes:
-            h.add_node(perm[u])
-        for u, v in g.edges():
-            h.add_edge(perm[u], perm[v])
+        h = CsrGraph([(perm[u], perm[v]) for u, v in g.edges()], [perm[u] for u in nodes])
+        g = g.freeze()
 
         assert max_degree(g) == max_degree(h)
         assert average_degree(g) == average_degree(h)
@@ -293,8 +324,7 @@ def test_metric_row_triangle():
 
 
 def test_metric_row_component_policy():
-    g = triangle()
-    g.add_edge(50, 51)
+    g = CsrGraph([(1, 2), (2, 3), (1, 3), (50, 51)])
     row = metric_row(snapshot(g))
     assert (row.N, row.L) == (5, 4)  # whole graph
     assert row.aspl == 1.0 and row.C == 1.0  # giant component only
@@ -303,15 +333,21 @@ def test_metric_row_component_policy():
 
 def test_metric_row_empty_snapshot():
     with pytest.raises(EmptyGraphError):
-        metric_row(snapshot(AsGraph()))
+        metric_row(snapshot(CsrGraph()))
 
 
 def test_metric_row_kavg_identity_random():
+    """Also: every value a row carries is a Python int or float, never a
+    numpy scalar, whose repr would reach the CSV cells."""
     rng = random.Random(51)
     for _ in range(30):
         g = random_graph(rng)
-        row = metric_row(snapshot(g))
+        row = metric_row(snapshot(g.freeze()))
         assert row.k_avg == 2 * row.L / row.N
+        for key, value in row.to_dict().items():
+            assert type(value) in ((str,) if key == "date" else (int, float, type(None)))
+        assert type(row.N) is type(row.L) is int
+        assert all(type(pt.k) is int and type(pt.p) is float for pt in row.ccdf)
 
 
 def series_of(graphs):
@@ -321,16 +357,16 @@ def series_of(graphs):
 
 
 def test_metrics_series_rows_in_order():
-    graphs = [triangle(), star(4), AsGraph.from_edges([(1, 2), (2, 3)])]
+    graphs = [triangle(), star(4), CsrGraph([(1, 2), (2, 3)])]
     table = metrics_series(series_of(graphs))
     assert [row.date for row in table.rows] == ["2001-01", "2001-02", "2001-03"]
     assert table.warnings == []
 
 
 def test_metrics_series_nested_growth_monotone_n():
-    g1 = AsGraph.from_edges([(1, 2)])
-    g2 = AsGraph.from_edges([(1, 2), (2, 3)])
-    g3 = AsGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+    g1 = CsrGraph([(1, 2)])
+    g2 = CsrGraph([(1, 2), (2, 3)])
+    g3 = CsrGraph([(1, 2), (2, 3), (3, 4)])
     table = metrics_series(series_of([g1, g2, g3]))
     ns = [row.N for row in table.rows]
     assert ns == sorted(ns)
@@ -346,7 +382,7 @@ def test_metrics_series_deterministic():
 
 def test_metrics_series_error_carries_date():
     bad = series_of([triangle(), triangle()])
-    bad.snapshots[0].graph = AsGraph()
+    bad.snapshots[0].graph = CsrGraph()
     table = metrics_series(bad)
     assert table.warnings == ["2001-01: snapshot 2001-01 has no nodes"]
     assert table.rows[0].to_csv_row() == "2001-01,0,0,,,,,,"
@@ -367,7 +403,7 @@ def test_csv_shape():
 def test_csv_empty_cells():
     # disjoint edges: giant component {1,2} has no triples, so C stays empty
     table = MetricSeries(
-        rows=[metric_row(snapshot(AsGraph.from_edges([(1, 2), (3, 4)])))],
+        rows=[metric_row(snapshot(CsrGraph([(1, 2), (3, 4)])))],
         family="ipv4",
         monitor_set="ALL",
     )
