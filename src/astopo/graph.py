@@ -10,6 +10,13 @@ building another. It indexes nodes by their position in the sorted AS
 numbers internally, and takes and returns AS numbers at its boundary.
 AsGraph, a dict of neighbour sets, is only what the growth models mutate
 edge by edge.
+
+read_edgelist reads a month's edge list in one vectorized pass per block of
+bytes: byte masks find the line breaks and words, and each plain edge line
+becomes two int64 AS numbers without a Python object per line. Only comment
+lines and lines the masks cannot settle (non-ASCII text, bad lines) are
+decoded and parsed one at a time, in file order, so the first bad line is
+the error and names path:line.
 """
 
 from __future__ import annotations
@@ -36,6 +43,24 @@ UNREACHABLE = -1
 
 # Edges formatted per write by write_edgelist.
 _WRITE_BLOCK = 1 << 14
+
+# Bytes scanned per vectorized pass of read_edgelist; a block ends just past
+# a '\n', so every per-byte work array stays about this small in a file whose
+# lines end in '\n' (as write_edgelist writes them). A file that breaks its
+# lines only at other bytes is scanned as one block.
+_READ_BLOCK = 1 << 18
+
+# Kind of each byte value, for read_edgelist: the ASCII bytes that
+# str.splitlines breaks at, the rest of the ASCII bytes that str.isspace
+# accepts, digits, and every other byte (non-ASCII included).
+_OTHER, _DIGIT, _SPACE, _BREAK = range(4)
+_BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_KIND[list(b"0123456789")] = _DIGIT
+_BYTE_KIND[list(b"\t\x1f ")] = _SPACE
+_BYTE_KIND[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
+
+# Digits of AS_MAX: the longest word read by the byte masks.
+_ASN_DIGITS = len(str(AS_MAX))
 
 # Set bits per byte value; numpy gained bitwise_count only in 2.0.
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -205,7 +230,7 @@ class CsrGraph:
     order.
     """
 
-    __slots__ = ("labels", "indptr", "indices", "_gather", "_isolated")
+    __slots__ = ("labels", "indptr", "indices", "_gather", "_isolated", "_connected")
 
     def __init__(self, pairs=(), nodes=()) -> None:
         """Graph of the (u, v) edge pairs plus every AS number in nodes.
@@ -240,6 +265,7 @@ class CsrGraph:
         # isolated last node has. One padding entry makes it valid and lies in
         # no other node's range; _pull overwrites the rows of isolated nodes.
         self._gather = np.append(self.indices, 0) if isolated[-1:].any() else self.indices
+        self._connected = False
 
     @property
     def node_count(self) -> int:
@@ -311,6 +337,15 @@ class CsrGraph:
         """
         roots = self.component_roots()
         return np.flatnonzero(roots == np.argmax(np.bincount(roots)))
+
+    def giant_graph(self) -> "CsrGraph":
+        """Sub-graph induced by giant(). A graph this returned is its own
+        giant graph, so its components are labelled only once."""
+        if self._connected:
+            return self
+        sub = self.subgraph(self.giant())
+        sub._connected = True
+        return sub
 
     def _positions(self, as_numbers: Sequence[int]) -> np.ndarray:
         """Row of each AS number; UnknownNodeError names the first one absent."""
@@ -490,40 +525,141 @@ def write_edgelist(graph: CsrGraph, path: Path | str, directives: dict[str, str]
             f.write(("%d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_edgelist(path: Path | str) -> tuple[CsrGraph, dict[str, str]]:
-    """Read the shared edge-list format; returns (graph, comment directives).
+def _read_lines(
+    raw: bytes, lineno: int, path: Path, pairs: list, nodes: list, directives: dict
+) -> int:
+    """Parse, one str line at a time, a line the byte masks leave open.
 
-    '# node: N' directives add isolated nodes; every other '# key: value'
-    comment is collected (first occurrence wins); remaining comments and
-    blank lines are ignored. A repeated edge is kept once; a self-loop is a
-    CorpusError, since the writer never emits one.
+    raw is one line's bytes up to its ASCII line break; it decodes to the
+    str.splitlines lines lineno, lineno + 1, ... (more than one only when it
+    holds a non-ASCII line break). Returns how many line numbers it used.
     """
-    path = Path(path)
-    text = read_input_text(path)
-    us: list[int] = []
-    vs: list[int] = []
-    nodes: list[int] = []
-    directives: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    lines = (raw.decode("utf-8", errors="replace") + "\n").splitlines()
+    for lineno, line in enumerate(lines, lineno):
+        line = line.strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if line.startswith("#"):
             m = _DIRECTIVE_RE.match(line)
             if m:
                 key, value = m.groups()
                 if key == "node":
-                    nodes.append(_parse_asn(value, f"{path}:{lineno}"))
+                    nodes.append(_parse_asn(value, where))
                 else:
-                    directives.setdefault(key, decoded_value(value, f"{path}:{lineno}"))
+                    directives.setdefault(key, decoded_value(value, where))
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise CorpusError(f"{path}:{lineno}: expected two AS numbers, got {line!r}")
-        u = _parse_asn(parts[0], f"{path}:{lineno}")
-        v = _parse_asn(parts[1], f"{path}:{lineno}")
+            raise CorpusError(f"{where}: expected two AS numbers, got {line!r}")
+        u = _parse_asn(parts[0], where)
+        v = _parse_asn(parts[1], where)
         if u == v:
-            raise CorpusError(f"{path}:{lineno}: self-loop {line!r}")
-        us.append(u)
-        vs.append(v)
-    return CsrGraph(np.array((us, vs), dtype=np.int64).T, nodes), directives
+            raise CorpusError(f"{where}: self-loop {line!r}")
+        pairs.append((u, v))
+    return len(lines)
+
+
+def _block_end(data: bytes, lo: int) -> int:
+    """End of the block of data that starts at lo: just past its last '\n'
+    within _READ_BLOCK bytes, or the end of data."""
+    if len(data) - lo <= _READ_BLOCK:
+        return len(data)
+    end = data.rfind(b"\n", lo, lo + _READ_BLOCK) + 1 or data.find(b"\n", lo + _READ_BLOCK) + 1
+    return end or len(data)
+
+
+def _scan_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge pairs of the plain edge lines of block, plus the lines left open.
+
+    Byte masks (Langdale & Lemire, VLDB J. 2019) find the line breaks and the
+    first and last byte of every word. A plain edge line is ASCII and holds
+    exactly two words, each of at most ten digits, that read as different AS
+    numbers; each word is read by a fixed ten-digit accumulate. Every other
+    line that holds a word is left open: comments, non-ASCII, any other
+    token, a third word, a longer word (leading zeros), a value past AS_MAX,
+    a self-loop. Returns (pairs, breaks, open lines): the (k, 2) int64 pairs,
+    the position of each line break, and the ascending indices of the open
+    lines; line i ends at breaks[i], or at the end of block.
+    """
+    kind = _BYTE_KIND.take(block)
+    space = kind >= _SPACE
+    brk = kind == _BREAK
+    cr = np.flatnonzero(block[:-1] == 13)
+    brk[cr[block[cr + 1] == 10]] = False  # '\r\n' breaks once, at its '\n'
+    breaks = np.flatnonzero(brk)
+    n_lines = len(breaks) + 1
+    first = ~space
+    first[1:] &= space[:-1]
+    last = ~space
+    last[:-1] &= space[1:]
+    starts = np.flatnonzero(first)
+    ends = np.flatnonzero(last) + 1
+    line = np.searchsorted(breaks, starts)
+    words = np.bincount(line, minlength=n_lines)
+    other = np.zeros(n_lines, dtype=bool)
+    other[np.searchsorted(breaks, np.flatnonzero(kind == _OTHER))] = True
+    plain = (words == 2) & ~other
+    mine = plain[line]
+    starts, ends = starts[mine], ends[mine]
+    value = np.zeros(len(ends), dtype=np.int64)
+    for k in range(_ASN_DIGITS, 0, -1):
+        at = ends - k
+        digit = np.take(block, at, mode="clip").astype(np.int64)
+        digit -= 48
+        digit[at < starts] = 0
+        value *= 10
+        value += digit
+    short = ends - starts <= _ASN_DIGITS
+    u, v = value[0::2], value[1::2]
+    good = short[0::2] & short[1::2] & (u <= AS_MAX) & (v <= AS_MAX) & (u != v)
+    left = (words > 0) & ~plain
+    left[np.flatnonzero(plain)[~good]] = True
+    return np.column_stack((u[good], v[good])), breaks, np.flatnonzero(left)
+
+
+def read_edgelist(path: Path | str) -> tuple[CsrGraph, dict[str, str]]:
+    """Read the shared edge-list format; returns (graph, comment directives).
+
+    Lines end where str.splitlines ends them, and words are split by
+    str.split whitespace. An edge line is two AS numbers in ASCII digits
+    (leading zeros allowed); '# node: N' directives add isolated nodes;
+    every other '# key: value' comment is collected (first occurrence wins);
+    remaining comments and blank lines are ignored. A repeated edge is kept
+    once; a self-loop is a CorpusError, since the writer never emits one.
+    The first bad line in file order is the CorpusError, naming path:line.
+
+    One vectorized pass per block of _READ_BLOCK bytes (_scan_block) reads
+    the plain edge lines; only the lines it leaves open (comments, non-ASCII
+    text, bad lines) are decoded and parsed one at a time, in file order.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    blocks = []
+    pairs: list[tuple[int, int]] = []
+    nodes: list[int] = []
+    directives: dict[str, str] = {}
+    lo = 0
+    lineno = 1
+    while lo < len(data):
+        hi = _block_end(data, lo)
+        block_pairs, breaks, left = _scan_block(np.frombuffer(data, np.uint8, hi - lo, lo))
+        blocks.append(block_pairs)
+        line_starts = np.append(0, breaks + 1)
+        line_ends = np.append(breaks, hi - lo)
+        shift = 0  # extra line numbers taken by non-ASCII line breaks so far
+        for i, start, end in zip(left.tolist(), line_starts[left].tolist(), line_ends[left].tolist()):
+            raw = data[lo + start:lo + end]
+            shift += _read_lines(raw, lineno + i + shift, path, pairs, nodes, directives) - 1
+        lineno += len(breaks) + shift
+        lo = hi
+    blocks.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    # The file and the per-block pairs go before the graph is built, so the
+    # peak holds one copy of the edges besides the graph's own arrays.
+    del data
+    edges = np.concatenate(blocks)
+    del blocks
+    return CsrGraph(edges, nodes), directives

@@ -9,12 +9,14 @@ which makes them exact and relabeling-invariant bit for bit.
 Every metric reads the snapshot's CsrGraph. Degrees, k_max and the CCDF come
 from its row offsets, assortativity from int64 sums of degree products, and
 clustering from a triangle count over a degree-ordered orientation.
-metric_row takes the giant component once, as a CSR sub-graph, and hands it
-to every structure metric. ASPL sums BFS distances with the bit-parallel
-multi-source BFS of CsrGraph.distance_total: MSBFS_BATCH (512) sources per
-batch, one bit each, so its working memory is O(L x 8) words whatever the
-number of sources. The total is a Python int divided once, so sampled ASPL
-with the source count capped equals exact ASPL bit for bit.
+metric_row takes the giant component once, as a CSR sub-graph
+(CsrGraph.giant_graph, which knows it is connected, so ASPL labels no
+components again), and hands it to every structure metric. ASPL
+sums BFS distances with the bit-parallel multi-source BFS of
+CsrGraph.distance_total: MSBFS_BATCH (512) sources per batch, one bit each,
+so its working memory is O(L x 8) words whatever the number of sources.
+The total is a Python int divided once, so sampled ASPL with the source
+count capped equals exact ASPL bit for bit.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def average_shortest_path_length(
     """
     if g.node_count < 2:
         raise DegenerateInputError("ASPL needs at least 2 nodes")
-    nodes = g.labels[g.giant()].tolist()
+    gc = g.giant_graph()
+    nodes = gc.labels.tolist()
     n = len(nodes)
     if n < 2:
         raise DegenerateInputError("giant component has a single node")
@@ -172,7 +175,7 @@ def average_shortest_path_length(
         if n_sources < 1:
             raise DegenerateInputError("n_sources must be >= 1")
         sources = random.Random(seed).sample(nodes, n_sources)
-    return g.distance_total(sources) / (len(sources) * (n - 1))
+    return gc.distance_total(sources) / (len(sources) * (n - 1))
 
 
 def _triangles(g: CsrGraph) -> int:
@@ -253,7 +256,7 @@ def metric_row(
     g = snapshot.graph
     if g.node_count == 0:
         raise EmptyGraphError(f"snapshot {snapshot.date} has no nodes")
-    gc = g.subgraph(g.giant())
+    gc = g.giant_graph()
     ccdf = degree_ccdf(gc)
     aspl = _optional(
         lambda: average_shortest_path_length(gc, aspl_sources, seed), DegenerateInputError

@@ -8,13 +8,15 @@ None, except in the set_* references, which keep the replaced code's errors.
 """
 
 import random
+import re
 from collections import Counter, deque
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from astopo.errors import EmptyGraphError, UndefinedMetricError
+from astopo.errors import CorpusError, EmptyGraphError, UndefinedMetricError
+from astopo.graph import AS_MAX, CsrGraph, decoded_value, read_input_text
 from astopo.ingest import FilterReport, PathFileMeta, parse_path_line
 
 
@@ -290,3 +292,51 @@ def load_series_reference(root):
                 edges.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
         months[month_dir.name] = (nodes, edges, report.to_dict())
     return months
+
+
+_DIRECTIVE_RE = re.compile(r"^#\s*([A-Za-z_]+)\s*:\s*(.*?)\s*$")
+
+
+def _parse_asn(token, where):
+    if not (token.isascii() and token.isdigit()):
+        raise CorpusError(f"{where}: {token!r} is not an AS number")
+    value = int(token)
+    if value > AS_MAX:
+        raise CorpusError(f"{where}: {token} exceeds the 32-bit AS range")
+    return value
+
+
+def read_edgelist_reference(path):
+    """(graph, directives) of read_edgelist, the way astopo computed it before
+    the byte-mask reader: the decoded text split with str.splitlines, one
+    line at a time, and the first bad line raised as it is met.
+    """
+    path = Path(path)
+    text = read_input_text(path)
+    us = []
+    vs = []
+    nodes = []
+    directives = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _DIRECTIVE_RE.match(line)
+            if m:
+                key, value = m.groups()
+                if key == "node":
+                    nodes.append(_parse_asn(value, f"{path}:{lineno}"))
+                else:
+                    directives.setdefault(key, decoded_value(value, f"{path}:{lineno}"))
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise CorpusError(f"{path}:{lineno}: expected two AS numbers, got {line!r}")
+        u = _parse_asn(parts[0], f"{path}:{lineno}")
+        v = _parse_asn(parts[1], f"{path}:{lineno}")
+        if u == v:
+            raise CorpusError(f"{path}:{lineno}: self-loop {line!r}")
+        us.append(u)
+        vs.append(v)
+    return CsrGraph(np.array((us, vs), dtype=np.int64).T, nodes), directives

@@ -1,11 +1,13 @@
 import importlib.util
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from astopo import graph as graph_module
 from astopo import AsGraph, CorpusError, EmptyGraphError, UnknownNodeError
 from astopo.graph import (
     MSBFS_BATCH,
@@ -182,7 +184,8 @@ def test_giant_component_matches_bruteforce_random():
         assert set(giant.nodes()) == expected_nodes
         assert sorted(giant.edges()) == expected_edges
         csr = g.freeze()
-        sub = csr.subgraph(csr.giant())
+        sub = csr.giant_graph()
+        assert sub.giant_graph() is sub
         assert sub.labels.tolist() == sorted(expected_nodes)
         assert edge_list(sub) == expected_edges
         assert sub.labels.dtype == np.int64 and sub.indptr.dtype == sub.indices.dtype == np.intp
@@ -392,3 +395,139 @@ def test_benchmark_tracer_finds_every_graph_method():
     spec.loader.exec_module(spans)
     for name in spans.GRAPH_METHODS:
         assert callable(getattr(AsGraph, name, None)), name
+
+
+# Every line break str.splitlines knows, as UTF-8.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+ODD_EDGE_FILES = {
+    **{
+        f"break-{ord(b[-1]):04x}-{len(b)}": f"1 2{b}3 4{b}{b}5 6{b}x y{b}".encode()
+        for b in LINE_BREAKS
+    },
+    **{
+        f"break-in-comment-{ord(b[-1]):04x}-{len(b)}": f"# note{b}1 2\n# node: 7{b}3 4\n3 3\n".encode()
+        for b in LINE_BREAKS
+    },
+    **{
+        f"valid-break-{ord(b[-1]):04x}-{len(b)}": f"# a: b{b}1 2{b}{b}# node: 7{b}3 4".encode()
+        for b in LINE_BREAKS
+    },
+    "crlf-then-lone-cr": b"1 2\r\n3 4\r5 6\r\r\n7 8\r\n\r\n1 1\r\n",
+    "cr-before-nel": "1 2\r\x853 4\n5\n".encode(),
+    "lone-cr-at-end": b"1 2\r",
+    "break-at-end-then-newline": "1 2\u2028\n3 4\n3\n".encode(),
+    "tabs-unit-sep-spaces": b"1\t2\n3\x1f4\n5     \t 6\n\x1f7 8\x1f\n",
+    "tabs-then-self-loop": b"1\t2\n3\x1f4\n5     \t 6\n\x1f7 8\x1f\n9\t9\n",
+    "trailing-whitespace": b"1 2   \n3 4\t\n",
+    "whitespace-only-lines": b"   \n\t\n\x1f\n1 2\n \x0c \n3 4\n",
+    "whitespace-only-lines-then-bad": b"   \n\t\n\x1f\n1 2\n \x0c \n3 4\n1 2 3\n",
+    "no-final-newline": b"1 2\n3 4",
+    "no-final-newline-bad": b"1 2\n3 x",
+    "empty": b"",
+    "only-comments": b"# date: 2001-01\n# just words\n",
+    "nodes-and-comments-anywhere": b"1 2\n# node: 9\n# x\n3 4\n  # node: 10  \n#node:11\n# family: ipv4\n",
+    "repeated-directive": b"# date: 2001-01\n1 2\n# date: 2002-02\n# note:   spaced   value  \n",
+    "leading-zeros": b"000000000001 2\n0000000000000000000000003 4\n05 6\n",
+    "as-max": b"4294967295 0\n",
+    "past-as-max": b"1 2\n4294967296 1\n",
+    "past-as-max-second": b"1 04294967296\n",
+    "25-digits": b"1 " + b"9" * 25 + b"\n",
+    "25-digits-last-ten-in-range": b"1 " + b"1" * 25 + b"\n",
+    "11-digits-last-ten-in-range": b"10000000005 1\n",
+    "fullwidth-digit": "1 \uff12\n".encode(),
+    "arabic-indic-digit": "\u0661 2\n".encode(),
+    "plus-sign": b"+1 2\n",
+    "minus-sign": b"1 -2\n",
+    "one-token": b"1 2\n3\n",
+    "three-tokens": b"1 2\n3 4 5\n",
+    "self-loop": b"1 2\n5 5\n",
+    "self-loop-leading-zero": b"1 2\n05 5\n",
+    "unicode-spaces": "1\xa02\n3\u30004\n\u20035 6\u2003\n\xa0\n".encode(),
+    "byte-order-mark": "\ufeff1 2\n".encode(),
+    "byte-order-mark-comment": "\ufeff# x\n1 2\n".encode(),
+    "non-utf8-comment": b"# note \xff\xe9\n1 2\n",
+    "non-utf8-directive": b"# date: 2001-01\n# monitor_set: S\xe9\n1 2\n",
+    "non-utf8-repeated-directive": b"# date: 2001-01\n# date: \xe9\n1 2\n",
+    "non-utf8-data": b"1 2\n3 4\xff\n",
+    "truncated-utf8-before-break": b"1 2\n3 4\xe2\x80\n5 6\n",
+    "bad-node-value": b"# node: 4294967296\n",
+    "bad-node-before-malformed": b"1 2\n# node: x\n1 2 3\n",
+    "malformed-before-self-loop": b"1 2\nfoo\n5 5\n",
+    "self-loop-before-malformed": b"1 2\n5 5\nfoo\n",
+    "past-as-max-before-bad-node": b"9999999999 1\n# node: q\n",
+    "non-ascii-break-shifts-bad-line": "1 2\u20283 4\r\n\r\n5\n".encode(),
+}
+
+
+def read_both(path):
+    """read_edgelist and its reference: (labels, edges, directives) or the CorpusError text."""
+    results = []
+    for read in (read_edgelist, oracles.read_edgelist_reference):
+        try:
+            g, directives = read(path)
+        except CorpusError as exc:
+            results.append(str(exc))
+        else:
+            results.append((g.labels.tolist(), edge_list(g), directives))
+    return results
+
+
+@pytest.mark.parametrize("block", [None, 1, 6, 64])
+@pytest.mark.parametrize("name", sorted(ODD_EDGE_FILES))
+def test_edgelist_matches_reference_on_odd_files(tmp_path, monkeypatch, name, block):
+    """Same graph and directives as the line-at-a-time reference, or the same
+    error naming the same line; small blocks put block ends everywhere."""
+    if block is not None:
+        monkeypatch.setattr(graph_module, "_READ_BLOCK", block)
+    path = tmp_path / "odd.edges"
+    path.write_bytes(ODD_EDGE_FILES[name])
+    new, reference = read_both(path)
+    assert new == reference
+
+
+def test_edgelist_parses_only_comments_line_by_line(tmp_path, monkeypatch):
+    """ASCII edge lines, whatever their breaks and spaces, never reach the
+    per-line parser; comment lines and bad lines do."""
+    seen = []
+    parse = graph_module._read_lines
+
+    def counted(raw, lineno, *rest):
+        seen.append(lineno)
+        return parse(raw, lineno, *rest)
+
+    monkeypatch.setattr(graph_module, "_read_lines", counted)
+    path = tmp_path / "g.edges"
+    path.write_bytes(
+        b"# date: 2001-01\r\n1 2\r\n3\t4\r5\x1f6\x0b7  8\x0c\x1c9 10\x1d11 12\x1e\n"
+        b"# x\n0013 14\n15 15\n"
+    )
+    with pytest.raises(CorpusError, match=r"g\.edges:12: self-loop '15 15'"):
+        read_edgelist(path)
+    assert seen == [1, 10, 12]
+
+
+def test_edgelist_unreadable_file_names_it(tmp_path):
+    with pytest.raises(CorpusError, match=r"cannot read .*missing\.edges"):
+        read_edgelist(tmp_path / "missing.edges")
+
+
+def test_edgelist_peak_memory_not_above_reference(tmp_path):
+    """A naive per-byte int64 design would peak several times higher than the
+    line-at-a-time reader; the byte-mask reader must not exceed it."""
+    rng = np.random.default_rng(7)
+    ends = rng.integers(0, 2**32, size=(100_000, 2), dtype=np.int64)
+    g = CsrGraph(ends, rng.integers(0, 2**32, size=50, dtype=np.int64))
+    path = tmp_path / "big.edges"
+    write_edgelist(g, path, directives={"date": "2001-01"})
+    peaks = []
+    for read in (read_edgelist, oracles.read_edgelist_reference):
+        tracemalloc.start()
+        try:
+            back, _ = read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.labels, g.labels) and np.array_equal(back.indices, g.indices)
+        del back
+    assert peaks[0] <= peaks[1], peaks

@@ -331,6 +331,22 @@ def test_metric_row_component_policy():
     assert row.k_avg == 2 * row.L / row.N
 
 
+def test_metric_row_labels_components_once(monkeypatch):
+    """The giant taken for the row is the one ASPL uses: no second labelling."""
+    calls = []
+    label = CsrGraph.component_roots
+
+    def counted(self):
+        calls.append(self.node_count)
+        return label(self)
+
+    monkeypatch.setattr(CsrGraph, "component_roots", counted)
+    g = CsrGraph([(1, 2), (2, 3), (1, 3), (3, 4), (50, 51)], [60])
+    row = metric_row(snapshot(g))
+    assert calls == [7]
+    assert row.aspl == 8 / 6 == average_shortest_path_length(g)
+
+
 def test_metric_row_empty_snapshot():
     with pytest.raises(EmptyGraphError):
         metric_row(snapshot(CsrGraph()))

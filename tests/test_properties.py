@@ -1,12 +1,16 @@
 """Property tests over generated inputs (hypothesis is optional)."""
 
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 import numpy as np  # noqa: E402
 import oracles  # noqa: E402
-from astopo import AS_MAX, CsrGraph, DegenerateInputError, EmptyGraphError, Snapshot  # noqa: E402
+from astopo import AS_MAX, CorpusError, CsrGraph, DegenerateInputError, EmptyGraphError, Snapshot  # noqa: E402
+from astopo import graph as graph_module  # noqa: E402
+from astopo.graph import read_edgelist  # noqa: E402
 from astopo.ingest import parse_path_file  # noqa: E402
 from astopo.metrics import average_shortest_path_length, metric_row  # noqa: E402
 from astopo.store import read_snapshot, write_snapshot  # noqa: E402
@@ -52,10 +56,11 @@ small_graphs = st.tuples(
     st.lists(st.tuples(st.integers(0, NODE_IDS - 1), st.integers(0, NODE_IDS - 1)), max_size=40),
     st.lists(st.integers(0, NODE_IDS - 1), max_size=4),
 )
-# An injective map of the node ids to AS numbers, AS 4294967295 among them.
+# An injective map of the node ids to AS numbers, AS 0 and AS 4294967295
+# among them.
 relabelings = st.lists(
-    st.integers(0, AS_MAX - 1), min_size=NODE_IDS - 1, max_size=NODE_IDS - 1, unique=True
-).flatmap(lambda asns: st.permutations([*asns, AS_MAX]))
+    st.integers(1, AS_MAX - 1), min_size=NODE_IDS - 2, max_size=NODE_IDS - 2, unique=True
+).flatmap(lambda asns: st.permutations([*asns, 0, AS_MAX]))
 
 
 def as_graph(graph, label):
@@ -83,7 +88,22 @@ settings_small = settings(
 @settings_small
 @given(graph=small_graphs, label=relabelings)
 def test_metric_row_invariant_under_relabeling(graph, label):
-    assert row_fields(as_graph(graph, label)) == row_fields(as_graph(graph, range(NODE_IDS)))
+    """The whole-graph fields never move. The giant's fields are those of the
+    same component in the original graph; it is the original's giant unless
+    two largest components tie, as the tie goes to the component holding the
+    smallest AS number, which a relabeling may move."""
+    plain, moved = as_graph(graph, range(NODE_IDS)), as_graph(graph, label)
+    got, whole = row_fields(moved), row_fields(plain)
+    if plain.node_count == 0:
+        assert got == whole == EmptyGraphError
+        return
+    ids = {asn: i for i, asn in enumerate(label)}
+    picked = sorted(ids[asn] for asn in moved.labels[moved.giant()].tolist())
+    part = row_fields(plain.subgraph(np.searchsorted(plain.labels, picked)))
+    counts = {key: whole[0][key] for key in ("N", "L", "k_max", "k_avg")}
+    assert got == ({**part[0], **counts}, part[1])
+    if picked == plain.labels[plain.giant()].tolist():
+        assert got == whole
 
 
 @settings_small
@@ -111,3 +131,69 @@ def test_capped_sampled_aspl_equals_exact(graph, label, extra, seed):
         return
     giant = len(g.giant())
     assert average_shortest_path_length(g, giant + extra, seed) == exact
+
+
+# Lines of an edge-list soup, as bytes. Words of edge lines run from AS 0 to
+# AS_MAX, some with leading zeros, and are split by every kind of
+# whitespace str.split knows, ASCII or not. Odd lines hold one fault each.
+LINE_BREAKS = [
+    s.encode() for s in ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+]
+SPACES = [s.encode() for s in (" ", "  ", "\t", "\x1f", "\xa0", "\u3000")]
+asn_words = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, AS_MAX).map(str),
+    st.sampled_from(["0", "4294967295", "0000000000007", "0" * 24 + "1"]),
+).map(str.encode)
+edge_lines = st.builds(
+    lambda lead, u, sep, v, trail: lead + u + sep + v + trail,
+    st.sampled_from([b"", b" ", b"\t"]),
+    asn_words,
+    st.sampled_from(SPACES),
+    asn_words,
+    st.sampled_from([b"", b" ", b"\x1f"]),
+)
+benign_lines = st.one_of(
+    edge_lines,
+    st.sampled_from([
+        b"", b"   ", b"\t", b"# a comment", b"#", b"# \xff\xfe note", b"# date: 2001-01",
+        b"#family:ipv4", b"# family: ipv6", b"# node: 17", b" # node: 0004294967295 ",
+    ]),
+)
+odd_lines = st.sampled_from([
+    b"5 5", b"05 5", b"1", b"1 2 3", b"+1 2", b"1 -2", b"x y", "\uff11 2".encode(), b"1 2\xff",
+    b"4294967296 1", b"1 9999999999", b"1 " + b"1" * 25, b"# node: x", b"# date: \xe9",
+    "\ufeff1 2".encode(),
+])
+# Benign lines with up to two odd ones put in, each line with its break, and
+# whether the last break is kept.
+edge_soups = st.tuples(
+    st.lists(st.tuples(benign_lines, st.sampled_from(LINE_BREAKS)), max_size=30),
+    st.lists(st.tuples(st.integers(0, 30), odd_lines, st.sampled_from(LINE_BREAKS)), max_size=2),
+    st.booleans(),
+)
+
+
+def edgelist_result(read, path):
+    try:
+        g, directives = read(path)
+    except CorpusError as exc:
+        return str(exc)
+    return g.labels.tolist(), g.edges().tolist(), directives
+
+
+@settings_small
+@given(soup=edge_soups, block=st.sampled_from([None, 1, 7, 64]))
+def test_edgelist_soup_matches_reference(tmp_path, soup, block):
+    lines, odd, final_break = soup
+    for at, line, brk in odd:
+        lines.insert(at, (line, brk))
+    data = b"".join(line + brk for line, brk in lines)
+    if lines and not final_break:
+        data = data[: -len(lines[-1][1])]
+    path = tmp_path / "soup.edges"
+    path.write_bytes(data)
+    with mock.patch.object(graph_module, "_READ_BLOCK", block or graph_module._READ_BLOCK):
+        got = edgelist_result(read_edgelist, path)
+    assert got == edgelist_result(oracles.read_edgelist_reference, path)
+
