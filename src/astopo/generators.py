@@ -7,6 +7,14 @@ first, exact masking as a fallback). A fixed (params, seed) pair always
 yields the same graph, and no generator ever emits a self-loop or a parallel
 edge.
 
+The growth loop keeps its state flat: one neighbour set per node in a list,
+kernel values tabulated per degree, and the sampler's prefix total cached
+between weight changes. The rejection loop runs inside the sampler. Every
+tree cell still receives the same float additions in the same order, and
+the RNG is called in the same order, so these shortcuts change no output
+bit. The AsGraph returned at the end takes the neighbour sets over without
+copying them.
+
 Kernels:
   BA   w(k) = k
   AB   w(k) = k + 1
@@ -19,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ParameterError
 from .graph import AsGraph
@@ -95,14 +103,23 @@ class Trajectory:
 
 
 class WeightedPicker:
-    """Fenwick tree over per-node weights: O(log n) update and draw."""
+    """Fenwick tree over per-node weights: O(log n) update and draw.
+
+    The prefix total is cached. Every weight change drops it, and so does
+    every append, since a larger size moves the prefix path even when the
+    new weight is 0.
+    """
+
+    __slots__ = ("_cap", "_tree", "_weights", "_size", "_steps", "_total")
 
     def __init__(self, capacity: int) -> None:
         self._cap = max(capacity, 1)
         self._tree = [0.0] * (self._cap + 1)
         self._weights = [0.0] * self._cap
         self._size = 0
-        self._top = 1 << (self._cap.bit_length() - 1)
+        # The descent's strides: the top power of two <= capacity, halved down to 1.
+        self._steps = tuple(1 << b for b in reversed(range(self._cap.bit_length())))
+        self._total: float | None = 0.0
 
     @property
     def size(self) -> int:
@@ -113,6 +130,7 @@ class WeightedPicker:
             raise ParameterError("picker capacity exceeded")
         index = self._size
         self._size += 1
+        self._total = None
         self.set_weight(index, weight)
         return index
 
@@ -124,38 +142,62 @@ class WeightedPicker:
         if delta == 0.0:
             return
         self._weights[index] = weight
+        self._total = None
+        tree = self._tree
+        cap = self._cap
         j = index + 1
-        while j <= self._cap:
-            self._tree[j] += delta
+        while j <= cap:
+            tree[j] += delta
             j += j & (-j)
 
     def total(self) -> float:
-        s = 0.0
-        j = self._size
-        while j > 0:
-            s += self._tree[j]
-            j -= j & (-j)
+        s = self._total
+        if s is None:
+            s = 0.0
+            tree = self._tree
+            j = self._size
+            while j > 0:
+                s += tree[j]
+                j -= j & (-j)
+            self._total = s
         return s
 
     def sample(self, rng: random.Random) -> int | None:
         """One index drawn with probability weight/total; None when no mass."""
+        return self.draw(rng, ())
+
+    def draw(self, rng: random.Random, excluded: Collection[int], anchor: int = -1) -> int | None:
+        """Preferential draw avoiding anchor and every index in excluded.
+
+        Rejection sampling conditioned on acceptance equals the renormalized
+        distribution over the remaining candidates; after a bounded number of
+        misses the exact masked draw takes over so runtime stays predictable.
+        None when no mass is left.
+        """
         total = self.total()
         if total <= 0.0:
             return None
-        remaining = rng.random() * total
-        pos = 0
-        step = self._top
-        while step:
-            nxt = pos + step
-            if nxt <= self._cap and self._tree[nxt] < remaining:
-                remaining -= self._tree[nxt]
-                pos = nxt
-            step >>= 1
-        index = min(pos, self._size - 1)
-        if self._weights[index] == 0.0:
-            # Float roundoff can land on a masked slot; take the nearest live one.
-            index = self._nearest_live(index)
-        return index
+        random_ = rng.random
+        tree = self._tree
+        weights = self._weights
+        cap = self._cap
+        steps = self._steps
+        last = self._size - 1
+        for _ in range(_REJECTION_TRIES):
+            remaining = random_() * total
+            pos = 0
+            for step in steps:
+                nxt = pos + step
+                if nxt <= cap and tree[nxt] < remaining:
+                    remaining -= tree[nxt]
+                    pos = nxt
+            index = pos if pos < last else last
+            if weights[index] == 0.0:
+                # Float roundoff can land on a masked slot; take the nearest live one.
+                index = self._nearest_live(index)
+            if index != anchor and index not in excluded:
+                return index
+        return self.sample_excluding(rng, [anchor, *excluded] if anchor >= 0 else excluded)
 
     def _nearest_live(self, index: int) -> int:
         j = index + 1
@@ -185,87 +227,95 @@ class WeightedPicker:
                 self.set_weight(i, w)
 
 
-class _Excluded:
-    """Membership view of {node} | neighbors(node) without copying the set."""
+class _KernelTable(dict):
+    """kernel(k) per degree k, each computed once, when a node first reaches k."""
 
-    __slots__ = ("node", "nbrs")
+    def __init__(self, kernel: Callable[[int], float]) -> None:
+        super().__init__()
+        self.kernel = kernel
 
-    def __init__(self, node: int, nbrs: set) -> None:
-        self.node = node
-        self.nbrs = nbrs
-
-    def __contains__(self, i: int) -> bool:
-        return i == self.node or i in self.nbrs
-
-    def __iter__(self):
-        yield self.node
-        yield from self.nbrs
-
-
-def _draw(picker: WeightedPicker, rng: random.Random, excluded) -> int | None:
-    """Preferential draw avoiding excluded indices.
-
-    Rejection sampling conditioned on acceptance equals the renormalized
-    distribution over the remaining candidates; after a bounded number of
-    misses the exact masked draw takes over so runtime stays predictable.
-    """
-    for _ in range(_REJECTION_TRIES):
-        idx = picker.sample(rng)
-        if idx is None:
-            return None
-        if idx not in excluded:
-            return idx
-    return picker.sample_excluding(rng, excluded)
-
-
-def _ring_graph(m0: int) -> AsGraph:
-    g = AsGraph()
-    for i in range(m0):
-        g.add_node(i)
-    for i in range(m0):
-        g.add_edge(i, (i + 1) % m0)  # for m0 = 2 the closing edge (1, 0) is a duplicate
-    return g
+    def __missing__(self, k: int) -> float:
+        weight = self[k] = self.kernel(k)
+        return weight
 
 
 class _Growth:
-    """One growth run: graph, kernel-weighted picker, and RNG in lockstep."""
+    """One growth run: adjacency, kernel-weighted picker, and RNG in lockstep.
+
+    Node i's neighbours are adj[i]. The kernel is tabulated per degree, and
+    graph() hands the same sets to the returned AsGraph.
+    """
 
     def __init__(self, params: GeneratorParams, kernel: Callable[[int], float]) -> None:
-        self.params = params
-        self.kernel = kernel
         self.rng = random.Random(params.seed)
+        self.kernel_of = _KernelTable(kernel)
         m0 = params.seed_size()
-        self.g = _ring_graph(m0)
-        self.picker = WeightedPicker(params.n_target)
+        self.adj: list[set[int]] = [set() for _ in range(m0)]
+        self.edge_count = 0
         for i in range(m0):
-            self.picker.append(kernel(self.g.degree(i)))
+            self._link(i, (i + 1) % m0)  # for m0 = 2 the closing edge (1, 0) is a duplicate
+        self.picker = WeightedPicker(params.n_target)
+        for nbrs in self.adj:
+            self.picker.append(self.kernel_of[len(nbrs)])
+
+    def graph(self) -> AsGraph:
+        return AsGraph.from_adjacency(self.adj, self.edge_count)
 
     def add_node(self) -> int:
-        node = self.g.node_count
-        self.g.add_node(node)
-        self.picker.append(0.0)
-        return node
+        self.adj.append(set())
+        return self.picker.append(0.0)
+
+    def _link(self, u: int, v: int) -> bool:
+        nbrs = self.adj[u]
+        if u == v or v in nbrs:
+            return False
+        nbrs.add(v)
+        self.adj[v].add(u)
+        self.edge_count += 1
+        return True
 
     def connect(self, u: int, v: int) -> bool:
-        if not self.g.add_edge(u, v):
+        if not self._link(u, v):
             return False
-        self.picker.set_weight(u, self.kernel(self.g.degree(u)))
-        self.picker.set_weight(v, self.kernel(self.g.degree(v)))
+        self._reweight(u, v)
         return True
 
     def disconnect(self, u: int, v: int) -> None:
-        self.g.remove_edge(u, v)
-        self.picker.set_weight(u, self.kernel(self.g.degree(u)))
-        self.picker.set_weight(v, self.kernel(self.g.degree(v)))
+        self.adj[u].remove(v)
+        self.adj[v].remove(u)
+        self.edge_count -= 1
+        self._reweight(u, v)
+
+    def _reweight(self, u: int, v: int) -> None:
+        """Set the picker weights of u, then v, to the kernel of their degrees."""
+        picker = self.picker
+        tree = picker._tree
+        weights = picker._weights
+        cap = picker._cap
+        adj = self.adj
+        kernel_of = self.kernel_of
+        for x in (u, v):
+            weight = kernel_of[len(adj[x])]
+            delta = weight - weights[x]
+            if delta == 0.0:
+                continue
+            weights[x] = weight
+            j = x + 1
+            while j <= cap:
+                tree[j] += delta
+                j += j & (-j)
+        picker._total = None
 
     def max_degree(self) -> int:
-        return max(len(self.g.neighbors(u)) for u in self.g.nodes())
+        return max(map(len, self.adj))
 
     def pick_distinct(self, count: int) -> list[int]:
+        draw = self.picker.draw
+        rng = self.rng
         chosen: set[int] = set()
         out: list[int] = []
         for _ in range(count):
-            idx = _draw(self.picker, self.rng, chosen)
+            idx = draw(rng, chosen)
             if idx is None:
                 break
             chosen.add(idx)
@@ -274,9 +324,10 @@ class _Growth:
 
     def pick_peer(self, anchor: int) -> int | None:
         """Preferential partner for anchor: not anchor, not already linked."""
-        if self.g.degree(anchor) >= self.g.node_count - 1:
+        nbrs = self.adj[anchor]
+        if len(nbrs) >= len(self.adj) - 1:
             return None
-        return _draw(self.picker, self.rng, _Excluded(anchor, self.g.neighbors(anchor)))
+        return self.picker.draw(self.rng, nbrs, anchor)
 
 
 class _Recorder:
@@ -289,7 +340,7 @@ class _Recorder:
     def __call__(self, growth: _Growth) -> None:
         if not self.pending:
             return
-        n = growth.g.node_count
+        n = len(growth.adj)
         recorded = None
         while self.pending and n >= self.pending[0]:
             self.pending.pop(0)
@@ -338,7 +389,7 @@ def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
     growth = _Growth(params, _kernel_ab)
     record(growth)
     rng = growth.rng
-    g = growth.g
+    adj = growth.adj
 
     # Uniform edge picks for rewiring need an indexable edge list.
     edge_list: list[tuple[int, int]] = []
@@ -359,21 +410,20 @@ def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
             edge_list[pos] = last
             edge_pos[last] = pos
 
-    for u, v in sorted(g.edges()):
-        key = (u, v)
+    for key in sorted((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v):
         edge_pos[key] = len(edge_list)
         edge_list.append(key)
 
-    while g.node_count < params.n_target:
+    while len(adj) < params.n_target:
         roll = rng.random()
         if roll < params.p:
             # m new internal links: one uniform end, one preferential end.
             for _ in range(params.m):
-                n = g.node_count
-                if g.edge_count >= n * (n - 1) // 2:
+                n = len(adj)
+                if growth.edge_count >= n * (n - 1) // 2:
                     break
                 a = rng.randrange(n)
-                while g.degree(a) >= n - 1:
+                while len(adj[a]) >= n - 1:
                     a = rng.randrange(n)
                 b = growth.pick_peer(a)
                 if b is not None:
@@ -403,17 +453,18 @@ def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
     growth = _Growth(params, _make_kernel_glp(params.beta))
     record(growth)
     rng = growth.rng
-    g = growth.g
-    while g.node_count < params.n_target:
+    adj = growth.adj
+    draw = growth.picker.draw
+    while len(adj) < params.n_target:
         if rng.random() < params.p:
             # m new internal links, both endpoints preferential.
             for _ in range(params.m):
-                n = g.node_count
-                if g.edge_count >= n * (n - 1) // 2:
+                n = len(adj)
+                if growth.edge_count >= n * (n - 1) // 2:
                     break
                 tried: set[int] = set()
                 while True:
-                    a = _draw(growth.picker, rng, tried)
+                    a = draw(rng, tried)
                     if a is None:
                         break
                     b = growth.pick_peer(a)
@@ -466,13 +517,17 @@ def _run(params: GeneratorParams, checkpoints: Sequence[int] | None) -> tuple[As
     if checkpoints is not None:
         if list(checkpoints) != sorted(set(checkpoints)):
             raise ParameterError("checkpoints must be strictly ascending")
+        if checkpoints and checkpoints[0] < params.seed_size():
+            raise ParameterError(
+                f"checkpoint {checkpoints[0]} is below the seed size m0={params.seed_size()}"
+            )
         if checkpoints and checkpoints[-1] > params.n_target:
             raise ParameterError(
                 f"last checkpoint {checkpoints[-1]} exceeds n_target {params.n_target}"
             )
     recorder = _Recorder(checkpoints)
     growth = _GROWERS[params.model](params, recorder)
-    return growth.g, recorder.rows
+    return growth.graph(), recorder.rows
 
 
 def _generate_for(model: str, params: GeneratorParams) -> AsGraph:

@@ -106,6 +106,14 @@ class AsGraph:
             g.add_edge(u, v)
         return g
 
+    @classmethod
+    def from_adjacency(cls, adj: list[set[int]], edge_count: int) -> "AsGraph":
+        """The graph whose node i has neighbours adj[i]; the sets are taken over, not copied."""
+        g = cls()
+        g._adj = dict(enumerate(adj))
+        g._edge_count = edge_count
+        return g
+
     @property
     def node_count(self) -> int:
         return len(self._adj)

@@ -5,18 +5,23 @@ Floyd-Warshall, one dict BFS per source, numpy Pearson, loops over neighbour
 sets) on purpose, over the dict-of-sets AsGraph; none of it shares code with
 the CsrGraph implementations it checks. Undefined quantities come back as
 None, except in the set_* references, which keep the replaced code's errors.
+The *_reference functions are the replaced code itself, kept as differential
+references: grow_reference is the growth loop before its rewrite.
 """
 
+import math
 import random
 import re
 from collections import Counter, deque
 from itertools import combinations
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from astopo.errors import CorpusError, EmptyGraphError, UndefinedMetricError
-from astopo.graph import AS_MAX, CsrGraph, decoded_value, read_input_text
+from astopo.errors import CorpusError, EmptyGraphError, ParameterError, UndefinedMetricError
+from astopo.generators import GeneratorParams
+from astopo.graph import AS_MAX, AsGraph, CsrGraph, decoded_value, read_input_text
 from astopo.ingest import FilterReport, PathFileMeta, parse_path_line
 
 
@@ -340,3 +345,391 @@ def read_edgelist_reference(path):
         us.append(u)
         vs.append(v)
     return CsrGraph(np.array((us, vs), dtype=np.int64).T, nodes), directives
+
+
+# Growth machinery as astopo ran it before the cached-total, per-degree-kernel
+# rewrite of astopo.generators: a Fenwick picker whose total() walks the tree on
+# every draw, kernel calls per weight update, and the graph kept as an AsGraph.
+# The fast generators must reproduce it bit for bit: the same += deltas into
+# every tree cell (mask/unmask included), the same descent, the same RNG calls.
+
+_REJECTION_TRIES = 32
+
+
+class WeightedPicker:
+    """Fenwick tree over per-node weights: O(log n) update and draw."""
+
+    def __init__(self, capacity: int) -> None:
+        self._cap = max(capacity, 1)
+        self._tree = [0.0] * (self._cap + 1)
+        self._weights = [0.0] * self._cap
+        self._size = 0
+        self._top = 1 << (self._cap.bit_length() - 1)
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def append(self, weight: float) -> int:
+        if self._size >= self._cap:
+            raise ParameterError("picker capacity exceeded")
+        index = self._size
+        self._size += 1
+        self.set_weight(index, weight)
+        return index
+
+    def weight(self, index: int) -> float:
+        return self._weights[index]
+
+    def set_weight(self, index: int, weight: float) -> None:
+        delta = weight - self._weights[index]
+        if delta == 0.0:
+            return
+        self._weights[index] = weight
+        j = index + 1
+        while j <= self._cap:
+            self._tree[j] += delta
+            j += j & (-j)
+
+    def total(self) -> float:
+        s = 0.0
+        j = self._size
+        while j > 0:
+            s += self._tree[j]
+            j -= j & (-j)
+        return s
+
+    def sample(self, rng: random.Random) -> int | None:
+        """One index drawn with probability weight/total; None when no mass."""
+        total = self.total()
+        if total <= 0.0:
+            return None
+        remaining = rng.random() * total
+        pos = 0
+        step = self._top
+        while step:
+            nxt = pos + step
+            if nxt <= self._cap and self._tree[nxt] < remaining:
+                remaining -= self._tree[nxt]
+                pos = nxt
+            step >>= 1
+        index = min(pos, self._size - 1)
+        if self._weights[index] == 0.0:
+            # Float roundoff can land on a masked slot; take the nearest live one.
+            index = self._nearest_live(index)
+        return index
+
+    def _nearest_live(self, index: int) -> int:
+        j = index + 1
+        while j < self._size:
+            if self._weights[j] > 0.0:
+                return j
+            j += 1
+        j = index - 1
+        while j >= 0:
+            if self._weights[j] > 0.0:
+                return j
+            j -= 1
+        raise AssertionError("sample() called with no positive weights")
+
+    def sample_excluding(self, rng: random.Random, excluded: Iterable[int]) -> int | None:
+        """Renormalized draw with the given indices masked out."""
+        saved = []
+        for i in excluded:
+            w = self._weights[i]
+            if w:
+                saved.append((i, w))
+                self.set_weight(i, 0.0)
+        try:
+            return self.sample(rng)
+        finally:
+            for i, w in saved:
+                self.set_weight(i, w)
+
+
+class _Excluded:
+    """Membership view of {node} | neighbors(node) without copying the set."""
+
+    __slots__ = ("node", "nbrs")
+
+    def __init__(self, node: int, nbrs: set) -> None:
+        self.node = node
+        self.nbrs = nbrs
+
+    def __contains__(self, i: int) -> bool:
+        return i == self.node or i in self.nbrs
+
+    def __iter__(self):
+        yield self.node
+        yield from self.nbrs
+
+
+def _draw(picker: WeightedPicker, rng: random.Random, excluded) -> int | None:
+    """Preferential draw avoiding excluded indices.
+
+    Rejection sampling conditioned on acceptance equals the renormalized
+    distribution over the remaining candidates; after a bounded number of
+    misses the exact masked draw takes over so runtime stays predictable.
+    """
+    for _ in range(_REJECTION_TRIES):
+        idx = picker.sample(rng)
+        if idx is None:
+            return None
+        if idx not in excluded:
+            return idx
+    return picker.sample_excluding(rng, excluded)
+
+
+def _ring_graph(m0: int) -> AsGraph:
+    g = AsGraph()
+    for i in range(m0):
+        g.add_node(i)
+    for i in range(m0):
+        g.add_edge(i, (i + 1) % m0)  # for m0 = 2 the closing edge (1, 0) is a duplicate
+    return g
+
+
+class _Growth:
+    """One growth run: graph, kernel-weighted picker, and RNG in lockstep."""
+
+    def __init__(self, params: GeneratorParams, kernel: Callable[[int], float]) -> None:
+        self.params = params
+        self.kernel = kernel
+        self.rng = random.Random(params.seed)
+        m0 = params.seed_size()
+        self.g = _ring_graph(m0)
+        self.picker = WeightedPicker(params.n_target)
+        for i in range(m0):
+            self.picker.append(kernel(self.g.degree(i)))
+
+    def add_node(self) -> int:
+        node = self.g.node_count
+        self.g.add_node(node)
+        self.picker.append(0.0)
+        return node
+
+    def connect(self, u: int, v: int) -> bool:
+        if not self.g.add_edge(u, v):
+            return False
+        self.picker.set_weight(u, self.kernel(self.g.degree(u)))
+        self.picker.set_weight(v, self.kernel(self.g.degree(v)))
+        return True
+
+    def disconnect(self, u: int, v: int) -> None:
+        self.g.remove_edge(u, v)
+        self.picker.set_weight(u, self.kernel(self.g.degree(u)))
+        self.picker.set_weight(v, self.kernel(self.g.degree(v)))
+
+    def max_degree(self) -> int:
+        return max(len(self.g.neighbors(u)) for u in self.g.nodes())
+
+    def pick_distinct(self, count: int) -> list[int]:
+        chosen: set[int] = set()
+        out: list[int] = []
+        for _ in range(count):
+            idx = _draw(self.picker, self.rng, chosen)
+            if idx is None:
+                break
+            chosen.add(idx)
+            out.append(idx)
+        return out
+
+    def pick_peer(self, anchor: int) -> int | None:
+        """Preferential partner for anchor: not anchor, not already linked."""
+        if self.g.degree(anchor) >= self.g.node_count - 1:
+            return None
+        return _draw(self.picker, self.rng, _Excluded(anchor, self.g.neighbors(anchor)))
+
+
+class _Recorder:
+    """Collects (N, k_max) the first time node count reaches each checkpoint."""
+
+    def __init__(self, checkpoints: Sequence[int] | None) -> None:
+        self.pending = sorted(checkpoints) if checkpoints else []
+        self.rows: list[tuple[int, int]] = []
+
+    def __call__(self, growth: _Growth) -> None:
+        if not self.pending:
+            return
+        n = growth.g.node_count
+        recorded = None
+        while self.pending and n >= self.pending[0]:
+            self.pending.pop(0)
+            if recorded is None:
+                recorded = growth.max_degree()
+            self.rows.append((n, recorded))
+
+
+def _kernel_ba(k: int) -> float:
+    return float(k)
+
+
+def _kernel_ab(k: int) -> float:
+    return float(k + 1)
+
+
+def _make_kernel_glp(beta: float) -> Callable[[int], float]:
+    def kernel(k: int) -> float:
+        return k - beta if k > 0 else 0.0
+
+    return kernel
+
+
+def _make_kernel_pfp(delta: float) -> Callable[[int], float]:
+    def kernel(k: int) -> float:
+        if k <= 0:
+            return 0.0
+        return k ** (1.0 + delta * math.log10(k))
+
+    return kernel
+
+
+def _grow_ba(params: GeneratorParams, record: _Recorder) -> _Growth:
+    growth = _Growth(params, _kernel_ba)
+    record(growth)
+    for _ in range(params.n_target - params.seed_size()):
+        targets = growth.pick_distinct(params.m)
+        node = growth.add_node()
+        for t in targets:
+            growth.connect(node, t)
+        record(growth)
+    return growth
+
+
+def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
+    growth = _Growth(params, _kernel_ab)
+    record(growth)
+    rng = growth.rng
+    g = growth.g
+
+    # Uniform edge picks for rewiring need an indexable edge list.
+    edge_list: list[tuple[int, int]] = []
+    edge_pos: dict[tuple[int, int], int] = {}
+
+    def connect(u: int, v: int) -> None:
+        if growth.connect(u, v):
+            key = (u, v) if u < v else (v, u)
+            edge_pos[key] = len(edge_list)
+            edge_list.append(key)
+
+    def disconnect(u: int, v: int) -> None:
+        growth.disconnect(u, v)
+        key = (u, v) if u < v else (v, u)
+        pos = edge_pos.pop(key)
+        last = edge_list.pop()
+        if pos < len(edge_list):
+            edge_list[pos] = last
+            edge_pos[last] = pos
+
+    for u, v in sorted(g.edges()):
+        key = (u, v)
+        edge_pos[key] = len(edge_list)
+        edge_list.append(key)
+
+    while g.node_count < params.n_target:
+        roll = rng.random()
+        if roll < params.p:
+            # m new internal links: one uniform end, one preferential end.
+            for _ in range(params.m):
+                n = g.node_count
+                if g.edge_count >= n * (n - 1) // 2:
+                    break
+                a = rng.randrange(n)
+                while g.degree(a) >= n - 1:
+                    a = rng.randrange(n)
+                b = growth.pick_peer(a)
+                if b is not None:
+                    connect(a, b)
+        elif roll < params.p + params.q:
+            # m rewires: detach one end of a uniform edge, reattach preferentially.
+            for _ in range(params.m):
+                if not edge_list:
+                    break
+                u, v = edge_list[rng.randrange(len(edge_list))]
+                kept, detached = (u, v) if rng.random() < 0.5 else (v, u)
+                b = growth.pick_peer(kept)
+                if b is None:
+                    continue
+                disconnect(kept, detached)
+                connect(kept, b)
+        else:
+            targets = growth.pick_distinct(params.m)
+            node = growth.add_node()
+            for t in targets:
+                connect(node, t)
+            record(growth)
+    return growth
+
+
+def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
+    growth = _Growth(params, _make_kernel_glp(params.beta))
+    record(growth)
+    rng = growth.rng
+    g = growth.g
+    while g.node_count < params.n_target:
+        if rng.random() < params.p:
+            # m new internal links, both endpoints preferential.
+            for _ in range(params.m):
+                n = g.node_count
+                if g.edge_count >= n * (n - 1) // 2:
+                    break
+                tried: set[int] = set()
+                while True:
+                    a = _draw(growth.picker, rng, tried)
+                    if a is None:
+                        break
+                    b = growth.pick_peer(a)
+                    if b is not None:
+                        growth.connect(a, b)
+                        break
+                    tried.add(a)
+        else:
+            targets = growth.pick_distinct(params.m)
+            node = growth.add_node()
+            for t in targets:
+                growth.connect(node, t)
+            record(growth)
+    return growth
+
+
+def _grow_pfp(params: GeneratorParams, record: _Recorder) -> _Growth:
+    growth = _Growth(params, _make_kernel_pfp(params.delta))
+    record(growth)
+    rng = growth.rng
+    for _ in range(params.n_target - params.seed_size()):
+        if rng.random() < params.p:
+            # New node joins one host; the host gains two links to peers.
+            hosts = growth.pick_distinct(1)
+            node = growth.add_node()
+            growth.connect(node, hosts[0])
+            for _ in range(2):
+                peer = growth.pick_peer(hosts[0])
+                if peer is None:
+                    break
+                growth.connect(hosts[0], peer)
+        else:
+            # New node joins two hosts; the first host gains one peer link.
+            hosts = growth.pick_distinct(2)
+            node = growth.add_node()
+            for h in hosts:
+                growth.connect(node, h)
+            peer = growth.pick_peer(hosts[0])
+            if peer is not None:
+                growth.connect(hosts[0], peer)
+        record(growth)
+    return growth
+
+
+_REFERENCE_GROWERS = {"ba": _grow_ba, "ab": _grow_ab, "glp": _grow_glp, "pfp": _grow_pfp}
+
+
+def grow_reference_run(params, checkpoints=None):
+    """The reference growth state after one run under params, and its (N, k_max) rows."""
+    recorder = _Recorder(checkpoints)
+    return _REFERENCE_GROWERS[params.model](params, recorder), recorder.rows
+
+
+def grow_reference(params, checkpoints=None):
+    """(AsGraph, [(N, k_max), ...]) of one growth run under params, the slow way."""
+    growth, rows = grow_reference_run(params, checkpoints)
+    return growth.g, rows

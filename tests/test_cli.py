@@ -235,6 +235,16 @@ def test_generate_deterministic_and_validated(tmp_path, capsys):
     assert "m0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checkpoints", ["-5,3,10", "0,100", "2,100"])
+def test_generate_rejects_checkpoint_below_seed_size(tmp_path, capsys, checkpoints):
+    # The ring seed already has m0 = 3 nodes, so no trajectory row can sit below it.
+    assert run("generate", "--model", "ba", "--n", "100", "--seed", "1",
+               f"--checkpoints={checkpoints}", "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoints.split(',')[0]} " in err and "m0=3" in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_tunnel_pipeline(tmp_path):
     build_tunnel_corpora(tmp_path / "c6", tmp_path / "c4")
     s6 = tmp_path / "s6"

@@ -10,6 +10,7 @@ import numpy as np  # noqa: E402
 import oracles  # noqa: E402
 from astopo import AS_MAX, CorpusError, CsrGraph, DegenerateInputError, EmptyGraphError, Snapshot  # noqa: E402
 from astopo import graph as graph_module  # noqa: E402
+from astopo.generators import MODELS, GeneratorParams, generate_with_trajectory  # noqa: E402
 from astopo.graph import read_edgelist  # noqa: E402
 from astopo.ingest import parse_path_file  # noqa: E402
 from astopo.metrics import average_shortest_path_length, metric_row  # noqa: E402
@@ -197,3 +198,47 @@ def test_edgelist_soup_matches_reference(tmp_path, soup, block):
         got = edgelist_result(read_edgelist, path)
     assert got == edgelist_result(oracles.read_edgelist_reference, path)
 
+
+
+@st.composite
+def growth_runs(draw):
+    """Valid parameters of a small growth run (n <= 300) and sorted checkpoints."""
+    model = draw(st.sampled_from(MODELS))
+    m = draw(st.integers(1, 3))
+    m0 = draw(st.one_of(st.none(), st.integers(max(m, 2), 5)))
+    seed_size = max(m, 3) if m0 is None else m0
+    n = draw(st.integers(seed_size, 300))
+    p = q = beta = delta = 0.0
+    if model == "ab":
+        # p + q <= 0.8 keeps a growth step at least one roll in five
+        p = draw(st.floats(0.0, 0.6))
+        q = draw(st.floats(0.0, 0.8 - p))
+    elif model == "glp":
+        p = draw(st.floats(0.0, 0.8))
+        beta = draw(st.floats(-5.0, 0.95))
+    elif model == "pfp":
+        p = draw(st.floats(0.0, 1.0))
+        delta = draw(st.floats(0.0, 0.5))
+    params = GeneratorParams(model, n, draw(st.integers(0, 2**32)), m, m0, p, q, beta, delta)
+    checkpoints = sorted(draw(st.sets(st.integers(seed_size, n), max_size=4)))
+    return params, checkpoints
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(run=growth_runs())
+def test_growth_is_simple_and_matches_reference(run):
+    params, checkpoints = run
+    graph, trajectory = generate_with_trajectory(params, checkpoints)
+    edges = sorted(graph.edges())
+    assert all(u not in graph.neighbors(u) for u in graph.nodes())
+    # each edge (u < v) once, and no neighbour entry without its edge
+    assert len(set(edges)) == len(edges)
+    assert all(u in graph.neighbors(v) for u, v in edges)
+    assert sum(len(graph.neighbors(u)) for u in graph.nodes()) == 2 * len(edges)
+    assert graph.node_count == params.n_target
+    assert graph.edge_count == len(edges)
+    assert [n for n, _ in trajectory.checkpoints] == checkpoints
+    ref_graph, ref_rows = oracles.grow_reference(params, checkpoints)
+    assert edges == sorted(ref_graph.edges())
+    assert list(graph.nodes()) == list(ref_graph.nodes())
+    assert trajectory.checkpoints == ref_rows
