@@ -47,7 +47,7 @@ from .ingest import (
     FilterReport,
     MonitorSet,
     PathFileMeta,
-    build_graph,
+    PathHops,
     load_series,
     parse_path_file,
     parse_path_line,

@@ -118,6 +118,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str,
 
 
 def _outdir(args) -> Path:
+    """The --out directory, made once a command has checked its parameters
+    and inputs, so that a rejected command leaves none behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -190,10 +192,10 @@ def _date_ticks(dates: list[str], max_ticks: int = 6) -> list[tuple[float, str]]
 
 
 def cmd_ingest(args) -> None:
-    out = _outdir(args)
     root = Path(args.input)
     config = MonitorSet.load(args.monitors) if args.monitors else ALL_MONITORS
     series = load_series(root, config)
+    out = _outdir(args)
     store.write_store(out, series)
 
     lines = [FILTER_SUMMARY_HEADER]
@@ -223,11 +225,11 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_metrics(args) -> None:
-    out = _outdir(args)
     store_dir = Path(args.input)
     series = store.read_store(store_dir)
     table = metrics.metrics_series(series, _parse_aspl_mode(args.aspl_mode), args.seed, args.kmin)
 
+    out = _outdir(args)
     for row in table.rows:
         if row.ccdf:
             (out / f"ccdf_{row.date}.csv").write_text(metrics.ccdf_to_csv(row.ccdf))
@@ -360,7 +362,6 @@ def _fit_svg(points, fit: phasefit.PhaseFit, metric: str, dates: list[str]) -> s
 
 
 def cmd_fit(args) -> None:
-    out = _outdir(args)
     csv_path = Path(args.input)
     dates, columns = _read_metrics_csv(csv_path)
     if args.metric not in columns:
@@ -376,6 +377,7 @@ def cmd_fit(args) -> None:
         "points_used": len(points),
         "excluded_dates": sorted(exclude & set(dates)),
     }
+    out = _outdir(args)
     (out / f"fit_{args.metric}.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     (out / f"fit_{args.metric}.svg").write_text(_fit_svg(points, fit, args.metric, dates))
     _write_manifest(
@@ -405,7 +407,6 @@ def _default_checkpoints(m0: int, n_target: int) -> list[int]:
 
 
 def cmd_generate(args) -> None:
-    out = _outdir(args)
     params = generators.GeneratorParams(
         model=args.model,
         n_target=args.n,
@@ -426,6 +427,7 @@ def cmd_generate(args) -> None:
     else:
         checkpoints = _default_checkpoints(params.seed_size(), params.n_target)
     graph, trajectory = generators.generate_with_trajectory(params, checkpoints)
+    out = _outdir(args)
     write_edgelist(graph.freeze(), out / "graph.edges", directives={"model": params.model})
     (out / "trajectory.csv").write_text(trajectory.to_csv())
     _write_manifest(
@@ -448,12 +450,12 @@ def cmd_generate(args) -> None:
 
 
 def cmd_tunnel(args) -> None:
-    out = _outdir(args)
     dir6, dir4 = Path(args.input6), Path(args.input4)
     series6 = store.read_store(dir6)
     series4 = store.read_store(dir4)
     dists = crossnet.tunnel_series(series6, series4)
 
+    out = _outdir(args)
     for dist in dists:
         (out / f"tunnel_{dist.date}.csv").write_text(crossnet.distribution_to_csv(dist))
     (out / "tunnel_summary.csv").write_text(crossnet.series_summary_to_csv(dists))
@@ -474,7 +476,6 @@ def cmd_tunnel(args) -> None:
 
 
 def cmd_report(args) -> None:
-    out = _outdir(args)
     csv_path = Path(args.input)
     dates, columns = _read_metrics_csv(csv_path)
     exclude = _load_exclude_dates(args.exclude_dates)
@@ -499,6 +500,7 @@ def cmd_report(args) -> None:
         )
         fits_json.append(record)
 
+    out = _outdir(args)
     (out / "phase_summary.csv").write_text("\n".join(summary_lines) + "\n")
     (out / "report.json").write_text(json.dumps(fits_json, sort_keys=True, indent=2) + "\n")
     _write_manifest(

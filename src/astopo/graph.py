@@ -11,12 +11,14 @@ numbers internally, and takes and returns AS numbers at its boundary.
 AsGraph, a dict of neighbour sets, is only what the growth models mutate
 edge by edge.
 
-read_edgelist reads a month's edge list in one vectorized pass per block of
-bytes: byte masks find the line breaks and words, and each plain edge line
-becomes two int64 AS numbers without a Python object per line. Only comment
-lines and lines the masks cannot settle (non-ASCII text, bad lines) are
-decoded and parsed one at a time, in file order, so the first bad line is
-the error and names path:line.
+read_edgelist reads a month's edge list a block of bytes at a time
+(_read_blocks), in one vectorized pass per block: byte masks find the line
+breaks and words (_scan_words), and each plain edge line becomes two int64
+AS numbers without a Python object per line. Only comment lines and lines
+the masks cannot settle (non-ASCII text, bad lines) are decoded and parsed
+one at a time, in file order, so the first bad line is the error and names
+path:line. ingest.parse_path_file reads path files with the same private
+helpers; they are the package's one tokenizer, not public API.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,13 +46,14 @@ UNREACHABLE = -1
 # Edges formatted per write by write_edgelist.
 _WRITE_BLOCK = 1 << 14
 
-# Bytes scanned per vectorized pass of read_edgelist; a block ends just past
-# a '\n', so every per-byte work array stays about this small in a file whose
-# lines end in '\n' (as write_edgelist writes them). A file that breaks its
-# lines only at other bytes is scanned as one block.
+# Bytes read per chunk by _read_blocks, for read_edgelist and
+# ingest.parse_path_file; a block ends just past a '\n', so the file is never
+# held whole and every per-byte work array stays about this small in a file
+# whose lines end in '\n'. A file that breaks its lines only at other bytes
+# is scanned as one block.
 _READ_BLOCK = 1 << 18
 
-# Kind of each byte value, for read_edgelist: the ASCII bytes that
+# Kind of each byte value, for _scan_words: the ASCII bytes that
 # str.splitlines breaks at, the rest of the ASCII bytes that str.isspace
 # accepts, digits, and every other byte (non-ASCII included).
 _OTHER, _DIGIT, _SPACE, _BREAK = range(4)
@@ -533,6 +536,12 @@ def write_edgelist(graph: CsrGraph, path: Path | str, directives: dict[str, str]
             f.write(("%d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _text_lines(raw: bytes) -> list[str]:
+    """The str.splitlines lines of raw, one line's bytes up to its ASCII line
+    break: more than one only when it holds a non-ASCII line break."""
+    return (raw.decode("utf-8", errors="replace") + "\n").splitlines()
+
+
 def _read_lines(
     raw: bytes, lineno: int, path: Path, pairs: list, nodes: list, directives: dict
 ) -> int:
@@ -542,7 +551,7 @@ def _read_lines(
     str.splitlines lines lineno, lineno + 1, ... (more than one only when it
     holds a non-ASCII line break). Returns how many line numbers it used.
     """
-    lines = (raw.decode("utf-8", errors="replace") + "\n").splitlines()
+    lines = _text_lines(raw)
     for lineno, line in enumerate(lines, lineno):
         line = line.strip()
         if not line:
@@ -568,28 +577,59 @@ def _read_lines(
     return len(lines)
 
 
-def _block_end(data: bytes, lo: int) -> int:
-    """End of the block of data that starts at lo: just past its last '\n'
-    within _READ_BLOCK bytes, or the end of data."""
-    if len(data) - lo <= _READ_BLOCK:
-        return len(data)
-    end = data.rfind(b"\n", lo, lo + _READ_BLOCK) + 1 or data.find(b"\n", lo + _READ_BLOCK) + 1
-    return end or len(data)
+def _read_blocks(path: Path) -> Iterator[bytes]:
+    """The bytes of path, read _READ_BLOCK bytes at a time from the open file.
 
-
-def _scan_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge pairs of the plain edge lines of block, plus the lines left open.
-
-    Byte masks (Langdale & Lemire, VLDB J. 2019) find the line breaks and the
-    first and last byte of every word. A plain edge line is ASCII and holds
-    exactly two words, each of at most ten digits, that read as different AS
-    numbers; each word is read by a fixed ten-digit accumulate. Every other
-    line that holds a word is left open: comments, non-ASCII, any other
-    token, a third word, a longer word (leading zeros), a value past AS_MAX,
-    a self-loop. Returns (pairs, breaks, open lines): the (k, 2) int64 pairs,
-    the position of each line break, and the ascending indices of the open
-    lines; line i ends at breaks[i], or at the end of block.
+    Each block ends just past its last '\n' and the bytes after it start the
+    next block, so no line, and no '\r\n', is split between two blocks. A
+    stretch with no '\n' joins the block it is in (a file with none is one
+    block). An unreadable file is a CorpusError naming it.
     """
+    try:
+        with open(path, "rb") as f:
+            parts: list[bytes] = []
+            while chunk := f.read(_READ_BLOCK):
+                cut = chunk.rfind(b"\n") + 1
+                if cut:
+                    parts.append(chunk[:cut])
+                    yield b"".join(parts)
+                    parts = [chunk[cut:]]
+                else:
+                    parts.append(chunk)
+            tail = b"".join(parts)
+            if tail:
+                yield tail
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+
+
+class _Words(NamedTuple):
+    """The lines and words of a block of bytes, found by byte masks
+    (Langdale & Lemire, VLDB J. 2019).
+
+    Lines end where str.splitlines ends them at an ASCII byte ('\r\n' once,
+    at its '\n'), and words are split by the ASCII whitespace of str.split.
+    Line i ends at breaks[i], or at the end of the block.
+    """
+
+    breaks: np.ndarray  # position of each line break
+    starts: np.ndarray  # first byte of each word
+    ends: np.ndarray  # one past the last byte of each word
+    line: np.ndarray  # line of each word
+    counts: np.ndarray  # words per line
+    # Per line: holds a byte that is neither a digit nor ASCII whitespace, or
+    # a word of more than _ASN_DIGITS digits; _word_values cannot read it.
+    odd: np.ndarray
+
+    def raw_lines(self, data: bytes, index: np.ndarray) -> list[bytes]:
+        """Bytes of the lines at index, each up to its line break."""
+        starts = np.append(0, self.breaks + 1)[index]
+        ends = np.append(self.breaks, len(data))[index]
+        return [data[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
+
+
+def _scan_words(block: np.ndarray) -> _Words:
+    """The words of the uint8 array block, in one vectorized pass."""
     kind = _BYTE_KIND.take(block)
     space = kind >= _SPACE
     brk = kind == _BREAK
@@ -603,13 +643,18 @@ def _scan_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     last[:-1] &= space[1:]
     starts = np.flatnonzero(first)
     ends = np.flatnonzero(last) + 1
-    line = np.searchsorted(breaks, starts)
-    words = np.bincount(line, minlength=n_lines)
-    other = np.zeros(n_lines, dtype=bool)
-    other[np.searchsorted(breaks, np.flatnonzero(kind == _OTHER))] = True
-    plain = (words == 2) & ~other
-    mine = plain[line]
-    starts, ends = starts[mine], ends[mine]
+    counts = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
+    line = np.repeat(np.arange(n_lines), counts)
+    odd = np.zeros(n_lines, dtype=bool)
+    odd[np.searchsorted(breaks, np.flatnonzero(kind == _OTHER))] = True
+    odd[line[ends - starts > _ASN_DIGITS]] = True
+    return _Words(breaks, starts, ends, line, counts, odd)
+
+
+def _word_values(block: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """int64 value of each word block[starts[i]:ends[i]] of at most
+    _ASN_DIGITS ASCII digits, by one fixed-width accumulate over the words'
+    last digits."""
     value = np.zeros(len(ends), dtype=np.int64)
     for k in range(_ASN_DIGITS, 0, -1):
         at = ends - k
@@ -618,12 +663,27 @@ def _scan_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         digit[at < starts] = 0
         value *= 10
         value += digit
-    short = ends - starts <= _ASN_DIGITS
+    return value
+
+
+def _edge_lines(block: np.ndarray, words: _Words) -> tuple[np.ndarray, np.ndarray]:
+    """Edge pairs of the plain edge lines of block, plus the lines left open.
+
+    A plain edge line is ASCII and holds exactly two words, each of at most
+    ten digits, that read as different AS numbers. Every other line that
+    holds a word is left open: comments, non-ASCII, any other token, a third
+    word, a longer word (leading zeros), a value past AS_MAX, a self-loop.
+    Returns the (k, 2) int64 pairs and the ascending indices of the open
+    lines.
+    """
+    plain = (words.counts == 2) & ~words.odd
+    mine = plain[words.line]
+    value = _word_values(block, words.starts[mine], words.ends[mine])
     u, v = value[0::2], value[1::2]
-    good = short[0::2] & short[1::2] & (u <= AS_MAX) & (v <= AS_MAX) & (u != v)
-    left = (words > 0) & ~plain
+    good = (u <= AS_MAX) & (v <= AS_MAX) & (u != v)
+    left = (words.counts > 0) & ~plain
     left[np.flatnonzero(plain)[~good]] = True
-    return np.column_stack((u[good], v[good])), breaks, np.flatnonzero(left)
+    return np.column_stack((u[good], v[good])), np.flatnonzero(left)
 
 
 def read_edgelist(path: Path | str) -> tuple[CsrGraph, dict[str, str]]:
@@ -637,37 +697,27 @@ def read_edgelist(path: Path | str) -> tuple[CsrGraph, dict[str, str]]:
     once; a self-loop is a CorpusError, since the writer never emits one.
     The first bad line in file order is the CorpusError, naming path:line.
 
-    One vectorized pass per block of _READ_BLOCK bytes (_scan_block) reads
-    the plain edge lines; only the lines it leaves open (comments, non-ASCII
+    The file is read a block at a time (_read_blocks). One vectorized pass
+    per block (_scan_words, then the edge rule of _edge_lines) reads the
+    plain edge lines; only the lines it leaves open (comments, non-ASCII
     text, bad lines) are decoded and parsed one at a time, in file order.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
     blocks = []
     pairs: list[tuple[int, int]] = []
     nodes: list[int] = []
     directives: dict[str, str] = {}
-    lo = 0
     lineno = 1
-    while lo < len(data):
-        hi = _block_end(data, lo)
-        block_pairs, breaks, left = _scan_block(np.frombuffer(data, np.uint8, hi - lo, lo))
+    for data in _read_blocks(path):
+        block = np.frombuffer(data, np.uint8)
+        words = _scan_words(block)
+        block_pairs, left = _edge_lines(block, words)
         blocks.append(block_pairs)
-        line_starts = np.append(0, breaks + 1)
-        line_ends = np.append(breaks, hi - lo)
         shift = 0  # extra line numbers taken by non-ASCII line breaks so far
-        for i, start, end in zip(left.tolist(), line_starts[left].tolist(), line_ends[left].tolist()):
-            raw = data[lo + start:lo + end]
+        for i, raw in zip(left.tolist(), words.raw_lines(data, left)):
             shift += _read_lines(raw, lineno + i + shift, path, pairs, nodes, directives) - 1
-        lineno += len(breaks) + shift
-        lo = hi
+        lineno += len(words.breaks) + shift
     blocks.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    # The file and the per-block pairs go before the graph is built, so the
-    # peak holds one copy of the edges besides the graph's own arrays.
-    del data
     edges = np.concatenate(blocks)
     del blocks
     return CsrGraph(edges, nodes), directives

@@ -5,11 +5,15 @@ Path files are plain text: three header lines ('# date:', '# monitor:',
 AS sets, private or reserved ASNs, or loops are dropped; consecutive repeats
 are collapsed as prepending. Every drop is accounted per reason.
 
-A RIB dump repeats a path once per prefix behind it, so each distinct line of
-a file is parsed once and counted as often as it occurs, and a file's
-accepted paths come one per distinct accepted line. A file's hop pairs are
-then collected as arrays and deduplicated, and each month's files build one
-CsrGraph.
+parse_path_file reads a file a block of bytes at a time and splits it into
+lines and words with the byte masks read_edgelist uses (graph._scan_words).
+A plain line (ASCII digits and whitespace, no word over ten digits) is
+classified and turned into hop pairs in numpy, with no Python object per
+line. Every other line is decoded; a RIB dump repeats a path once per prefix
+behind it, so each distinct such line of a file is parsed by parse_path_line
+once and counted as often as it occurs. A file gives its distinct hop pairs
+and the ASes of its one-hop paths (PathHops), and each month's files build
+one CsrGraph.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,10 @@ from .graph import (
     validate_date,
     validate_family,
 )
+
+# The byte-mask tokenizer that read_edgelist uses; its helpers are private to
+# the package, not public graph API.
+from .graph import _distinct, _read_blocks, _scan_words, _text_lines, _Words, _word_values
 
 AsPath = list
 
@@ -144,28 +152,91 @@ def parse_path_line(line: str) -> tuple[AsPath | None, str | None]:
     return collapsed, None
 
 
-def _hop_pairs(paths: Iterable[AsPath]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct adjacent hop pairs of paths as (lower, higher) int64 rows, plus
-    the AS of every one-hop path."""
-    tails: list[int] = []
-    heads: list[int] = []
-    bare: list[int] = []
-    for path in paths:
-        if len(path) == 1:
-            bare.append(path[0])
-        tails.extend(path[:-1])
-        heads.extend(path[1:])
-    u = np.array(tails, dtype=np.uint64)
-    v = np.array(heads, dtype=np.uint64)
-    # AS numbers fit 32 bits, so one uint64 key holds an unordered pair.
-    keys = np.unique(np.minimum(u, v) << np.uint64(32) | np.maximum(u, v))
-    pairs = np.column_stack((keys >> np.uint64(32), keys & np.uint64(AS_MAX))).astype(np.int64)
-    return pairs, np.array(bare, dtype=np.int64)
+class PathHops(NamedTuple):
+    """The graph part of one path file's accepted paths."""
+
+    pairs: np.ndarray  # distinct adjacent hop pairs, (k, 2) int64 rows with u < v
+    bare: np.ndarray  # distinct ASes of the one-hop paths
 
 
-def build_graph(paths: Iterable[AsPath]) -> CsrGraph:
-    """Union graph of adjacent hop pairs; one-hop paths contribute bare nodes."""
-    return CsrGraph(*_hop_pairs(paths))
+def _pair_keys(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One uint64 key per unordered pair: AS numbers fit 32 bits."""
+    lo = np.minimum(u, v).astype(np.uint64)
+    return lo << np.uint64(32) | np.maximum(u, v).astype(np.uint64)
+
+
+def _flagged(value: np.ndarray) -> np.ndarray:
+    """Whether each int64 value is past AS_MAX or is_private_asn rejects it.
+
+    Each private block runs up to a reserved value (65535, AS_MAX), so one
+    range takes in both, and the last one every value past AS_MAX too.
+    """
+    return (
+        (value == 0)
+        | (value == 23456)
+        | ((value >= _PRIVATE_16.start) & (value <= _PRIVATE_16.stop))
+        | (value >= _PRIVATE_32.start)
+    )
+
+
+def _plain_paths(
+    block: np.ndarray, words: _Words, plain: np.ndarray, report: FilterReport
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hop-pair keys and bare ASes of the plain lines of block, by byte masks.
+
+    plain marks lines of ASCII digits and whitespace whose words have at most
+    ten digits (lines that are not _Words.odd). Each is classified as
+    parse_path_line would (malformed, then private_asn, then loop once
+    prepending is collapsed) and recorded in report; no Python object is
+    made per line.
+    """
+    n_lines = len(words.counts)
+    mine = plain[words.line]
+    line = words.line[mine]
+    value = _word_values(block, words.starts[mine], words.ends[mine])
+    flagged = np.flatnonzero(_flagged(value))
+    malformed = np.zeros(n_lines, dtype=bool)
+    malformed[line[flagged[value[flagged] > AS_MAX]]] = True
+    private = np.zeros(n_lines, dtype=bool)
+    private[line[flagged]] = True
+    private &= ~malformed
+    # Collapse prepending; a loop is then an AS twice on one line. A value
+    # past AS_MAX is cut to 32 bits so that keys of two lines never meet;
+    # its line is malformed whatever its key finds.
+    kept = np.ones(len(line), dtype=bool)
+    kept[1:] = (line[1:] != line[:-1]) | (value[1:] != value[:-1])
+    line, value = line[kept], value[kept]
+    keys = (line << 32) | (value & AS_MAX)
+    keys.sort()
+    loop = np.zeros(n_lines, dtype=bool)
+    loop[keys[1:][keys[1:] == keys[:-1]] >> 32] = True
+    rejected = malformed | private
+    loop &= ~rejected
+    rejected |= loop
+    n_malformed, n_private, n_loop = (int(np.count_nonzero(m)) for m in (malformed, private, loop))
+    report.record(REJECT_MALFORMED, n_malformed)
+    report.record(REJECT_PRIVATE_ASN, n_private)
+    report.record(REJECT_LOOP, n_loop)
+    report.record(None, int(np.count_nonzero(plain)) - n_malformed - n_private - n_loop)
+    kept = ~rejected[line]
+    line, value = line[kept], value[kept]
+    hop = line[1:] == line[:-1]
+    alone = np.ones(len(line), dtype=bool)
+    alone[1:] &= ~hop
+    alone[:-1] &= ~hop
+    return _pair_keys(value[:-1][hop], value[1:][hop]), value[alone]
+
+
+def _read_header(path: Path, lines: list[str]) -> PathFileMeta:
+    date = _header_value(path, lines, 0, "date")
+    monitor = _header_value(path, lines, 1, "monitor")
+    family = _header_value(path, lines, 2, "family")
+    try:
+        validate_date(date)
+        validate_family(family)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+    return PathFileMeta(date=date, monitor_id=monitor, family=family)
 
 
 def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
@@ -178,36 +249,77 @@ def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
     return decoded_value(value, f"{path}:{index + 1}")
 
 
-def parse_path_file(path: Path | str) -> tuple[PathFileMeta, list[AsPath], FilterReport]:
-    """Parse one path file into (meta, accepted paths, filter report).
+def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterReport]:
+    """Parse one path file into (meta, hops, filter report).
 
-    Each distinct data line (stripped of surrounding whitespace) is parsed
-    once and recorded in the report as many times as the file holds it.
-    paths holds one path per distinct accepted line, in first-seen order;
-    two lines that differ only in prepending or inner whitespace give two
-    equal paths.
+    The file is read a block at a time, and byte masks (graph._scan_words)
+    split each block into lines and words. The header is the first three
+    str.splitlines lines. A plain data line (ASCII digits and whitespace,
+    no word over ten digits) is classified in numpy and makes no Python
+    object. Every other line that holds a word is decoded and split into str
+    lines; each such stripped line that is not a comment is counted, and
+    each distinct one is parsed by parse_path_line once. Every data line is
+    recorded in the report, the file's FilterReport.
+
+    hops.pairs holds the distinct adjacent hop pairs of the accepted paths,
+    as (k, 2) int64 rows with u < v in ascending order; hops.bare holds the
+    distinct ASes of the accepted one-hop paths, ascending.
     """
     path = Path(path)
-    lines = read_input_text(path).splitlines()
-    date = _header_value(path, lines, 0, "date")
-    monitor = _header_value(path, lines, 1, "monitor")
-    family = _header_value(path, lines, 2, "family")
-    try:
-        validate_date(date)
-        validate_family(family)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
-    meta = PathFileMeta(date=date, monitor_id=monitor, family=family)
-    stripped = map(str.strip, lines[3:])
-    counts = Counter(line for line in stripped if line and not line.startswith("#"))
+    header: list[str] = []
+    meta = None
+    opened: Counter = Counter()
     report = FilterReport()
-    accepted: list[AsPath] = []
-    for line, n in counts.items():
+    # The distinct hop-pair keys and one-hop ASes of the blocks read so far.
+    keys = np.zeros(0, dtype=np.uint64)
+    bare = np.zeros(0, dtype=np.int64)
+    for data in _read_blocks(path):
+        block = np.frombuffer(data, np.uint8)
+        words = _scan_words(block)
+        first = 0  # lines of this block that hold the header
+        if meta is None:
+            for raw in words.raw_lines(data, np.arange(min(3, len(words.counts)))):
+                if len(header) >= 3 or (first == len(words.breaks) and not raw):
+                    break  # the header is whole, or the block ended with its last line
+                header.extend(_text_lines(raw))
+                first += 1
+            if len(header) >= 3:
+                meta = _read_header(path, header)
+                opened.update(_data_lines(header[3:]))
+        live = words.counts > 0
+        live[:first] = False
+        plain = live & ~words.odd
+        for raw in words.raw_lines(data, np.flatnonzero(live & words.odd)):
+            opened.update(_data_lines(_text_lines(raw)))
+        block_keys, block_bare = _plain_paths(block, words, plain, report)
+        keys = _distinct(np.concatenate((keys, block_keys)))
+        bare = _distinct(np.concatenate((bare, block_bare)))
+    if meta is None:
+        meta = _read_header(path, header)  # raises: the file has under three lines
+    tails: list[int] = []
+    heads: list[int] = []
+    solo: list[int] = []
+    for line, n in opened.items():
         hops, reason = parse_path_line(line)
         report.record(reason, n)
         if hops is not None:
-            accepted.append(hops)
-    return meta, accepted, report
+            if len(hops) == 1:
+                solo.append(hops[0])
+            tails.extend(hops[:-1])
+            heads.extend(hops[1:])
+    opened_keys = _pair_keys(np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64))
+    keys = _distinct(np.concatenate((keys, opened_keys)))
+    pairs = np.column_stack((keys >> np.uint64(32), keys & np.uint64(AS_MAX))).astype(np.int64)
+    bare = _distinct(np.concatenate((bare, np.array(solo, dtype=np.int64))))
+    return meta, PathHops(pairs, bare), report
+
+
+def _data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The stripped lines that are neither blank nor a comment."""
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
 
 
 @dataclass(frozen=True)
@@ -252,9 +364,8 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
 
     Layout is <root>/<YYYY-MM>/<monitor_id>.paths. Only files whose stem the
     config admits are read; months with no admitted files are simply absent.
-    A month is read one file at a time: only one file's paths are held in
-    memory at once, next to the distinct hop pairs of the files before it,
-    and the month's CsrGraph is built once from all of them. Per-month
+    A month is read one file at a time: each file's PathHops are held, and
+    the month's CsrGraph is built once from all of them. Per-month
     FilterReports (merged across monitors) ride on the returned series as
     .filter_reports.
     """
@@ -265,10 +376,10 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
     reports: dict[str, FilterReport] = {}
     family: str | None = None
 
-    def file_paths(month: str, files: list[Path], report: FilterReport) -> Iterator[list[AsPath]]:
+    def file_hops(month: str, files: list[Path], report: FilterReport) -> Iterator[PathHops]:
         nonlocal family
         for f in files:
-            meta, paths, rep = parse_path_file(f)
+            meta, hops, rep = parse_path_file(f)
             if meta.date != month:
                 raise CorpusError(
                     f"{f}: header date {meta.date} does not match directory {month}"
@@ -284,7 +395,7 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
                     f"{f}: header family {meta.family} does not match series family {family}"
                 )
             report.merge(rep)
-            yield paths
+            yield hops
 
     for month_dir in sorted(p for p in root.iterdir() if p.is_dir() and _MONTH_DIR_RE.match(p.name)):
         files = sorted(p for p in month_dir.glob("*.paths") if config.admits(p.stem))
@@ -292,7 +403,7 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
             continue
         month = month_dir.name
         reports[month] = FilterReport()
-        pairs, bare = zip(*map(_hop_pairs, file_paths(month, files, reports[month])))
+        pairs, bare = zip(*file_hops(month, files, reports[month]))
         graph = CsrGraph(np.concatenate(pairs), np.concatenate(bare))
         snapshots.append(Snapshot(graph=graph, date=month, monitor_set=config.label, family=family))
     if family is None:

@@ -1,5 +1,6 @@
 """Builders for the tiny path-file corpora and random graphs the tests run against."""
 
+import re
 from pathlib import Path
 
 from astopo import AsGraph
@@ -130,6 +131,59 @@ def build_repetitive_corpus(root: Path, rng, months=4, monitors=("a", "b", "c"),
         pool.append(f"{m + 100} {m + 200} 701".encode())
         for monitor in monitors:
             write_repetitive_path_file(root, f"2001-{m + 1:02d}", monitor, rng, n_lines, pool)
+
+
+# Pieces of the path-file byte soups. Words: the private and reserved
+# boundaries, 10-digit values past AS_MAX, zero-padded words of 11+ digits,
+# small ASNs that make prepending and loops, and words the byte masks cannot
+# read (an AS set, '#', letters, a byte that is not UTF-8).
+SOUP_WORDS = [
+    b"0", b"23456", b"64511", b"64512", b"65535", b"65536", b"4199999999", b"4200000000",
+    b"4294967295", b"4294967296", b"9999999999", b"5000000000", b"00000000001",
+    b"000000000000000701", b"1", b"2", b"3", b"701", b"701", b"1239", b"3356",
+    b"{1,2}", b"#", b"abc", b"\xff",
+]
+# Separators between words: mostly spaces, then every other whitespace that
+# str.split knows, ASCII or not; \x0b, \x0c and \x1c-\x1e and the non-ASCII
+# U+0085 and U+2028 also end a str.splitlines line.
+SOUP_SEPARATORS = [b" "] * 8 + [
+    s.encode()
+    for s in ("  ", "\t", "\x1f", "\xa0", "\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+]
+# Whole lines: one-hop paths, prepending, loops, comments, blank lines.
+SOUP_LINES = [
+    b"701", b"701 701", b"701 701 701", b"1 1 2 2 3", b"1 2 1", b"1 2 2 1", b"3356 701 1239 701",
+    b"# 1 2", b"#", b"1 # 2", b"1 2#", b"", b"   ", b"\t \x1f", b"1 {2} 3", b"\xff",
+]
+SOUP_ENDINGS = [b"\n", b"\r\n", b"\r"]
+SOUP_HEADER = b"# date: 2001-01\n# monitor: m\n# family: ipv4\n"
+
+
+def soup_line(words, gaps, lead=b"", trail=b"") -> bytes:
+    """words joined by the separators gaps (one fewer than words), between
+    lead and trail; no words make a whitespace-only line."""
+    if not words:
+        return lead + trail
+    return lead + words[0] + b"".join(g + w for g, w in zip(gaps, words[1:])) + trail
+
+
+def open_path_lines(data: bytes) -> set:
+    """The distinct stripped data lines of a path file with SOUP_HEADER that
+    the byte masks leave to parse_path_line.
+
+    A line up to its ASCII line break is left open when it holds a byte that
+    is not an ASCII digit or ASCII whitespace, or a word of more than ten
+    digits; its text may hold more than one str.splitlines line.
+    """
+    assert data.startswith(SOUP_HEADER)
+    lines = set()
+    for raw in re.split(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]", data[len(SOUP_HEADER):]):
+        if re.search(rb"[^0-9\t\x1f ]|[0-9]{11}", raw):
+            for line in raw.decode("utf-8", errors="replace").splitlines():
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    lines.add(line)
+    return lines
 
 
 def write_monitor_set(path: Path, label: str, monitors) -> Path:

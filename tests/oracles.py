@@ -282,6 +282,40 @@ def parse_path_file_reference(path, distinct_lines=False):
     return meta, paths, report
 
 
+def hop_pairs(paths):
+    """Distinct adjacent hop pairs of paths as (lower, higher) int64 rows, plus
+    the AS of every one-hop path: what astopo collected from a file's paths
+    before its byte-mask scan."""
+    tails = []
+    heads = []
+    bare = []
+    for path in paths:
+        if len(path) == 1:
+            bare.append(path[0])
+        tails.extend(path[:-1])
+        heads.extend(path[1:])
+    u = np.array(tails, dtype=np.uint64)
+    v = np.array(heads, dtype=np.uint64)
+    # AS numbers fit 32 bits, so one uint64 key holds an unordered pair.
+    keys = np.unique(np.minimum(u, v) << np.uint64(32) | np.maximum(u, v))
+    pairs = np.column_stack((keys >> np.uint64(32), keys & np.uint64(AS_MAX))).astype(np.int64)
+    return pairs, np.array(bare, dtype=np.int64)
+
+
+def path_hops_reference(path):
+    """(meta, pairs, bare, report) that parse_path_file gives for path, built
+    from the paths of parse_path_file_reference: the distinct hop pairs as
+    [u, v] lists with u < v, ascending, and the distinct one-hop ASes."""
+    meta, paths, report = parse_path_file_reference(path)
+    pairs, bare = hop_pairs(paths)
+    return meta, pairs.tolist(), sorted(set(bare.tolist())), report
+
+
+def build_graph(paths):
+    """Union graph of adjacent hop pairs; one-hop paths contribute bare nodes."""
+    return CsrGraph(*hop_pairs(paths))
+
+
 def load_series_reference(root):
     """{month: (nodes, edges, report dict)} that load_series gives with every
     monitor admitted, assembled with plain sets from parse_path_file_reference.

@@ -242,7 +242,7 @@ def test_generate_rejects_checkpoint_below_seed_size(tmp_path, capsys, checkpoin
                f"--checkpoints={checkpoints}", "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert f"checkpoint {checkpoints.split(',')[0]} " in err and "m0=3" in err
-    assert not (tmp_path / "out" / "trajectory.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_tunnel_pipeline(tmp_path):
@@ -346,3 +346,71 @@ def test_unknown_metric_column(tmp_path, capsys):
     csv_path.write_text("date,weird\n2001-01,1\n")
     assert run("fit", "--input", csv_path, "--out", tmp_path / "f", "--metric", "N") == 1
     assert "N" in capsys.readouterr().err
+
+
+def _valid_store(tmp_path):
+    build_growing_corpus(tmp_path / "corpus")
+    assert run("ingest", "--input", tmp_path / "corpus", "--out", tmp_path / "store") == 0
+    return tmp_path / "store"
+
+
+def _bad_header_corpus(tmp_path):
+    write_path_file(tmp_path / "corpus", "2001-01", "a", "ipv4", ["1 2"])
+    (tmp_path / "corpus" / "2001-01" / "b.paths").write_text("# date: 2001-01\n# monitor: b\n")
+    return ["ingest", "--input", tmp_path / "corpus"]
+
+
+def _bad_store(tmp_path):
+    (tmp_path / "store").mkdir()
+    (tmp_path / "store" / "2001-01.edges").write_bytes(b"# date: 2001-01\n1 2\n2 3\xff\n")
+    return ["metrics", "--input", tmp_path / "store"]
+
+
+def _short_csv(tmp_path):
+    write_metrics_csv(tmp_path / "m.csv", month_labels(8), [float(i + 1) for i in range(8)])
+    return tmp_path / "m.csv"
+
+
+def _bad_cell_csv(tmp_path):
+    (tmp_path / "m.csv").write_text("date,N,L\n2001-01,3,2\n2001-02,abc,4\n")
+    return tmp_path / "m.csv"
+
+
+def _disjoint_stores(tmp_path):
+    write_path_file(tmp_path / "c6", "2003-01", "m", "ipv6", ["1 2"])
+    write_path_file(tmp_path / "c4", "2004-01", "m", "ipv4", ["1 2"])
+    for family in ("c6", "c4"):
+        assert run("ingest", "--input", tmp_path / family, "--out", tmp_path / f"s{family}") == 0
+    return ["tunnel", "--input6", tmp_path / "sc6", "--input4", tmp_path / "sc4"]
+
+
+REJECTED_COMMANDS = {
+    "ingest-bad-header": _bad_header_corpus,
+    "ingest-no-corpus": lambda tmp: ["ingest", "--input", tmp / "missing"],
+    "ingest-bad-monitor-set": lambda tmp: [
+        *_bad_header_corpus(tmp)[:3], "--monitors", write_monitor_set(tmp / "s.txt", "S", [])
+    ],
+    "metrics-bad-store-line": _bad_store,
+    "metrics-bad-aspl-mode": lambda tmp: [
+        "metrics", "--input", _valid_store(tmp), "--aspl-mode", "bogus"
+    ],
+    "fit-short-column": lambda tmp: ["fit", "--input", _short_csv(tmp), "--metric", "N"],
+    "fit-missing-column": lambda tmp: ["fit", "--input", _bad_cell_csv(tmp), "--metric", "k_max"],
+    "report-bad-cell": lambda tmp: ["report", "--input", _bad_cell_csv(tmp)],
+    "generate-checkpoint-below-seed": lambda tmp: [
+        "generate", "--model", "ba", "--n", "100", "--seed", "1", "--checkpoints=0,100"
+    ],
+    "generate-bad-m0": lambda tmp: [
+        "generate", "--model", "ba", "--n", "100", "--m", "5", "--m0", "3", "--seed", "1"
+    ],
+    "tunnel-disjoint-dates": _disjoint_stores,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_COMMANDS))
+def test_rejected_command_leaves_no_out_directory(tmp_path, capsys, name):
+    argv = REJECTED_COMMANDS[name](tmp_path)
+    out = tmp_path / "out" / "nested"
+    assert run(*argv, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -507,6 +507,45 @@ def test_edgelist_parses_only_comments_line_by_line(tmp_path, monkeypatch):
     assert seen == [1, 10, 12]
 
 
+@pytest.mark.parametrize(
+    "data, block, blocks",
+    [
+        (b"ab\ncd\r\nef", 3, [b"ab\n", b"cd\r\n", b"ef"]),
+        (b"ab\ncd\r\nef\n", 4, [b"ab\n", b"cd\r\n", b"ef\n"]),
+        (b"1 2\r3 4\x0b5 6", 2, [b"1 2\r3 4\x0b5 6"]),
+        (b"\n\n\n", 1, [b"\n", b"\n", b"\n"]),
+        (b"", 4, []),
+    ],
+)
+def test_read_blocks_end_past_a_newline(tmp_path, monkeypatch, data, block, blocks):
+    """Chunks of _READ_BLOCK bytes, cut after their last '\n'; the rest is
+    carried into the next block, and a file with no '\n' is one block."""
+    monkeypatch.setattr(graph_module, "_READ_BLOCK", block)
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    assert list(graph_module._read_blocks(path)) == blocks
+
+
+@pytest.mark.parametrize(
+    "data, block, error",
+    [
+        # a '\r\n' split between two chunks still ends one line
+        (b"1 2\r\n3 4\r\nx y\r\n", 4, r"odd\.edges:3: 'x' is not"),
+        (b"1 2\r\n3 4\r\n5 6\r\n7 7\r\n", 5, r"odd\.edges:4: self-loop"),
+        # the first bad line sits in a later chunk
+        (b"# a: b\n1 2\n3 4\n5 6\n7 x\n8 y\n", 6, r"odd\.edges:5: 'x' is not"),
+        (b"1 2\n" * 50 + b"\xff 3\n", 16, r"odd\.edges:51: "),
+    ],
+)
+def test_edgelist_bad_line_in_a_later_chunk_names_its_line(tmp_path, monkeypatch, data, block, error):
+    monkeypatch.setattr(graph_module, "_READ_BLOCK", block)
+    path = tmp_path / "odd.edges"
+    path.write_bytes(data)
+    with pytest.raises(CorpusError, match=error):
+        read_edgelist(path)
+    assert read_both(path)[1] == read_both(path)[0]
+
+
 def test_edgelist_unreadable_file_names_it(tmp_path):
     with pytest.raises(CorpusError, match=r"cannot read .*missing\.edges"):
         read_edgelist(tmp_path / "missing.edges")

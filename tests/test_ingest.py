@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
+import astopo.graph
 import astopo.ingest
 import oracles
 from astopo import CorpusError
@@ -12,17 +15,23 @@ from astopo.ingest import (
     FilterReport,
     MonitorSet,
     PathFileMeta,
-    build_graph,
     is_private_asn,
     load_series,
     parse_path_file,
     parse_path_line,
 )
 from corpus_utils import (
+    SOUP_ENDINGS,
+    SOUP_HEADER,
+    SOUP_LINES,
+    SOUP_SEPARATORS,
+    SOUP_WORDS,
     build_filter_corpus,
     build_growing_corpus,
     build_repetitive_corpus,
     edge_list,
+    open_path_lines,
+    soup_line,
     write_monitor_set,
     write_path_file,
     write_repetitive_path_file,
@@ -77,16 +86,16 @@ def test_private_ranges():
 
 
 def test_build_graph_examples():
-    g = build_graph([[1, 2, 3]])
+    g = oracles.build_graph([[1, 2, 3]])
     assert edge_list(g) == [(1, 2), (2, 3)]
-    g = build_graph([[1, 2], [2, 1]])
+    g = oracles.build_graph([[1, 2], [2, 1]])
     assert edge_list(g) == [(1, 2)]
-    g = build_graph([[1, 2, 3], [2, 3, 4]])
+    g = oracles.build_graph([[1, 2, 3], [2, 3, 4]])
     assert edge_list(g) == [(1, 2), (2, 3), (3, 4)]
 
 
 def test_build_graph_single_hop_adds_node():
-    g = build_graph([[77]])
+    g = oracles.build_graph([[77]])
     assert set(g.labels.tolist()) == {77}
     assert g.edge_count == 0
 
@@ -130,9 +139,11 @@ def test_load_series_mixed_families_names_file(tmp_path, second_month):
 
 def test_parse_path_file(tmp_path):
     f = write_path_file(tmp_path, "2001-01", "mon1", "ipv4", ["1 2 3", "# note", "", "4 5"])
-    meta, paths, report = parse_path_file(f)
+    meta, hops, report = parse_path_file(f)
     assert meta == PathFileMeta("2001-01", "mon1", "ipv4")
-    assert paths == [[1, 2, 3], [4, 5]]
+    assert hops.pairs.tolist() == [[1, 2], [2, 3], [4, 5]]
+    assert hops.pairs.dtype == hops.bare.dtype == np.int64
+    assert hops.bare.tolist() == []
     assert report.accepted == 2 and report.rejected == 0
 
 
@@ -159,16 +170,16 @@ def test_parse_path_file_unreadable(tmp_path):
 def test_parse_path_file_undecodable_comment_is_ignored(tmp_path):
     f = tmp_path / "mon1.paths"
     f.write_bytes(b"# date: 2001-01\n# monitor: mon1\n# family: ipv4\n# caf\xe9\n1 2 3\n")
-    _, paths, report = parse_path_file(f)
-    assert paths == [[1, 2, 3]]
+    _, hops, report = parse_path_file(f)
+    assert hops.pairs.tolist() == [[1, 2], [2, 3]]
     assert report.to_dict()["total"] == report.accepted == 1
 
 
 def test_parse_path_file_undecodable_data_line_is_malformed(tmp_path):
     f = tmp_path / "mon1.paths"
     f.write_bytes(b"# date: 2001-01\n# monitor: mon1\n# family: ipv4\n1 2\xe93\n4 5\n6 \xff\n")
-    _, paths, report = parse_path_file(f)
-    assert paths == [[4, 5]]
+    _, hops, report = parse_path_file(f)
+    assert hops.pairs.tolist() == [[4, 5]]
     assert (report.accepted, report.malformed, report.total) == (1, 2, 3)
 
 
@@ -287,16 +298,138 @@ def test_monitor_set_load_errors(tmp_path):
         MonitorSet.load(f)
 
 
+def file_hops(path):
+    meta, hops, report = parse_path_file(path)
+    return meta, hops.pairs.tolist(), hops.bare.tolist(), report
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_parse_path_file_matches_line_at_a_time_reference(tmp_path, seed):
     f = write_repetitive_path_file(tmp_path, "2001-01", "m", random.Random(seed), 400)
-    meta, paths, report = parse_path_file(f)
-    ref_meta, ref_paths, ref_report = oracles.parse_path_file_reference(f)
-    assert all(ref_report.to_dict().values())  # every reject kind is present
-    assert meta == ref_meta
-    assert report.to_dict() == ref_report.to_dict()
-    assert paths == oracles.parse_path_file_reference(f, distinct_lines=True)[1]
-    assert len(paths) < len(ref_paths)
+    got = file_hops(f)
+    assert all(got[3].to_dict().values())  # every reject kind is present
+    assert got == oracles.path_hops_reference(f)
+
+
+def random_soup(rng, n_lines):
+    """A path file of n_lines soup lines, a quarter of them repeats."""
+    lines = []
+    for _ in range(n_lines):
+        r = rng.random()
+        if lines and r < 0.25:
+            line = rng.choice(lines)
+        elif r < 0.4:
+            line = rng.choice(SOUP_LINES)
+        else:
+            words = rng.choices(SOUP_WORDS, k=rng.randint(0, 6))
+            line = soup_line(
+                words,
+                rng.choices(SOUP_SEPARATORS, k=len(words)),
+                rng.choice([b""] * 4 + SOUP_SEPARATORS),
+                rng.choice([b""] * 4 + SOUP_SEPARATORS),
+            )
+        lines.append(line)
+    data = SOUP_HEADER + b"".join(line + rng.choice(SOUP_ENDINGS) for line in lines)
+    return data if rng.random() < 0.5 else data.rstrip(b"\r\n")
+
+
+@pytest.mark.parametrize("block", [None, 1, 16])
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_path_file_matches_reference_on_byte_soups(tmp_path, monkeypatch, parse_calls, seed, block):
+    """Same report, hop pairs and one-hop ASes as the reference; plain lines
+    never reach parse_path_line, and each distinct stripped open line reaches
+    it once."""
+    if block is not None:
+        monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    data = random_soup(random.Random(seed), 300)
+    f = tmp_path / "m.paths"
+    f.write_bytes(data)
+    got = file_hops(f)
+    assert got == oracles.path_hops_reference(f)
+    assert got[3].accepted and got[3].total - got[3].accepted > 20
+    # Python ints, as the JSON of a filter report needs them
+    assert all(type(n) is int for n in got[3].to_dict().values())
+    assert parse_calls and parse_calls == Counter(open_path_lines(data))
+
+
+HEADER_FILES = {
+    "lf": b"# date: 2001-01\n# monitor: m\n# family: ipv4\n1 2 3\n4 5\n",
+    "crlf": b"# date: 2001-01\r\n# monitor: m\r\n# family: ipv4\r\n1 2 3\r\n4 5\r\n",
+    "lone-cr-no-final-break": b"# date: 2001-01\r# monitor: m\r# family: ipv4\r1 2 3\r4 5",
+    # U+2028 ends a str line inside a byte-mask line: the text after the
+    # third header line on its byte line is a data line.
+    "non-ascii-breaks": "# date: 2001-01\u2028# monitor: m\n# family: ipv4\u20281 2 3\u2028\n4 5\n".encode(),
+    "header-only": b"# date: 2001-01\n# monitor: m\n# family: ipv4",
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 4, 17, 40])
+@pytest.mark.parametrize("name", sorted(HEADER_FILES))
+def test_header_straddling_chunks(tmp_path, monkeypatch, name, block):
+    if block is not None:
+        monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    f = tmp_path / "m.paths"
+    f.write_bytes(HEADER_FILES[name])
+    got = file_hops(f)
+    assert got == oracles.path_hops_reference(f)
+    assert got[0] == PathFileMeta("2001-01", "m", "ipv4")
+
+
+@pytest.mark.parametrize("block", [1, 4, 20])
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"# date: 2001-01\r\n# monitor: m\r\n# famly: ipv4\r\n1 2\r\n", r"m\.paths: line 3 must be '# family: "),
+        (b"# date: 2001-01\n# monitor: m\xe9\n# family: ipv4\n1 2\n", r"m\.paths:2: undecodable byte"),
+        (b"# date: 2001-01\n# monitor: m\n", r"m\.paths: line 3 must be '# family: "),
+        (b"# date: 2001-01\n\n# family: ipv4\n", r"m\.paths: line 2 must be '# monitor: "),
+        (b"# date: 2001-13\n# monitor: m\n# family: ipv4\n", r"m\.paths: bad date '2001-13'"),
+        (b"", r"m\.paths: line 1 must be '# date: "),
+    ],
+)
+def test_header_error_in_a_later_chunk_names_its_line(tmp_path, monkeypatch, data, error, block):
+    monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    f = tmp_path / "m.paths"
+    f.write_bytes(data)
+    with pytest.raises(CorpusError, match=error):
+        parse_path_file(f)
+
+
+def test_parse_path_file_holds_blocks_not_the_file(tmp_path, monkeypatch):
+    """Peak traced memory stays a fraction of an 8 MB file: it is read 64 KiB
+    at a time, and only distinct hop pairs outlive a block."""
+    monkeypatch.setattr(astopo.graph, "_READ_BLOCK", 1 << 16)
+    rng = random.Random(5)
+    lines = [" ".join(str(rng.randrange(1, 400000)) for _ in range(5)) for _ in range(2000)]
+    f = tmp_path / "m.paths"
+    f.write_bytes(SOUP_HEADER + ("\n".join(rng.choices(lines, k=250_000)) + "\n").encode())
+    assert f.stat().st_size > 8_000_000
+    tracemalloc.start()
+    try:
+        _, hops, report = parse_path_file(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total == 250_000 and len(hops.pairs) > 7000
+    assert peak < f.stat().st_size / 4, peak
+
+
+def test_plain_lines_match_the_reference_at_every_boundary(tmp_path, parse_calls):
+    """Every pair of soup words on a plain line, and the reject precedence on
+    lines that mix them, without a call to parse_path_line."""
+    plain = [w for w in SOUP_WORDS if w.isdigit() and len(w) <= 10]
+    # 4294967301 is 2**32 + 5: its line, odd or even, must not make the next
+    # line's AS 5 a loop.
+    lines = [b"4294967301 7", b"5 6", b"8", b"4294967301 7", b"5 6"]
+    lines += [a + b" " + b for a in plain for b in plain]
+    lines += [a + b" 701 " + b + b" 1239 " + a for a in plain for b in plain]
+    f = tmp_path / "m.paths"
+    f.write_bytes(SOUP_HEADER + b"".join(line + b"\n" for line in lines))
+    got = file_hops(f)
+    assert got == oracles.path_hops_reference(f)
+    report = got[3].to_dict()
+    assert report.pop("as_set") == 0 and all(report.values())
+    assert parse_calls == Counter()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -326,19 +459,25 @@ def parse_calls(monkeypatch):
     return calls
 
 
+# An open line: its eleven-digit word is past what the byte masks read.
+LONG_LINE = "00000000001 2 3"
+
+
 def test_line_repeated_in_a_file_is_parsed_once_per_file(tmp_path, parse_calls):
     for monitor in ("a", "b"):
-        write_path_file(tmp_path, "2001-01", monitor, "ipv4", ["1 2 3"] * 3)
-    write_path_file(tmp_path, "2001-02", "a", "ipv4", ["1 2 3", " 1 2 3 "])
+        write_path_file(tmp_path, "2001-01", monitor, "ipv4", [LONG_LINE] * 3)
+    write_path_file(tmp_path, "2001-02", "a", "ipv4", [LONG_LINE, f" {LONG_LINE} "])
     series = load_series(tmp_path)
-    assert parse_calls == {"1 2 3": 3}
+    assert parse_calls == {LONG_LINE: 3}
     assert [series.filter_reports[d].accepted for d in series.dates()] == [6, 2]
 
 
 def test_rejected_line_repeated_next_month_counts_in_both_months(tmp_path, parse_calls):
-    write_path_file(tmp_path / "corpus", "2001-01", "a", "ipv4", ["1 {2} 3", "1 2"])
-    write_path_file(tmp_path / "corpus", "2001-02", "a", "ipv4", ["1 {2} 3", "1 2", "1 {2} 3"])
+    write_path_file(tmp_path / "corpus", "2001-01", "a", "ipv4", ["1 {2} 3", "00000000001 2"])
+    write_path_file(
+        tmp_path / "corpus", "2001-02", "a", "ipv4", ["1 {2} 3", "00000000001 2", "1 {2} 3"]
+    )
     assert main(["ingest", "--input", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")]) == 0
     rows = (tmp_path / "out" / "filter_summary.csv").read_text().splitlines()
     assert rows[1:] == ["2001-01,2,1,1,0,0,0", "2001-02,3,1,2,0,0,0"]
-    assert parse_calls == {"1 {2} 3": 2, "1 2": 2}
+    assert parse_calls == {"1 {2} 3": 2, "00000000001 2": 2}

@@ -1,5 +1,6 @@
 """Property tests over generated inputs (hypothesis is optional)."""
 
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -10,12 +11,22 @@ import numpy as np  # noqa: E402
 import oracles  # noqa: E402
 from astopo import AS_MAX, CorpusError, CsrGraph, DegenerateInputError, EmptyGraphError, Snapshot  # noqa: E402
 from astopo import graph as graph_module  # noqa: E402
+from astopo import ingest as ingest_module  # noqa: E402
 from astopo.generators import MODELS, GeneratorParams, generate_with_trajectory  # noqa: E402
 from astopo.graph import read_edgelist  # noqa: E402
-from astopo.ingest import parse_path_file  # noqa: E402
+from astopo.ingest import parse_path_file, parse_path_line  # noqa: E402
 from astopo.metrics import average_shortest_path_length, metric_row  # noqa: E402
 from astopo.store import read_snapshot, write_snapshot  # noqa: E402
-from corpus_utils import REPEAT_POOL  # noqa: E402
+from corpus_utils import (  # noqa: E402
+    REPEAT_POOL,
+    SOUP_ENDINGS,
+    SOUP_HEADER,
+    SOUP_LINES,
+    SOUP_SEPARATORS,
+    SOUP_WORDS,
+    open_path_lines,
+    soup_line,
+)
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -40,14 +51,12 @@ def test_filter_report_total_counts_data_lines(tmp_path, lines, crlf):
     f = tmp_path / "m.paths"
     ending = b"\r\n" if crlf else b"\n"
     f.write_bytes(ending.join([b"# date: 2001-01", b"# monitor: m", b"# family: ipv4", *lines]))
-    _, paths, report = parse_path_file(f)
+    meta, hops, report = parse_path_file(f)
     data_lines = [
         line for line in lines if line.strip() and not line.strip().startswith(b"#")
     ]
     assert report.total == len(data_lines)
-    _, ref_paths, ref_report = oracles.parse_path_file_reference(f, distinct_lines=True)
-    assert report == ref_report
-    assert paths == ref_paths
+    assert (meta, hops.pairs.tolist(), hops.bare.tolist(), report) == oracles.path_hops_reference(f)
 
 
 # A small graph over node ids 0-15: edge pairs (self-loops and repeats
@@ -198,6 +207,47 @@ def test_edgelist_soup_matches_reference(tmp_path, soup, block):
         got = edgelist_result(read_edgelist, path)
     assert got == edgelist_result(oracles.read_edgelist_reference, path)
 
+
+# A path-file soup: lines of soup words split by every separator, whole soup
+# lines, each with a line ending, and whether the last ending is kept.
+soup_lines = st.one_of(
+    st.builds(
+        lambda words, gaps, lead, trail: soup_line(words, gaps, lead, trail),
+        st.lists(st.sampled_from(SOUP_WORDS), max_size=6),
+        st.lists(st.sampled_from(SOUP_SEPARATORS), min_size=6, max_size=6),
+        st.sampled_from([b"", *SOUP_SEPARATORS]),
+        st.sampled_from([b"", *SOUP_SEPARATORS]),
+    ),
+    st.sampled_from(SOUP_LINES),
+)
+path_soups = st.tuples(
+    st.lists(st.tuples(soup_lines, st.sampled_from(SOUP_ENDINGS)), max_size=40), st.booleans()
+)
+
+
+@settings_small
+@given(soup=path_soups, block=st.sampled_from([None, 1, 5, 64]))
+def test_path_soup_matches_reference(tmp_path, soup, block):
+    """Same report, hop pairs and one-hop ASes as the line-at-a-time
+    reference, whatever the block size; parse_path_line sees each distinct
+    stripped open line once and no plain line."""
+    lines, final_break = soup
+    data = SOUP_HEADER + b"".join(line + end for line, end in lines)
+    if lines and not final_break:
+        data = data[: -len(lines[-1][1])]
+    f = tmp_path / "soup.paths"
+    f.write_bytes(data)
+    calls = Counter()
+
+    def counting(line):
+        calls[line] += 1
+        return parse_path_line(line)
+
+    with mock.patch.object(graph_module, "_READ_BLOCK", block or graph_module._READ_BLOCK), \
+            mock.patch.object(ingest_module, "parse_path_line", counting):
+        meta, hops, report = parse_path_file(f)
+    assert (meta, hops.pairs.tolist(), hops.bare.tolist(), report) == oracles.path_hops_reference(f)
+    assert calls == Counter(open_path_lines(data))
 
 
 @st.composite
