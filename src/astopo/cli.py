@@ -225,9 +225,10 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_metrics(args) -> None:
+    n_sources = _parse_aspl_mode(args.aspl_mode)
     store_dir = Path(args.input)
     series = store.read_store(store_dir)
-    table = metrics.metrics_series(series, _parse_aspl_mode(args.aspl_mode), args.seed, args.kmin)
+    table = metrics.metrics_series(series, n_sources, args.seed, args.kmin)
 
     out = _outdir(args)
     for row in table.rows:

@@ -195,11 +195,15 @@ class WeightedPicker:
             if weights[index] == 0.0:
                 # Float roundoff can land on a masked slot; take the nearest live one.
                 index = self._nearest_live(index)
+                if index is None:
+                    return None
             if index != anchor and index not in excluded:
                 return index
         return self.sample_excluding(rng, [anchor, *excluded] if anchor >= 0 else excluded)
 
-    def _nearest_live(self, index: int) -> int:
+    def _nearest_live(self, index: int) -> int | None:
+        """The live slot nearest index, above it first; None when every
+        weight is 0 and only float residue in the tree cells left a total."""
         j = index + 1
         while j < self._size:
             if self._weights[j] > 0.0:
@@ -210,7 +214,7 @@ class WeightedPicker:
             if self._weights[j] > 0.0:
                 return j
             j -= 1
-        raise AssertionError("sample() called with no positive weights")
+        return None
 
     def sample_excluding(self, rng: random.Random, excluded: Iterable[int]) -> int | None:
         """Renormalized draw with the given indices masked out."""

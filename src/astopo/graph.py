@@ -11,6 +11,13 @@ numbers internally, and takes and returns AS numbers at its boundary.
 AsGraph, a dict of neighbour sets, is only what the growth models mutate
 edge by edge.
 
+Every hop distance (ASPL, tunnel paths) comes from one bit-parallel
+multi-source BFS loop, CsrGraph._levels. Each batch of MSBFS_BATCH sources
+allocates its buffers once and reuses them level by level, so a frontier it
+yields is valid only until the next level. Frontier bits are counted by
+np.bitwise_count where numpy has it (2.0 and later) and by a byte table
+otherwise, chosen once at import.
+
 read_edgelist reads a month's edge list a block of bytes at a time
 (_read_blocks), in one vectorized pass per block: byte masks find the line
 breaks and words (_scan_words), and each plain edge line becomes two int64
@@ -228,9 +235,19 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _popcount(words: np.ndarray) -> int:
-    """Number of set bits in a C-contiguous array of unsigned integers."""
+def _popcount_table(words: np.ndarray) -> int:
+    """Number of set bits in a C-contiguous array of unsigned integers, by byte table."""
     return int(_POPCOUNT8[words.view(np.uint8)].sum())
+
+
+def _popcount_native(words: np.ndarray) -> int:
+    """Number of set bits in an array of unsigned integers, by np.bitwise_count (numpy >= 2.0)."""
+    return int(np.bitwise_count(words).sum())
+
+
+# Chosen once, at import: np.bitwise_count reads each word once, where the
+# byte table gathers eight table entries per word; numpy < 2.0 has only the table.
+_popcount = _popcount_native if hasattr(np, "bitwise_count") else _popcount_table
 
 
 class CsrGraph:
@@ -274,7 +291,7 @@ class CsrGraph:
         self._isolated = np.flatnonzero(isolated)
         # reduceat rejects a start offset equal to the array length, which an
         # isolated last node has. One padding entry makes it valid and lies in
-        # no other node's range; _pull overwrites the rows of isolated nodes.
+        # no other node's range; _pull and _levels clear the rows of isolated nodes.
         self._gather = np.append(self.indices, 0) if isolated[-1:].any() else self.indices
         self._connected = False
 
@@ -376,19 +393,35 @@ class CsrGraph:
         bits of every node's neighbours with a single bitwise-or reduction
         over the CSR arrays. Bit i of row v in the k-th frontier yielded is set
         iff v is exactly k hops from batch[i]. Ends once no new node is
-        reached. The yielded array is read-only to the caller.
+        reached.
+
+        The batch allocates its arrays once: a gather buffer of one row per
+        arc, two frontiers that swap roles each level, and the unseen bits.
+        A level gathers into the buffer, reduces into the idle frontier, and
+        masks it in place, so it makes no new array. The yielded array is
+        read-only to the caller and valid only until the next level
+        overwrites it.
         """
         bit = np.arange(len(batch), dtype=np.uint64)
         frontier = np.zeros((len(self.labels), (len(batch) + 63) // 64), dtype=np.uint64)
         np.bitwise_or.at(frontier, (batch, bit // 64), np.left_shift(np.uint64(1), bit % 64))
-        seen = frontier.copy()
+        unseen = ~frontier
+        # No level reaches an isolated node, so its unseen row is cleared
+        # once; that also clears what reduceat leaves in its row.
+        unseen[self._isolated] = 0
+        nxt = np.empty_like(frontier)
+        gathered = np.empty((len(self._gather), frontier.shape[1]), dtype=np.uint64)
+        starts = self.indptr[:-1]
         while True:
-            frontier = self._pull(np.bitwise_or, frontier, 0)
-            frontier &= ~seen
-            if not frontier.any():
+            # Every index is in range; mode="raise" would buffer the output.
+            np.take(frontier, self._gather, axis=0, out=gathered, mode="clip")
+            np.bitwise_or.reduceat(gathered, starts, axis=0, out=nxt)
+            nxt &= unseen
+            if not nxt.any():
                 return
-            seen |= frontier
-            yield frontier
+            unseen ^= nxt
+            yield nxt
+            frontier, nxt = nxt, frontier
 
     def distance_total(self, sources: Sequence[int]) -> int:
         """Sum over sources of the hop counts to every node each one reaches.
@@ -583,20 +616,25 @@ def _read_blocks(path: Path) -> Iterator[bytes]:
     Each block ends just past its last '\n' and the bytes after it start the
     next block, so no line, and no '\r\n', is split between two blocks. A
     stretch with no '\n' joins the block it is in (a file with none is one
-    block). An unreadable file is a CorpusError naming it.
+    block). A last line with no '\n' ends the block before it, so it costs
+    no scan of its own; for that, each block is held back until a later '\n'
+    is read. An unreadable file is a CorpusError naming it.
     """
     try:
         with open(path, "rb") as f:
+            block = b""
             parts: list[bytes] = []
             while chunk := f.read(_READ_BLOCK):
                 cut = chunk.rfind(b"\n") + 1
                 if cut:
+                    if block:
+                        yield block
                     parts.append(chunk[:cut])
-                    yield b"".join(parts)
+                    block = b"".join(parts)
                     parts = [chunk[cut:]]
                 else:
                     parts.append(chunk)
-            tail = b"".join(parts)
+            tail = block + b"".join(parts)
             if tail:
                 yield tail
     except OSError as exc:

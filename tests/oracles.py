@@ -453,7 +453,7 @@ class WeightedPicker:
             index = self._nearest_live(index)
         return index
 
-    def _nearest_live(self, index: int) -> int:
+    def _nearest_live(self, index: int) -> int | None:
         j = index + 1
         while j < self._size:
             if self._weights[j] > 0.0:
@@ -464,7 +464,7 @@ class WeightedPicker:
             if self._weights[j] > 0.0:
                 return j
             j -= 1
-        raise AssertionError("sample() called with no positive weights")
+        return None
 
     def sample_excluding(self, rng: random.Random, excluded: Iterable[int]) -> int | None:
         """Renormalized draw with the given indices masked out."""

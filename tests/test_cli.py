@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from astopo import store as store_module
 from astopo.cli import main
 from corpus_utils import (
     build_filter_corpus,
@@ -134,6 +135,15 @@ def test_metrics_sampled_mode(tmp_path):
     assert run("metrics", "--input", store, "--out", out_b, "--aspl-mode", "sampled:2", "--seed", "9") == 0
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
     assert run("metrics", "--input", store, "--out", tmp_path / "c", "--aspl-mode", "bogus") == 1
+
+
+def test_metrics_checks_aspl_mode_before_reading_the_store(tmp_path, monkeypatch, capsys):
+    def read_store(*args):
+        raise AssertionError("the store was read before --aspl-mode was checked")
+
+    monkeypatch.setattr(store_module, "read_store", read_store)
+    assert run("metrics", "--input", tmp_path / "store", "--out", tmp_path / "out", "--aspl-mode", "bogus") == 1
+    assert "bad --aspl-mode 'bogus'" in capsys.readouterr().err
 
 
 def write_metrics_csv(path, dates, column, name="N"):

@@ -312,6 +312,24 @@ def test_picker_total_follows_zero_weight_append():
     assert picker.total() == 0.7 == oracles.WeightedPicker.total(picker)
 
 
+@pytest.mark.parametrize("picker_class", [WeightedPicker, oracles.WeightedPicker])
+def test_picker_draws_none_when_only_residue_is_left(picker_class):
+    # Tree cell 2 holds 0.1 + 0.2 = 0.30000000000000004; taking both weights
+    # back out leaves 2**-55 there, a positive total with no live slot.
+    picker = picker_class(4)
+    picker.append(0.1)
+    picker.append(0.2)
+    rng = random.Random(1)
+    assert picker.sample_excluding(rng, [0, 1]) is None
+    assert picker.total() == 0.30000000000000004
+    picker.set_weight(0, 0.0)
+    picker.set_weight(1, 0.0)
+    assert picker.total() == 2**-55
+    assert picker.sample(rng) is None
+    if picker_class is WeightedPicker:
+        assert picker.draw(rng, {0}, 1) is None
+
+
 def outcome(call, *args):
     """call(*args), or the type of the error it raises."""
     try:

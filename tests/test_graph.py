@@ -13,7 +13,6 @@ from astopo.graph import (
     MSBFS_BATCH,
     UNREACHABLE,
     CsrGraph,
-    _popcount,
     read_edgelist,
     write_edgelist,
 )
@@ -225,16 +224,41 @@ def test_csr_has_edges():
         csr.has_edges([(1, 9)])
 
 
-def test_popcount_edge_values():
+HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(graph_module._popcount_table, id="table"),
+        pytest.param(
+            graph_module._popcount_native,
+            id="bitwise_count",
+            marks=pytest.mark.skipif(not HAS_BITWISE_COUNT, reason="numpy < 2.0"),
+        ),
+    ]
+)
+def popcount(request, monkeypatch):
+    """Each bit counter in turn, installed as the one distance_total calls,
+    so the numpy >= 2.0 run also checks the byte table."""
+    monkeypatch.setattr(graph_module, "_popcount", request.param)
+    return request.param
+
+
+def test_popcount_is_chosen_by_numpy_version():
+    expected = graph_module._popcount_native if HAS_BITWISE_COUNT else graph_module._popcount_table
+    assert graph_module._popcount is expected
+
+
+def test_popcount_edge_values(popcount):
     values = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 2**63 - 1]
     for x in values:
-        assert _popcount(np.array([x], dtype=np.uint64)) == bin(x).count("1")
+        assert graph_module._popcount(np.array([x], dtype=np.uint64)) == bin(x).count("1")
     words = np.array(values, dtype=np.uint64).reshape(2, 3)
-    assert _popcount(words) == sum(bin(x).count("1") for x in values)
+    assert graph_module._popcount(words) == sum(bin(x).count("1") for x in values)
 
 
 @pytest.mark.parametrize("n, k", [(5, 5), (150, 70), (150, 151), (600, MSBFS_BATCH + 1)])
-def test_distance_total_matches_dict_bfs(n, k):
+def test_distance_total_matches_dict_bfs(popcount, n, k):
     """Sources from every component, isolated ones and a repeat included."""
     rng = random.Random(n + k)
     g = sparse_graph(rng, n)
@@ -290,21 +314,72 @@ def test_pair_distances_other_component():
     assert got.tolist() == [UNREACHABLE, 2, UNREACHABLE, 1]
 
 
-def test_pair_distances_stops_before_frontier_runs_out(monkeypatch):
-    """A pair into another component must not keep its batch traversing:
-    on a 20-hop path with an island, the batch stops at level 1."""
-    levels = []
+# Graphs at the edges of the multi-source BFS kernel: (edges, isolated nodes).
+KERNEL_GRAPHS = {
+    # the last CSR row has no neighbours: reduceat reads _gather's padding
+    "isolated-last": ([(1, 2), (2, 3), (3, 4)], [2**32 - 1]),
+    "isolated-first-and-last": ([(5, 6), (6, 7), (7, 5)], [1, 2**32 - 1]),
+    "lone-node": ([], [9]),
+    "no-edges": ([], [7, 9]),
+    "two-node-giant": ([(3, 8)], []),
+    "path": ([(i, i + 1) for i in range(70)], []),
+}
+
+
+@pytest.mark.parametrize("name", [*KERNEL_GRAPHS, "sparse"])
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, MSBFS_BATCH])
+def test_kernel_matches_dict_bfs_at_its_edges(popcount, monkeypatch, name, batch):
+    """Every node a source and every ordered pair asked: batches that end
+    inside a word, on a word boundary and just past one, and many batches
+    in a row, each making its buffers afresh."""
+    monkeypatch.setattr(graph_module, "MSBFS_BATCH", batch)
+    if name == "sparse":
+        g = sparse_graph(random.Random(11), 200)
+    else:
+        edges, isolated = KERNEL_GRAPHS[name]
+        g = AsGraph.from_edges(edges)
+        for u in isolated:
+            g.add_node(u)
+    csr = g.freeze()
+    nodes = csr.labels.tolist()
+    dist = {s: oracles.bfs_distances(g, s) for s in nodes}
+    assert csr.distance_total(nodes) == sum(sum(d.values()) for d in dist.values())
+    pairs = [(s, t) for s in nodes for t in nodes]
+    assert csr.pair_distances(pairs).tolist() == [dist[s].get(t, UNREACHABLE) for s, t in pairs]
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Every frontier CsrGraph._levels yields, in order."""
+    seen = []
     run = CsrGraph._levels
 
     def counted(self, batch):
         for frontier in run(self, batch):
-            levels.append(frontier)
+            seen.append(frontier)
             yield frontier
 
     monkeypatch.setattr(CsrGraph, "_levels", counted)
+    return seen
+
+
+def test_pair_distances_stops_before_frontier_runs_out(levels):
+    """A pair into another component must not keep its batch traversing:
+    on a 20-hop path with an island, the batch stops at level 1."""
     g = AsGraph.from_edges([(i, i + 1) for i in range(20)] + [(100, 101)])
     assert g.freeze().pair_distances([(0, 1), (0, 100)]).tolist() == [1, UNREACHABLE]
     assert len(levels) == 1
+
+
+def test_pair_distances_stops_after_the_buffers_swap(levels):
+    """On a 20-hop path the batch stops at level 5, its two frontier buffers
+    having swapped four times, and every pair found on the way keeps its
+    level."""
+    g = AsGraph.from_edges([(i, i + 1) for i in range(20)])
+    pairs = [(0, 3), (0, 5), (10, 12), (20, 19), (10, 6), (0, 1)]
+    assert g.freeze().pair_distances(pairs).tolist() == [3, 5, 2, 1, 4, 1]
+    assert len(levels) == 5
+    assert len({id(frontier) for frontier in levels}) == 2
 
 
 def test_pair_distances_unknown_as():
@@ -510,16 +585,21 @@ def test_edgelist_parses_only_comments_line_by_line(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "data, block, blocks",
     [
-        (b"ab\ncd\r\nef", 3, [b"ab\n", b"cd\r\n", b"ef"]),
+        (b"ab\ncd\r\nef", 3, [b"ab\n", b"cd\r\nef"]),
         (b"ab\ncd\r\nef\n", 4, [b"ab\n", b"cd\r\n", b"ef\n"]),
         (b"1 2\r3 4\x0b5 6", 2, [b"1 2\r3 4\x0b5 6"]),
         (b"\n\n\n", 1, [b"\n", b"\n", b"\n"]),
         (b"", 4, []),
+        # an unterminated last line ends the block before it
+        (b"1 2\n3 4", 1 << 18, [b"1 2\n3 4"]),
+        (b"ab\ncd", 3, [b"ab\ncd"]),
+        (b"ab\ncd\nefgh", 3, [b"ab\n", b"cd\nefgh"]),
     ],
 )
 def test_read_blocks_end_past_a_newline(tmp_path, monkeypatch, data, block, blocks):
     """Chunks of _READ_BLOCK bytes, cut after their last '\n'; the rest is
-    carried into the next block, and a file with no '\n' is one block."""
+    carried into the next block, a file with no '\n' is one block, and an
+    unterminated last line joins the block before it."""
     monkeypatch.setattr(graph_module, "_READ_BLOCK", block)
     path = tmp_path / "f"
     path.write_bytes(data)
