@@ -24,12 +24,7 @@ from .generators import (
     GeneratorParams,
     Trajectory,
     generate,
-    generate_ab,
-    generate_ba,
-    generate_glp,
-    generate_pfp,
     generate_with_trajectory,
-    model_maxdegree_trajectory,
 )
 from .graph import (
     AS_MAX,

@@ -363,6 +363,7 @@ def _fit_svg(points, fit: phasefit.PhaseFit, metric: str, dates: list[str]) -> s
 
 
 def cmd_fit(args) -> None:
+    phasefit.check_fit_params(args.min_segment, args.parsimony)
     csv_path = Path(args.input)
     dates, columns = _read_metrics_csv(csv_path)
     if args.metric not in columns:
@@ -429,7 +430,7 @@ def cmd_generate(args) -> None:
         checkpoints = _default_checkpoints(params.seed_size(), params.n_target)
     graph, trajectory = generators.generate_with_trajectory(params, checkpoints)
     out = _outdir(args)
-    write_edgelist(graph.freeze(), out / "graph.edges", directives={"model": params.model})
+    write_edgelist(graph, out / "graph.edges", directives={"model": params.model})
     (out / "trajectory.csv").write_text(trajectory.to_csv())
     _write_manifest(
         out,
@@ -477,6 +478,7 @@ def cmd_tunnel(args) -> None:
 
 
 def cmd_report(args) -> None:
+    phasefit.check_fit_params(args.min_segment, args.parsimony)
     csv_path = Path(args.input)
     dates, columns = _read_metrics_csv(csv_path)
     exclude = _load_exclude_dates(args.exclude_dates)

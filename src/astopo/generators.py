@@ -12,8 +12,9 @@ kernel values tabulated per degree, and the sampler's prefix total cached
 between weight changes. The rejection loop runs inside the sampler. Every
 tree cell still receives the same float additions in the same order, and
 the RNG is called in the same order, so these shortcuts change no output
-bit. The AsGraph returned at the end takes the neighbour sets over without
-copying them.
+bit. The run ends by building the CsrGraph that the metrics read and the
+generate command writes, straight from the neighbour sets; a node that AB
+rewiring left without edges is still one of its nodes.
 
 Kernels:
   BA   w(k) = k
@@ -27,10 +28,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Collection, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ParameterError
-from .graph import AsGraph
+from .graph import CsrGraph
 
 MODELS = ("ba", "ab", "glp", "pfp")
 
@@ -95,7 +99,6 @@ class Trajectory:
     """(N, k_max) pairs recorded during one growth run."""
 
     checkpoints: list[tuple[int, int]]
-    params: GeneratorParams
 
     def to_csv(self) -> str:
         lines = ["N,k_max"] + [f"{n},{k}" for n, k in self.checkpoints]
@@ -246,8 +249,7 @@ class _KernelTable(dict):
 class _Growth:
     """One growth run: adjacency, kernel-weighted picker, and RNG in lockstep.
 
-    Node i's neighbours are adj[i]. The kernel is tabulated per degree, and
-    graph() hands the same sets to the returned AsGraph.
+    Node i's neighbours are adj[i]. The kernel is tabulated per degree.
     """
 
     def __init__(self, params: GeneratorParams, kernel: Callable[[int], float]) -> None:
@@ -262,8 +264,11 @@ class _Growth:
         for nbrs in self.adj:
             self.picker.append(self.kernel_of[len(nbrs)])
 
-    def graph(self) -> AsGraph:
-        return AsGraph.from_adjacency(self.adj, self.edge_count)
+    def graph(self) -> CsrGraph:
+        """The grown graph over nodes 0..n-1, every node kept, edges or not."""
+        edges = ((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
+        pairs = np.fromiter(chain.from_iterable(edges), np.int64, 2 * self.edge_count)
+        return CsrGraph(pairs.reshape(-1, 2), np.arange(len(self.adj)))
 
     def add_node(self) -> int:
         self.adj.append(set())
@@ -516,7 +521,7 @@ def _grow_pfp(params: GeneratorParams, record: _Recorder) -> _Growth:
 _GROWERS = {"ba": _grow_ba, "ab": _grow_ab, "glp": _grow_glp, "pfp": _grow_pfp}
 
 
-def _run(params: GeneratorParams, checkpoints: Sequence[int] | None) -> tuple[AsGraph, list[tuple[int, int]]]:
+def _run(params: GeneratorParams, checkpoints: Sequence[int] | None) -> tuple[CsrGraph, list[tuple[int, int]]]:
     params.validate()
     if checkpoints is not None:
         if list(checkpoints) != sorted(set(checkpoints)):
@@ -534,47 +539,15 @@ def _run(params: GeneratorParams, checkpoints: Sequence[int] | None) -> tuple[As
     return growth.graph(), recorder.rows
 
 
-def _generate_for(model: str, params: GeneratorParams) -> AsGraph:
-    if params.model != model:
-        raise ParameterError(f"params.model is {params.model!r}, expected {model!r}")
-    return generate(params)
-
-
-def generate(params: GeneratorParams) -> AsGraph:
-    """Grow one topology under params.model; deterministic in (params, seed)."""
+def generate(params: GeneratorParams) -> CsrGraph:
+    """Grow one topology under params.model (one of MODELS); deterministic in (params, seed)."""
     graph, _ = _run(params, None)
     return graph
 
 
-def generate_ba(params: GeneratorParams) -> AsGraph:
-    """Preferential attachment: each new node brings m degree-proportional links."""
-    return _generate_for("ba", params)
-
-
-def generate_ab(params: GeneratorParams) -> AsGraph:
-    """Growth with internal links (prob p) and rewiring (prob q), kernel k+1."""
-    return _generate_for("ab", params)
-
-
-def generate_glp(params: GeneratorParams) -> AsGraph:
-    """Growth (prob 1-p) or internal links (prob p) with shifted kernel k-beta."""
-    return _generate_for("glp", params)
-
-
-def generate_pfp(params: GeneratorParams) -> AsGraph:
-    """Interactive growth with the positive-feedback kernel k^(1+delta*log10 k)."""
-    return _generate_for("pfp", params)
-
-
 def generate_with_trajectory(
     params: GeneratorParams, checkpoints: Sequence[int]
-) -> tuple[AsGraph, Trajectory]:
+) -> tuple[CsrGraph, Trajectory]:
     """One growth run returning both the final graph and its (N, k_max) trace."""
     graph, rows = _run(params, list(checkpoints))
-    return graph, Trajectory(checkpoints=rows, params=params)
-
-
-def model_maxdegree_trajectory(params: GeneratorParams, checkpoints: Sequence[int]) -> Trajectory:
-    """Record (N, k_max) at each checkpoint of a single growth run."""
-    _, trajectory = generate_with_trajectory(params, checkpoints)
-    return trajectory
+    return graph, Trajectory(checkpoints=rows)

@@ -1,15 +1,15 @@
-"""AS graphs: the mutable graph the generators grow, the CSR analysis graph, and monthly snapshots.
+"""AS graphs: the CSR graph every layer builds and reads, and monthly snapshots.
 
 AS numbers are plain ints in the 32-bit range and are never remapped: the
 number that goes in is the number that comes back out of every traversal,
 serialization, and report.
 
-CsrGraph is the one graph every analysis layer sees: store and ingest build
-one per month from edge pairs, and metrics and crossnet read it without
-building another. It indexes nodes by their position in the sorted AS
-numbers internally, and takes and returns AS numbers at its boundary.
-AsGraph, a dict of neighbour sets, is only what the growth models mutate
-edge by edge.
+CsrGraph is the one graph of the package: store and ingest build one per
+month from edge pairs, the generators build one from their neighbour sets,
+and metrics and crossnet read it without building another. It indexes nodes
+by their position in the sorted AS numbers internally, and takes and returns
+AS numbers at its boundary. AsGraph, a dict of neighbour sets, has no caller
+in the package; it is the reference graph of the test oracles.
 
 Every hop distance (ASPL, tunnel paths) comes from one bit-parallel
 multi-source BFS loop, CsrGraph._levels. Each batch of MSBFS_BATCH sources
@@ -97,10 +97,13 @@ def validate_family(family: str) -> str:
 
 
 class AsGraph:
-    """Mutable undirected simple graph over AS numbers, grown edge by edge by the generators.
+    """Mutable undirected simple graph over AS numbers, a dict of neighbour sets.
 
-    Self-loops and duplicate edges are silently refused by add_edge. Analysis
-    runs on the CsrGraph that freeze returns.
+    No module of the package uses it. It is the plain reference graph that
+    the test oracles build and check CsrGraph against, and the benchmark
+    tracer imports it to wrap giant_component and bfs_distances by name.
+    Self-loops and duplicate edges are silently refused by add_edge;
+    freeze returns the CsrGraph of the same nodes and edges.
     """
 
     __slots__ = ("_adj", "_edge_count")
@@ -114,14 +117,6 @@ class AsGraph:
         g = cls()
         for u, v in pairs:
             g.add_edge(u, v)
-        return g
-
-    @classmethod
-    def from_adjacency(cls, adj: list[set[int]], edge_count: int) -> "AsGraph":
-        """The graph whose node i has neighbours adj[i]; the sets are taken over, not copied."""
-        g = cls()
-        g._adj = dict(enumerate(adj))
-        g._edge_count = edge_count
         return g
 
     @property

@@ -32,6 +32,7 @@ from .errors import (
     DegenerateInputError,
     EmptyGraphError,
     InsufficientDataError,
+    ParameterError,
     UndefinedMetricError,
 )
 from .graph import CsrGraph, Snapshot, SnapshotSeries
@@ -152,6 +153,12 @@ def powerlaw_exponent(ccdf: Sequence[CcdfPoint], k_min: int = 1) -> float:
     return 1.0 + abs(float(slope))
 
 
+def _check_aspl_sources(n_sources: int | None) -> None:
+    """ParameterError unless n_sources is None (exact) or at least 1."""
+    if n_sources is not None and n_sources < 1:
+        raise ParameterError(f"ASPL n_sources must be >= 1, got {n_sources}")
+
+
 def average_shortest_path_length(
     g: CsrGraph, n_sources: int | None = None, seed: int = 0
 ) -> float:
@@ -160,8 +167,10 @@ def average_shortest_path_length(
     Exact when n_sources is None. Otherwise the mean is taken over BFS trees
     from n_sources distinct sources drawn with the given seed; n_sources is
     capped at the component size, at which point the estimate equals the
-    exact value bit for bit (distance totals are integers).
+    exact value bit for bit (distance totals are integers). An n_sources
+    below 1 is a ParameterError.
     """
+    _check_aspl_sources(n_sources)
     if g.node_count < 2:
         raise DegenerateInputError("ASPL needs at least 2 nodes")
     gc = g.giant_graph()
@@ -172,8 +181,6 @@ def average_shortest_path_length(
     if n_sources is None or n_sources >= n:
         sources = nodes
     else:
-        if n_sources < 1:
-            raise DegenerateInputError("n_sources must be >= 1")
         sources = random.Random(seed).sample(nodes, n_sources)
     return gc.distance_total(sources) / (len(sources) * (n - 1))
 
@@ -287,8 +294,10 @@ def metrics_series(
     """One MetricRow per snapshot, in series order.
 
     A month whose metric_row raises AsTopoError gets a row with only N and L
-    filled and a '<date>: <error>' line on the result's .warnings.
+    filled and a '<date>: <error>' line on the result's .warnings. An
+    aspl_sources below 1 is a ParameterError before any month is read.
     """
+    _check_aspl_sources(aspl_sources)
     rows = []
     warnings = []
     for snap in series.snapshots:

@@ -132,6 +132,14 @@ def fit_exponential(points: Sequence[SeriesPoint]) -> ExpFit:
     return ExpFit(rate=float(rate), scale=scale, sse=sse)
 
 
+def check_fit_params(min_segment: int, parsimony: float) -> None:
+    """ParameterError unless min_segment >= 3 and parsimony is in (0, 1]."""
+    if min_segment < 3:
+        raise ParameterError(f"min_segment must be >= 3, got {min_segment}")
+    if not 0 < parsimony <= 1:
+        raise ParameterError(f"parsimony must be in (0, 1], got {parsimony}")
+
+
 def detect_phase_change(
     points: Sequence[SeriesPoint],
     min_segment: int = DEFAULT_MIN_SEGMENT,
@@ -145,10 +153,7 @@ def detect_phase_change(
     ordering. The two-segment winner is returned only when its total sse is
     below parsimony times the best single-segment sse.
     """
-    if min_segment < 3:
-        raise ParameterError(f"min_segment must be >= 3, got {min_segment}")
-    if not 0 < parsimony <= 1:
-        raise ParameterError(f"parsimony must be in (0, 1], got {parsimony}")
+    check_fit_params(min_segment, parsimony)
     pts = list(points)
     n = len(pts)
     if n < 2 * min_segment:

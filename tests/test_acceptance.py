@@ -30,10 +30,9 @@ from astopo import (
     detect_phase_change,
     fit_exponential,
     fit_linear,
-    generate_ba,
-    generate_pfp,
+    generate,
+    generate_with_trajectory,
     max_degree,
-    model_maxdegree_trajectory,
     powerlaw_exponent,
     tunnel_path_lengths,
     tunnel_series,
@@ -237,16 +236,16 @@ def test_criterion_5_generator_statistics():
     exponents = []
     ba_kmax = {}
     for seed in range(10):
-        g = generate_ba(GeneratorParams(model="ba", n_target=n, seed=seed, m=2))
-        exponents.append(powerlaw_exponent(degree_ccdf(g.freeze()), k_min=2))
-        ba_kmax[seed] = max(len(g.neighbors(u)) for u in g.nodes())
+        g = generate(GeneratorParams(model="ba", n_target=n, seed=seed, m=2))
+        exponents.append(powerlaw_exponent(degree_ccdf(g), k_min=2))
+        ba_kmax[seed] = max_degree(g)
     mean_r = statistics.fmean(exponents)
     assert 2.7 <= mean_r <= 3.3, f"BA mean exponent {mean_r:.2f}"
 
     pfp_wins = 0
     for seed in range(10):
-        g = generate_pfp(GeneratorParams(model="pfp", n_target=n, seed=seed, p=0.4, delta=0.021))
-        if max(len(g.neighbors(u)) for u in g.nodes()) > ba_kmax[seed]:
+        g = generate(GeneratorParams(model="pfp", n_target=n, seed=seed, p=0.4, delta=0.021))
+        if max_degree(g) > ba_kmax[seed]:
             pfp_wins += 1
     assert pfp_wins >= 9, f"PFP beat BA in only {pfp_wins}/10 paired runs"
 
@@ -258,7 +257,7 @@ def test_criterion_5_generator_statistics():
         GeneratorParams(model="pfp", n_target=n, seed=1, p=0.4, delta=0.021),
     ]
     for params in model_params:
-        traj = model_maxdegree_trajectory(params, checkpoints)
+        _, traj = generate_with_trajectory(params, checkpoints)
         ks = [k for _, k in traj.checkpoints]
         assert ks == sorted(ks), f"{params.model}: k_max not monotone: {ks}"
 

@@ -381,6 +381,11 @@ def _short_csv(tmp_path):
     return tmp_path / "m.csv"
 
 
+def _tiny_csv(tmp_path):
+    write_metrics_csv(tmp_path / "m.csv", month_labels(3), [1.0, 2.0, 3.0])
+    return tmp_path / "m.csv"
+
+
 def _bad_cell_csv(tmp_path):
     (tmp_path / "m.csv").write_text("date,N,L\n2001-01,3,2\n2001-02,abc,4\n")
     return tmp_path / "m.csv"
@@ -406,7 +411,12 @@ REJECTED_COMMANDS = {
     ],
     "fit-short-column": lambda tmp: ["fit", "--input", _short_csv(tmp), "--metric", "N"],
     "fit-missing-column": lambda tmp: ["fit", "--input", _bad_cell_csv(tmp), "--metric", "k_max"],
+    "fit-min-segment-2": lambda tmp: [
+        "fit", "--input", _tiny_csv(tmp), "--metric", "N", "--min-segment", "2"
+    ],
     "report-bad-cell": lambda tmp: ["report", "--input", _bad_cell_csv(tmp)],
+    "report-min-segment-2": lambda tmp: ["report", "--input", _tiny_csv(tmp), "--min-segment", "2"],
+    "report-parsimony-0": lambda tmp: ["report", "--input", _tiny_csv(tmp), "--parsimony", "0"],
     "generate-checkpoint-below-seed": lambda tmp: [
         "generate", "--model", "ba", "--n", "100", "--seed", "1", "--checkpoints=0,100"
     ],
@@ -416,11 +426,20 @@ REJECTED_COMMANDS = {
     "tunnel-disjoint-dates": _disjoint_stores,
 }
 
+# The parameter a rejected command's error message must name.
+REJECTED_PARAMETER = {
+    "fit-min-segment-2": "min_segment",
+    "report-min-segment-2": "min_segment",
+    "report-parsimony-0": "parsimony",
+}
+
 
 @pytest.mark.parametrize("name", sorted(REJECTED_COMMANDS))
 def test_rejected_command_leaves_no_out_directory(tmp_path, capsys, name):
     argv = REJECTED_COMMANDS[name](tmp_path)
     out = tmp_path / "out" / "nested"
     assert run(*argv, "--out", out) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert REJECTED_PARAMETER.get(name, "") in err
     assert not (tmp_path / "out").exists()

@@ -6,16 +6,12 @@ import oracles
 import pytest
 
 from astopo import (
+    CsrGraph,
     GeneratorParams,
     ParameterError,
     degree_ccdf,
     generate,
-    generate_ab,
-    generate_ba,
-    generate_glp,
-    generate_pfp,
     generate_with_trajectory,
-    model_maxdegree_trajectory,
     powerlaw_exponent,
 )
 from astopo import generators
@@ -30,18 +26,24 @@ from astopo.generators import (
 
 
 def kmax(g):
-    return max(len(g.neighbors(u)) for u in g.nodes())
+    return int(g.degrees().max())
 
 
 def is_connected(g):
-    return len(g.bfs_distances(next(iter(g.nodes())))) == g.node_count
+    return len(g.giant()) == g.node_count
 
 
 def assert_simple(g):
-    for u, v in g.edges():
-        assert u != v
-        assert u in g.neighbors(v) and v in g.neighbors(u)
-    assert g.edge_count == sum(1 for _ in g.edges())
+    rows = g.rows()
+    assert (rows != g.indices).all()  # no self-loop
+    assert len(set(zip(rows.tolist(), g.indices.tolist()))) == len(rows)  # no parallel arc
+    edges = g.edges()
+    assert g.has_edges(edges[:, ::-1]).all()  # every edge stored both ways
+    assert len(rows) == 2 * len(edges) == 2 * g.edge_count
+
+
+def kmax_trajectory(params, checkpoints):
+    return generate_with_trajectory(params, checkpoints)[1]
 
 
 def ba(n, seed, m=2, m0=None):
@@ -70,18 +72,13 @@ def test_param_validation():
         GeneratorParams(model="glp", n_target=10, seed=0, p=1.0).validate()
 
 
-def test_generate_dispatch_checks_model():
-    with pytest.raises(ParameterError):
-        generate_ba(GeneratorParams(model="glp", n_target=10, seed=0))
-
-
 def test_ba_seed_only_returns_ring():
-    g = generate_ba(ba(3, seed=0, m=2, m0=3))
-    assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+    g = generate(ba(3, seed=0, m=2, m0=3))
+    assert g.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_ba_edge_bookkeeping():
-    g = generate_ba(ba(100, seed=1, m=2))
+    g = generate(ba(100, seed=1, m=2))
     assert g.node_count == 100
     assert g.edge_count == 3 + 2 * 97
     assert is_connected(g)
@@ -89,18 +86,18 @@ def test_ba_edge_bookkeeping():
 
 
 def test_ba_determinism():
-    a = generate_ba(ba(500, seed=42))
-    b = generate_ba(ba(500, seed=42))
-    c = generate_ba(ba(500, seed=43))
-    assert sorted(a.edges()) == sorted(b.edges())
-    assert sorted(a.edges()) != sorted(c.edges())
+    a = generate(ba(500, seed=42))
+    b = generate(ba(500, seed=42))
+    c = generate(ba(500, seed=43))
+    assert a.edges().tolist() == b.edges().tolist()
+    assert a.edges().tolist() != c.edges().tolist()
 
 
 def test_ba_exponent_near_three():
     rs = []
     for seed in range(5):
-        g = generate_ba(ba(5000, seed=seed))
-        rs.append(powerlaw_exponent(degree_ccdf(g.freeze()), k_min=2))
+        g = generate(ba(5000, seed=seed))
+        rs.append(powerlaw_exponent(degree_ccdf(g), k_min=2))
     assert 2.7 <= statistics.fmean(rs) <= 3.3
 
 
@@ -149,32 +146,32 @@ def test_preferential_frequencies_match_kernel():
 
 
 def test_ab_reduces_to_ba_bookkeeping():
-    g = generate_ab(GeneratorParams(model="ab", n_target=500, seed=3, m=2, p=0.0, q=0.0))
+    g = generate(GeneratorParams(model="ab", n_target=500, seed=3, m=2, p=0.0, q=0.0))
     assert g.node_count == 500
     assert g.edge_count == 3 + 2 * 497
     assert_simple(g)
 
 
 def test_ab_rewiring_conserves_nodes_and_edges():
-    g = generate_ab(GeneratorParams(model="ab", n_target=400, seed=5, m=1, p=0.0, q=0.5))
+    g = generate(GeneratorParams(model="ab", n_target=400, seed=5, m=1, p=0.0, q=0.5))
     assert g.node_count == 400
     assert g.edge_count == 3 + 397  # rewires move edges, never create or destroy
     assert_simple(g)
 
 
 def test_ab_q1_accepted_at_seed_size():
-    g = generate_ab(GeneratorParams(model="ab", n_target=3, seed=0, p=0.0, q=1.0))
-    assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+    g = generate(GeneratorParams(model="ab", n_target=3, seed=0, p=0.0, q=1.0))
+    assert g.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_ab_mixed_run_stays_simple():
-    g = generate_ab(GeneratorParams(model="ab", n_target=2000, seed=7, m=2, p=0.2, q=0.3))
+    g = generate(GeneratorParams(model="ab", n_target=2000, seed=7, m=2, p=0.2, q=0.3))
     assert g.node_count == 2000
     assert_simple(g)
 
 
 def test_glp_pure_growth_bookkeeping():
-    g = generate_glp(GeneratorParams(model="glp", n_target=300, seed=2, m=2, p=0.0, beta=0.5))
+    g = generate(GeneratorParams(model="glp", n_target=300, seed=2, m=2, p=0.0, beta=0.5))
     assert g.edge_count == 3 + 2 * 297
     assert is_connected(g)
     assert_simple(g)
@@ -189,10 +186,10 @@ def test_glp_reference_params_beat_ba_max_degree():
     glp_k, ba_k = [], []
     for seed in range(10):
         glp_k.append(
-            kmax(generate_glp(GeneratorParams(
+            kmax(generate(GeneratorParams(
                 model="glp", n_target=10_000, seed=seed, m=2, p=0.4695, beta=0.6447)))
         )
-        ba_k.append(kmax(generate_ba(ba(10_000, seed=seed))))
+        ba_k.append(kmax(generate(ba(10_000, seed=seed))))
     assert statistics.median(glp_k) > statistics.median(ba_k)
 
 
@@ -202,7 +199,7 @@ def test_pfp_delta_zero_kernel_is_linear():
 
 
 def test_pfp_stays_simple_and_connected():
-    g = generate_pfp(GeneratorParams(model="pfp", n_target=3000, seed=11, p=0.4, delta=0.021))
+    g = generate(GeneratorParams(model="pfp", n_target=3000, seed=11, p=0.4, delta=0.021))
     assert g.node_count == 3000
     assert is_connected(g)
     assert_simple(g)
@@ -214,38 +211,38 @@ def test_ab_kernel_shift():
 
 def test_trajectory_deterministic():
     params = GeneratorParams(model="pfp", n_target=2000, seed=4, p=0.4, delta=0.021)
-    t1 = model_maxdegree_trajectory(params, [100, 1000, 2000])
-    t2 = model_maxdegree_trajectory(params, [100, 1000, 2000])
+    t1 = kmax_trajectory(params, [100, 1000, 2000])
+    t2 = kmax_trajectory(params, [100, 1000, 2000])
     assert t1.checkpoints == t2.checkpoints
 
 
 def test_trajectory_seed_checkpoint():
-    t = model_maxdegree_trajectory(ba(100, seed=0, m=2, m0=5), [5, 100])
+    t = kmax_trajectory(ba(100, seed=0, m=2, m0=5), [5, 100])
     assert t.checkpoints[0] == (5, 2)  # ring seed: every degree is 2
 
 
 def test_trajectory_ba_strictly_increasing():
-    t = model_maxdegree_trajectory(ba(10_000, seed=1), [100, 1000, 10_000])
+    t = kmax_trajectory(ba(10_000, seed=1), [100, 1000, 10_000])
     ks = [k for _, k in t.checkpoints]
     assert ks == sorted(ks) and len(set(ks)) == len(ks)
 
 
 def test_trajectory_checkpoint_validation():
     with pytest.raises(ParameterError, match="ascending"):
-        model_maxdegree_trajectory(ba(100, seed=0), [50, 50])
+        kmax_trajectory(ba(100, seed=0), [50, 50])
     with pytest.raises(ParameterError, match="n_target"):
-        model_maxdegree_trajectory(ba(100, seed=0), [200])
+        kmax_trajectory(ba(100, seed=0), [200])
     # the ring seed already has m0 nodes, so no row can be recorded below m0
     with pytest.raises(ParameterError, match="checkpoint -5 is below the seed size m0=3"):
-        model_maxdegree_trajectory(ba(100, seed=0), [-5, 3, 10])
+        kmax_trajectory(ba(100, seed=0), [-5, 3, 10])
     with pytest.raises(ParameterError, match="checkpoint 0 is below"):
-        model_maxdegree_trajectory(ba(100, seed=0), [0, 100])
+        kmax_trajectory(ba(100, seed=0), [0, 100])
     with pytest.raises(ParameterError, match="checkpoint 4 is below the seed size m0=5"):
-        model_maxdegree_trajectory(ba(100, seed=0, m0=5), [4, 100])
+        kmax_trajectory(ba(100, seed=0, m0=5), [4, 100])
 
 
 def test_trajectory_csv():
-    t = model_maxdegree_trajectory(ba(50, seed=0), [10, 50])
+    t = kmax_trajectory(ba(50, seed=0), [10, 50])
     lines = t.to_csv().splitlines()
     assert lines[0] == "N,k_max"
     assert len(lines) == 3
@@ -254,6 +251,15 @@ def test_trajectory_csv():
 def test_generate_dispatch():
     g = generate(ba(50, seed=6))
     assert g.node_count == 50
+
+
+@pytest.mark.parametrize("model", generators.MODELS)
+def test_entry_points_return_csr_graph(model):
+    params = GeneratorParams(model=model, n_target=60, seed=2, p=0.2, q=0.2, beta=0.5, delta=0.02)
+    graph, _ = generate_with_trajectory(params, [60])
+    assert type(graph) is CsrGraph
+    graph = generate(params)
+    assert type(graph) is CsrGraph and graph.labels.tolist() == list(range(60))
 
 
 # Corners of the growth loop that the differential check must cover.
@@ -281,8 +287,8 @@ def picker_cells(picker):
 def assert_matches_reference(params, checkpoints):
     graph, trajectory = generate_with_trajectory(params, checkpoints)
     reference, ref_rows = oracles.grow_reference_run(params, checkpoints)
-    assert sorted(graph.edges()) == sorted(reference.g.edges())
-    assert list(graph.nodes()) == list(reference.g.nodes())
+    assert graph.edges().tolist() == sorted(map(list, reference.g.edges()))
+    assert graph.labels.tolist() == list(reference.g.nodes())
     assert graph.edge_count == reference.g.edge_count
     assert trajectory.checkpoints == ref_rows
     # Float drift from masking shows in the tree cells long before it moves an edge.
@@ -298,6 +304,14 @@ def test_growth_matches_reference(name, seed):
     params = GeneratorParams(seed=seed, **REFERENCE_CASES[name])
     m0 = params.seed_size()
     assert_matches_reference(params, [m0, (m0 + params.n_target) // 2, params.n_target])
+
+
+def test_reference_case_strands_nodes():
+    # Rewiring leaves these nodes without edges; test_growth_matches_reference
+    # checks that the CsrGraph still lists them, as the reference graph does.
+    for seed in (3, 8):
+        graph = generate(GeneratorParams(seed=seed, **REFERENCE_CASES["ab_m1_m0_2"]))
+        assert (graph.degrees() == 0).any()
 
 
 def test_picker_total_follows_zero_weight_append():

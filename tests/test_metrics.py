@@ -10,6 +10,7 @@ from astopo import (
     DegenerateInputError,
     EmptyGraphError,
     InsufficientDataError,
+    ParameterError,
     Snapshot,
     SnapshotSeries,
     UndefinedMetricError,
@@ -127,6 +128,15 @@ def test_aspl_degenerate():
         average_shortest_path_length(CsrGraph(nodes=[1]))
     with pytest.raises(DegenerateInputError):
         average_shortest_path_length(CsrGraph(nodes=[1, 2]))  # two isolated nodes: giant has 1 node
+
+
+@pytest.mark.parametrize("n_sources", [0, -3])
+def test_aspl_source_count_below_one_is_a_parameter_error(n_sources):
+    with pytest.raises(ParameterError, match=f"n_sources must be >= 1, got {n_sources}"):
+        average_shortest_path_length(triangle(), n_sources)
+    # metrics_series rejects it once, rather than dropping aspl month by month
+    with pytest.raises(ParameterError, match=f"got {n_sources}"):
+        metrics_series(series_of([triangle(), triangle()]), n_sources)
 
 
 def test_sampled_aspl_with_all_sources_equals_exact():
@@ -276,9 +286,11 @@ def test_structure_metrics_match_set_references_on_grown_graphs(monkeypatch, mod
     """Heavy-tailed graphs with many triangles and many out-degree classes;
     a tiny WEDGE_BLOCK splits every class into blocks, down to one node."""
     monkeypatch.setattr(metrics, "WEDGE_BLOCK", wedge_block)
-    g = generate(GeneratorParams(model=model, n_target=n, seed=3))
-    g.add_node(2**32 - 1)
-    csr = g.freeze()
+    grown = generate(GeneratorParams(model=model, n_target=n, seed=3))
+    csr = CsrGraph(grown.edges(), grown.labels.tolist() + [2**32 - 1])
+    g = AsGraph.from_edges(csr.edges().tolist())
+    for u in csr.labels.tolist():
+        g.add_node(u)
     assert clustering_coefficient(csr) == oracles.set_clustering(g)
     assert assortativity_coefficient(csr) == oracles.set_assortativity(g)
     assert [(pt.k, pt.p) for pt in degree_ccdf(csr)] == oracles.set_ccdf(g)

@@ -279,16 +279,18 @@ def growth_runs(draw):
 def test_growth_is_simple_and_matches_reference(run):
     params, checkpoints = run
     graph, trajectory = generate_with_trajectory(params, checkpoints)
-    edges = sorted(graph.edges())
-    assert all(u not in graph.neighbors(u) for u in graph.nodes())
+    rows = graph.rows()
+    assert (rows != graph.indices).all()  # no self-loop
     # each edge (u < v) once, and no neighbour entry without its edge
-    assert len(set(edges)) == len(edges)
-    assert all(u in graph.neighbors(v) for u, v in edges)
-    assert sum(len(graph.neighbors(u)) for u in graph.nodes()) == 2 * len(edges)
+    edges = graph.edges().tolist()
+    assert len(set(map(tuple, edges))) == len(edges)
+    assert len(set(zip(rows.tolist(), graph.indices.tolist()))) == len(rows)
+    assert graph.has_edges([(v, u) for u, v in edges]).all()
+    assert len(rows) == 2 * len(edges)
     assert graph.node_count == params.n_target
     assert graph.edge_count == len(edges)
     assert [n for n, _ in trajectory.checkpoints] == checkpoints
     ref_graph, ref_rows = oracles.grow_reference(params, checkpoints)
-    assert edges == sorted(ref_graph.edges())
-    assert list(graph.nodes()) == list(ref_graph.nodes())
+    assert edges == sorted(map(list, ref_graph.edges()))
+    assert graph.labels.tolist() == list(ref_graph.nodes())
     assert trajectory.checkpoints == ref_rows
