@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,10 +20,8 @@ from pathlib import Path
 from . import crossnet, generators, metrics, phasefit, store, svgplot
 from .errors import AsTopoError, CorpusError, DomainError, InsufficientDataError, ParameterError
 from .graph import read_input_text, validate_date, write_edgelist
-from .ingest import ALL_MONITORS, MonitorSet, load_series
+from .ingest import ALL_MONITORS, MonitorSet, filter_summary_to_csv, load_series
 
-FILTER_SUMMARY_HEADER = "date,total,accepted,as_set,private_asn,loop,malformed"
-METRIC_COLUMNS = ("N", "L", "k_max", "k_avg", "aspl", "C", "rho", "r")
 PHASE_SUMMARY_HEADER = "metric,pattern,break_index,break_date,pre_trend,post_trend,total_sse,note"
 
 
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit growth phases to one metric column")
     p.add_argument("--input", required=True, help="metrics CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--metric", required=True, choices=METRIC_COLUMNS)
+    p.add_argument("--metric", required=True, choices=metrics.METRIC_COLUMNS)
     p.add_argument("--min-segment", type=int, default=phasefit.DEFAULT_MIN_SEGMENT)
     p.add_argument("--parsimony", type=float, default=phasefit.DEFAULT_PARSIMONY)
     p.add_argument("--exclude-dates", help="file with one YYYY-MM per line to drop")
@@ -70,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="grow a model topology")
     p.add_argument("--model", required=True, choices=generators.MODELS)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", required=True, type=int, help="target node count")
+    p.add_argument(
+        "--n", dest="n_target", metavar="N", required=True, type=int, help="target node count"
+    )
     p.add_argument("--seed", required=True, type=int, help="RNG seed (mandatory: reruns must match)")
     p.add_argument("--m", type=int, default=2, help="links per new node (ba/ab/glp)")
     p.add_argument("--m0", type=int, help="seed ring size, default max(m, 3)")
@@ -147,11 +148,14 @@ def _load_exclude_dates(path: str | None) -> set[str]:
         return set()
     lines = read_input_text(Path(path)).splitlines()
     dates = set()
-    for raw in lines:
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        dates.add(validate_date(line))
+        try:
+            dates.add(validate_date(line))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
     return dates
 
 
@@ -197,15 +201,7 @@ def cmd_ingest(args) -> None:
     series = load_series(root, config)
     out = _outdir(args)
     store.write_store(out, series)
-
-    lines = [FILTER_SUMMARY_HEADER]
-    for date in series.dates():
-        rep = series.filter_reports[date]
-        lines.append(
-            f"{date},{rep.total},{rep.accepted},{rep.as_set},{rep.private_asn},"
-            f"{rep.loop},{rep.malformed}"
-        )
-    (out / "filter_summary.csv").write_text("\n".join(lines) + "\n")
+    (out / "filter_summary.csv").write_text(filter_summary_to_csv(series.filter_reports))
 
     inputs = {f"corpus/{k}": v for k, v in _hash_tree(root, "*.paths").items()}
     if args.monitors:
@@ -247,7 +243,7 @@ def cmd_metrics(args) -> None:
 
     if args.plots:
         dates = [row.date for row in table.rows]
-        for col in METRIC_COLUMNS:
+        for col in metrics.METRIC_COLUMNS:
             values = [getattr(row, col) for row in table.rows]
             if all(v is None for v in values):
                 continue
@@ -410,15 +406,7 @@ def _default_checkpoints(m0: int, n_target: int) -> list[int]:
 
 def cmd_generate(args) -> None:
     params = generators.GeneratorParams(
-        model=args.model,
-        n_target=args.n,
-        seed=args.seed,
-        m=args.m,
-        m0=args.m0,
-        p=args.p,
-        q=args.q,
-        beta=args.beta,
-        delta=args.delta,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(generators.GeneratorParams)}
     )
     params.validate()
     if args.checkpoints:
@@ -435,18 +423,7 @@ def cmd_generate(args) -> None:
     _write_manifest(
         out,
         "generate",
-        {
-            "model": params.model,
-            "n_target": params.n_target,
-            "seed": params.seed,
-            "m": params.m,
-            "m0": params.seed_size(),
-            "p": params.p,
-            "q": params.q,
-            "beta": params.beta,
-            "delta": params.delta,
-            "checkpoints": checkpoints,
-        },
+        {**dataclasses.asdict(params), "m0": params.seed_size(), "checkpoints": checkpoints},
         {},
     )
 
@@ -485,7 +462,7 @@ def cmd_report(args) -> None:
 
     summary_lines = [PHASE_SUMMARY_HEADER]
     fits_json = []
-    for col in METRIC_COLUMNS:
+    for col in metrics.METRIC_COLUMNS:
         if col not in columns:
             continue
         try:

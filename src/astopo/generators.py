@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Collection, Iterable, Sequence
@@ -39,6 +40,8 @@ from .graph import CsrGraph
 MODELS = ("ba", "ab", "glp", "pfp")
 
 _REJECTION_TRIES = 32
+
+_LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
 
 @dataclass
@@ -65,6 +68,9 @@ class GeneratorParams:
     def validate(self) -> None:
         if self.model not in MODELS:
             raise ParameterError(f"unknown model {self.model!r} (expected one of {MODELS})")
+        for name in ("beta", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         m0 = self.seed_size()
@@ -90,8 +96,26 @@ class GeneratorParams:
                 raise ParameterError(f"beta must be < 1, got {self.beta}")
             if self.n_target > m0 and self.p >= 1.0:
                 raise ParameterError("p must be < 1 to ever add a node (n_target exceeds m0)")
-        if self.model == "pfp" and self.delta < 0.0:
-            raise ParameterError(f"delta must be >= 0, got {self.delta}")
+            self._check_top_weight("beta", math.log10(self.n_target - 1 - self.beta))
+        if self.model == "pfp":
+            if self.delta < 0.0:
+                raise ParameterError(f"delta must be >= 0, got {self.delta}")
+            log_k = math.log10(self.n_target - 1)
+            self._check_top_weight("delta", (1.0 + self.delta * log_k) * log_k)
+
+    def _check_top_weight(self, name: str, log_weight: float) -> None:
+        """ParameterError unless n_target times the kernel weight at degree
+        n_target - 1, given as log10, is a finite float.
+
+        No node's degree exceeds n_target - 1, so the sampler's total of all
+        weights stays below that product and never overflows.
+        """
+        log_total = math.log10(self.n_target) + log_weight
+        if log_total > _LOG10_FLOAT_MAX:
+            raise ParameterError(
+                f"{name}={getattr(self, name)} puts n_target times the kernel weight at "
+                f"degree {self.n_target - 1} at 10^{log_total:.1f}, past float range"
+            )
 
 
 @dataclass

@@ -14,6 +14,10 @@ behind it, so each distinct such line of a file is parsed by parse_path_line
 once and counted as often as it occurs. A file gives its distinct hop pairs
 and the ASes of its one-hop paths (PathHops), and each month's files build
 one CsrGraph.
+
+This module owns the filter table: FILTER_COLUMNS names its columns once,
+and filter_summary_to_csv writes filter_summary.csv, one row per month of
+the per-month FilterReports that load_series returns.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ REJECT_PRIVATE_ASN = "private_asn"
 REJECT_LOOP = "loop"
 REJECT_MALFORMED = "malformed"
 REJECT_REASONS = (REJECT_AS_SET, REJECT_PRIVATE_ASN, REJECT_LOOP, REJECT_MALFORMED)
+# The counts of filter_summary.csv after the date, in order; total is derived,
+# the others are FilterReport's fields.
+FILTER_COLUMNS = ("total", "accepted", *REJECT_REASONS)
 
 # IANA-reserved ASN space treated as "private": the 16-bit and 32-bit private
 # blocks, AS_TRANS, and the reserved values 0, 65535 and 4294967295 (the last
@@ -85,7 +92,7 @@ class FilterReport:
 
     @property
     def rejected(self) -> int:
-        return self.as_set + self.private_asn + self.loop + self.malformed
+        return sum(getattr(self, reason) for reason in REJECT_REASONS)
 
     @property
     def total(self) -> int:
@@ -100,21 +107,19 @@ class FilterReport:
             raise ValueError(f"unknown rejection reason {reason!r}")
 
     def merge(self, other: "FilterReport") -> None:
-        self.accepted += other.accepted
-        self.as_set += other.as_set
-        self.private_asn += other.private_asn
-        self.loop += other.loop
-        self.malformed += other.malformed
+        for name in FILTER_COLUMNS[1:]:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "total": self.total,
-            "accepted": self.accepted,
-            "as_set": self.as_set,
-            "private_asn": self.private_asn,
-            "loop": self.loop,
-            "malformed": self.malformed,
-        }
+        return {name: getattr(self, name) for name in FILTER_COLUMNS}
+
+
+def filter_summary_to_csv(reports: dict[str, FilterReport]) -> str:
+    """filter_summary.csv: one row per month of a date -> FilterReport map, in its order."""
+    lines = [",".join(("date", *FILTER_COLUMNS))]
+    for date, report in reports.items():
+        lines.append(",".join([date, *(str(n) for n in report.to_dict().values())]))
+    return "\n".join(lines) + "\n"
 
 
 def parse_path_line(line: str) -> tuple[AsPath | None, str | None]:

@@ -17,6 +17,11 @@ CsrGraph.distance_total: MSBFS_BATCH (512) sources per batch, one bit each,
 so its working memory is O(L x 8) words whatever the number of sources.
 The total is a Python int divided once, so sampled ASPL with the source
 count capped equals exact ASPL bit for bit.
+
+This module owns the metric table: METRIC_COLUMNS names its columns once,
+MetricSeries.to_csv writes metrics.csv (CSV_HEADER, one row per month) and
+to_dicts the rows of metrics.json, and ccdf_to_csv writes each month's
+ccdf_<date>.csv.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ from .errors import (
 )
 from .graph import CsrGraph, Snapshot, SnapshotSeries
 
-CSV_HEADER = "date,N,L,k_max,k_avg,aspl,C,rho,r"
+# The metric columns of metrics.csv and metrics.json, after the date, in order.
+METRIC_COLUMNS = ("N", "L", "k_max", "k_avg", "aspl", "C", "rho", "r")
+CSV_HEADER = ",".join(("date", *METRIC_COLUMNS))
 CCDF_CSV_HEADER = "k,p"
 
 # Wedges looked up per block of the triangle count: bounds its memory to a
@@ -55,38 +62,27 @@ class CcdfPoint:
 
 @dataclass
 class MetricRow:
-    """One month's metrics; ccdf is the giant component's degree CCDF that r
-    is fitted on, kept for the per-month CCDF file and not a CSV/JSON column."""
+    """One month's metrics, one field per METRIC_COLUMNS entry; a metric that
+    could not be computed is None. ccdf is the giant component's degree CCDF
+    that r is fitted on, kept for the per-month CCDF file and not a CSV/JSON
+    column."""
 
     date: str
     N: int
     L: int
-    k_max: int | None
-    k_avg: float | None
-    aspl: float | None
-    C: float | None
-    rho: float | None
-    r: float | None
+    k_max: int | None = None
+    k_avg: float | None = None
+    aspl: float | None = None
+    C: float | None = None
+    rho: float | None = None
+    r: float | None = None
     ccdf: list[CcdfPoint] = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "date": self.date,
-            "N": self.N,
-            "L": self.L,
-            "k_max": self.k_max,
-            "k_avg": self.k_avg,
-            "aspl": self.aspl,
-            "C": self.C,
-            "rho": self.rho,
-            "r": self.r,
-        }
+        return {"date": self.date, **{col: getattr(self, col) for col in METRIC_COLUMNS}}
 
     def to_csv_row(self) -> str:
-        cells = [self.date] + [_cell(v) for v in (
-            self.N, self.L, self.k_max, self.k_avg, self.aspl, self.C, self.rho, self.r,
-        )]
-        return ",".join(cells)
+        return ",".join([self.date, *(_cell(getattr(self, col)) for col in METRIC_COLUMNS)])
 
 
 @dataclass
@@ -305,12 +301,7 @@ def metrics_series(
             row = metric_row(snap, aspl_sources, seed, k_min)
         except AsTopoError as exc:
             warnings.append(f"{snap.date}: {exc}")
-            row = MetricRow(
-                date=snap.date,
-                N=snap.graph.node_count,
-                L=snap.graph.edge_count,
-                k_max=None, k_avg=None, aspl=None, C=None, rho=None, r=None,
-            )
+            row = MetricRow(date=snap.date, N=snap.graph.node_count, L=snap.graph.edge_count)
         rows.append(row)
     return MetricSeries(
         rows=rows, family=series.family, monitor_set=series.monitor_set, warnings=warnings

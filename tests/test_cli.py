@@ -1,11 +1,16 @@
+import argparse
 import json
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from astopo import store as store_module
-from astopo.cli import main
+from astopo.cli import build_parser, main
+from astopo.generators import GeneratorParams
+from astopo.ingest import REJECT_REASONS, FilterReport
+from astopo.metrics import METRIC_COLUMNS, MetricRow
 from corpus_utils import (
     build_filter_corpus,
     build_growing_corpus,
@@ -221,6 +226,20 @@ def test_fit_exclude_dates(tmp_path):
     assert report["first_segment"]["slope"] == pytest.approx(3.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_bad_exclude_date_names_file_and_line(tmp_path, capsys, command):
+    csv_path = tmp_path / "metrics.csv"
+    write_metrics_csv(csv_path, month_labels(30), [float(i + 1) for i in range(30)])
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("# months to drop\n2000-02\n2000-13\n")
+    argv = [command, "--input", csv_path, "--out", tmp_path / "out", "--exclude-dates", exclude]
+    assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exclude}:3: bad date '2000-13' (expected YYYY-MM)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_insufficient_points(tmp_path, capsys):
     csv_path = tmp_path / "metrics.csv"
     write_metrics_csv(csv_path, month_labels(8), [float(i + 1) for i in range(8)])
@@ -399,6 +418,10 @@ def _disjoint_stores(tmp_path):
     return ["tunnel", "--input6", tmp_path / "sc6", "--input4", tmp_path / "sc4"]
 
 
+def _generate(model, n, *flags):
+    return ["generate", "--model", model, "--n", str(n), "--seed", "1", *flags]
+
+
 REJECTED_COMMANDS = {
     "ingest-bad-header": _bad_header_corpus,
     "ingest-no-corpus": lambda tmp: ["ingest", "--input", tmp / "missing"],
@@ -424,6 +447,14 @@ REJECTED_COMMANDS = {
         "generate", "--model", "ba", "--n", "100", "--m", "5", "--m0", "3", "--seed", "1"
     ],
     "tunnel-disjoint-dates": _disjoint_stores,
+    "generate-glp-beta-nan": lambda tmp: _generate("glp", 200, "--beta", "nan"),
+    "generate-glp-beta-minus-inf": lambda tmp: _generate("glp", 200, "--beta=-inf"),
+    "generate-glp-beta-overflow": lambda tmp: _generate("glp", 200, "--beta=-1e307"),
+    "generate-pfp-delta-nan": lambda tmp: _generate("pfp", 200, "--delta", "nan"),
+    "generate-pfp-delta-inf": lambda tmp: _generate("pfp", 200, "--delta", "inf"),
+    "generate-pfp-delta-overflow": lambda tmp: _generate("pfp", 200, "--delta", "400"),
+    # delta 30 passes at n 200, but log10 of the weight at degree 1999 is 330.
+    "generate-pfp-delta-overflow-at-n": lambda tmp: _generate("pfp", 2000, "--delta", "30"),
 }
 
 # The parameter a rejected command's error message must name.
@@ -431,6 +462,13 @@ REJECTED_PARAMETER = {
     "fit-min-segment-2": "min_segment",
     "report-min-segment-2": "min_segment",
     "report-parsimony-0": "parsimony",
+    "generate-glp-beta-nan": "beta",
+    "generate-glp-beta-minus-inf": "beta",
+    "generate-glp-beta-overflow": "beta",
+    "generate-pfp-delta-nan": "delta",
+    "generate-pfp-delta-inf": "delta",
+    "generate-pfp-delta-overflow": "delta",
+    "generate-pfp-delta-overflow-at-n": "delta",
 }
 
 
@@ -443,3 +481,13 @@ def test_rejected_command_leaves_no_out_directory(tmp_path, capsys, name):
     assert err.startswith("error: ")
     assert REJECTED_PARAMETER.get(name, "") in err
     assert not (tmp_path / "out").exists()
+
+
+def test_each_table_is_declared_once():
+    """A field added to a record or to the generator parameters without its
+    column or flag fails here instead of silently dropping out of the output."""
+    assert [f.name for f in fields(MetricRow)] == ["date", *METRIC_COLUMNS, "ccdf"]
+    assert [f.name for f in fields(FilterReport)] == ["accepted", *REJECT_REASONS]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in sub.choices["generate"]._actions}
+    assert {f.name for f in fields(GeneratorParams)} <= dests
