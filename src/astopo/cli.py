@@ -4,25 +4,26 @@ Every command writes its outputs plus a manifest.json echoing the resolved
 configuration and the SHA-256 of each input file, so a run can be audited
 and reproduced byte for byte. Nothing here is time-stamped or randomized
 outside the seeds named in the config.
+
+The commands only name the files they write: each table is declared and
+written by the module that owns its record, and fit and report read
+metrics.csv with metrics.read_metrics_csv and fit it with
+phasefit.fit_columns. The charts and the JSON files are written here.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 
 from . import crossnet, generators, metrics, phasefit, store, svgplot
-from .errors import AsTopoError, CorpusError, DomainError, InsufficientDataError, ParameterError
+from .errors import AsTopoError, CorpusError, ParameterError
 from .graph import read_input_text, validate_date, write_edgelist
 from .ingest import ALL_MONITORS, MonitorSet, filter_summary_to_csv, load_series
-
-PHASE_SUMMARY_HEADER = "metric,pattern,break_index,break_date,pre_trend,post_trend,total_sse,note"
 
 
 def main(argv=None) -> int:
@@ -107,15 +108,23 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _hash_tree(root: Path, pattern: str) -> dict[str, str]:
-    return {str(p.relative_to(root)): _sha256(p) for p in sorted(root.rglob(pattern))}
+def _hash_tree(root: Path, pattern: str, prefix: str) -> dict[str, str]:
+    return {f"{prefix}/{p.relative_to(root)}": _sha256(p) for p in sorted(root.rglob(pattern))}
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, str]) -> None:
-    manifest = {"command": command, "config": config, "inputs": inputs}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+def _hash_file(path: str | None, prefix: str) -> dict[str, str]:
+    """An optional input file's SHA-256 under prefix/<name>; nothing without one."""
+    return {f"{prefix}/{Path(path).name}": _sha256(Path(path))} if path else {}
+
+
+def _write_json(path: Path, data) -> None:
+    """Sorted keys, two-space indent; a NaN or infinity is a ValueError, not invalid JSON."""
+    path.write_text(json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _write_manifest(out: Path, args, inputs: dict[str, str], **config) -> None:
+    manifest = {"command": args.command, "config": config, "inputs": inputs}
+    _write_json(out / "manifest.json", manifest)
 
 
 def _outdir(args) -> Path:
@@ -146,43 +155,15 @@ def _parse_aspl_mode(text: str) -> int | None:
 def _load_exclude_dates(path: str | None) -> set[str]:
     if path is None:
         return set()
-    lines = read_input_text(Path(path)).splitlines()
     dates = set()
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_input_text(Path(path)).splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            dates.add(validate_date(line))
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
-    return dates
-
-
-def _read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | None]]]:
-    reader = csv.DictReader(io.StringIO(read_input_text(Path(path))))
-    if reader.fieldnames is None or reader.fieldnames[0] != "date":
-        raise CorpusError(f"{path}: not a metrics CSV (missing 'date' column)")
-    columns: dict[str, list[float | None]] = {c: [] for c in reader.fieldnames if c != "date"}
-    dates: list[str] = []
-    for row in reader:
-        date, where = row["date"], f"{path}:{reader.line_num}"
-        try:
-            validate_date(date)
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from None
-        if dates and date <= dates[-1]:
-            raise CorpusError(f"{where}: date {date!r} is not after {dates[-1]!r}")
-        dates.append(date)
-        for col in columns:
-            cell = row[col]  # None when the row is short
+        if line and not line.startswith("#"):
             try:
-                columns[col].append(float(cell) if cell else None)
-            except ValueError:
-                raise CorpusError(
-                    f"{path}: {row['date']}: column {col}: {cell!r} is not a number"
-                ) from None
-    return dates, columns
+                dates.add(validate_date(line))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+    return dates
 
 
 def _date_ticks(dates: list[str], max_ticks: int = 6) -> list[tuple[float, str]]:
@@ -203,20 +184,10 @@ def cmd_ingest(args) -> None:
     store.write_store(out, series)
     (out / "filter_summary.csv").write_text(filter_summary_to_csv(series.filter_reports))
 
-    inputs = {f"corpus/{k}": v for k, v in _hash_tree(root, "*.paths").items()}
-    if args.monitors:
-        inputs[f"monitors/{Path(args.monitors).name}"] = _sha256(Path(args.monitors))
+    inputs = {**_hash_tree(root, "*.paths", "corpus"), **_hash_file(args.monitors, "monitors")}
     _write_manifest(
-        out,
-        "ingest",
-        {
-            "input": str(root),
-            "monitor_set": config.label,
-            "monitors_file": args.monitors,
-            "months": series.dates(),
-            "family": series.family,
-        },
-        inputs,
+        out, args, inputs, input=str(root), monitor_set=config.label,
+        monitors_file=args.monitors, months=series.dates(), family=series.family,
     )
 
 
@@ -231,13 +202,9 @@ def cmd_metrics(args) -> None:
         if row.ccdf:
             (out / f"ccdf_{row.date}.csv").write_text(metrics.ccdf_to_csv(row.ccdf))
     (out / "metrics.csv").write_text(table.to_csv())
-    (out / "metrics.json").write_text(
-        json.dumps(
-            {"family": table.family, "monitor_set": table.monitor_set, "rows": table.to_dicts()},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        out / "metrics.json",
+        {"family": table.family, "monitor_set": table.monitor_set, "rows": table.to_dicts()},
     )
     (out / "warnings.txt").write_text("".join(f"{w}\n" for w in table.warnings))
 
@@ -253,16 +220,8 @@ def cmd_metrics(args) -> None:
             (out / f"metric_{col}.svg").write_text(svg)
 
     _write_manifest(
-        out,
-        "metrics",
-        {
-            "input": str(store_dir),
-            "aspl_mode": args.aspl_mode,
-            "seed": args.seed,
-            "k_min": args.kmin,
-            "plots": bool(args.plots),
-        },
-        {f"store/{k}": v for k, v in _hash_tree(store_dir, "*.edges").items()},
+        out, args, _hash_tree(store_dir, "*.edges", "store"), input=str(store_dir),
+        aspl_mode=args.aspl_mode, seed=args.seed, k_min=args.kmin, plots=bool(args.plots),
     )
 
 
@@ -271,125 +230,66 @@ def _month_chart(
 ) -> str:
     """One value per month at its 1-based position; a None month is a gap."""
     points = [(float(i + 1), float(v)) for i, v in enumerate(values) if v is not None]
+    series = svgplot.Series(label, [x for x, _ in points], [y for _, y in points], draw_points=True)
+    return _month_svg([series], title, y_label, dates)
+
+
+def _month_svg(series: list[svgplot.Series], title: str, y_label: str, dates: list[str]) -> str:
+    """A chart whose x is the 1-based month position, ticked with its dates."""
     return svgplot.render_chart(
-        [
-            svgplot.Series(
-                label=label, xs=[x for x, _ in points], ys=[y for _, y in points], draw_points=True
-            )
-        ],
-        title=title,
-        x_label="month",
-        y_label=y_label,
-        x_tick_labels=_date_ticks(dates),
+        series, title=title, x_label="month", y_label=y_label, x_tick_labels=_date_ticks(dates)
     )
 
 
-def _fit_column(
-    args, dates: list[str], values: list[float | None], exclude: set[str], metric: str
-) -> tuple[list[phasefit.SeriesPoint], phasefit.PhaseFit]:
-    """Validated points of one metrics-CSV column and their phase fit.
+def _fit_metrics_csv(args, metric: str | None = None):
+    """Column fits of the metrics CSV of fit and report, and its excluded dates.
 
-    Month positions stay 1-based over the full series; dropped months leave gaps.
+    fit names one metric and raises its error; report fits every metric
+    column present and notes each error in its row.
     """
-    points = [
-        phasefit.SeriesPoint(i + 1, v)
-        for i, (date, v) in enumerate(zip(dates, values))
-        if v is not None and date not in exclude
-    ]
-    needed = 2 * args.min_segment
-    if len(points) < needed:
-        raise InsufficientDataError(f"{len(points)} usable points, need >= {needed}")
-    for pt in points:
-        if pt.y <= 0:
-            raise DomainError(
-                f"column {metric} has nonpositive value {pt.y} at {dates[pt.x - 1]}; "
-                "exponential fitting needs y > 0"
-            )
-    return points, phasefit.detect_phase_change(points, args.min_segment, args.parsimony)
-
-
-def _fit_record(metric: str, fit: phasefit.PhaseFit, dates: list[str]) -> dict:
-    return {
-        "metric": metric,
-        "summary": phasefit.classify_transition(fit, metric, dates),
-        "breakpoint_date": dates[fit.breakpoint - 1] if fit.breakpoint is not None else None,
-        **fit.to_dict(),
-    }
-
-
-def _fit_inputs(args) -> dict[str, str]:
-    """Manifest inputs of fit and report: the metrics CSV and the exclude file."""
-    csv_path = Path(args.input)
-    inputs = {f"metrics/{csv_path.name}": _sha256(csv_path)}
-    if args.exclude_dates:
-        inputs[f"exclude/{Path(args.exclude_dates).name}"] = _sha256(Path(args.exclude_dates))
-    return inputs
-
-
-def _fit_svg(points, fit: phasefit.PhaseFit, metric: str, dates: list[str]) -> str:
-    series = [
-        svgplot.Series(
-            label="data", xs=[p.x for p in points], ys=[p.y for p in points],
-            draw_line=False, draw_points=True,
-        )
-    ]
-    if fit.second_segment is None:
-        segments = [(fit.first_segment, [p.x for p in points])]
-    else:
-        first_xs = [p.x for p in points if p.x <= fit.breakpoint]
-        second_xs = [p.x for p in points if p.x > fit.breakpoint]
-        segments = [(fit.first_segment, first_xs), (fit.second_segment, second_xs)]
-    for seg, xs in segments:
-        if not xs:
-            continue
-        series.append(
-            svgplot.Series(
-                label=phasefit.trend_label(seg),
-                xs=[float(x) for x in xs],
-                ys=[seg.predict(x) for x in xs],
-            )
-        )
-    return svgplot.render_chart(
-        series,
-        title=f"{metric}: {fit.pattern.value}",
-        x_label="month",
-        y_label=metric,
-        x_tick_labels=_date_ticks(dates),
+    phasefit.check_fit_params(args.min_segment, args.parsimony)
+    dates, columns = metrics.read_metrics_csv(Path(args.input))
+    if metric is not None and metric not in columns:
+        raise CorpusError(f"{args.input} has no column {metric!r}")
+    names = [metric] if metric is not None else [c for c in metrics.METRIC_COLUMNS if c in columns]
+    exclude = _load_exclude_dates(args.exclude_dates)
+    fits = phasefit.fit_columns(
+        dates, {c: columns[c] for c in names}, exclude, args.min_segment, args.parsimony,
+        skip=metric is None,
     )
+    return fits, sorted(exclude & set(dates))
+
+
+def _write_fit_manifest(out: Path, args, **config) -> None:
+    """The manifest of fit and report: the fit parameters, the metrics CSV and the exclude file."""
+    inputs = {**_hash_file(args.input, "metrics"), **_hash_file(args.exclude_dates, "exclude")}
+    _write_manifest(
+        out, args, inputs, input=str(Path(args.input)), min_segment=args.min_segment,
+        parsimony=args.parsimony, exclude_dates_file=args.exclude_dates, **config,
+    )
+
+
+def _fit_svg(column: phasefit.ColumnFit) -> str:
+    """The column's points, and each fitted segment over the points on its side of the break."""
+    points, fit, bp = column.points, column.fit, column.fit.breakpoint
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    series = [svgplot.Series("data", xs, ys, draw_line=False, draw_points=True)]
+    segments = [(fit.first_segment, [p.x for p in points if bp is None or p.x <= bp])]
+    if fit.second_segment is not None:
+        segments.append((fit.second_segment, [p.x for p in points if p.x > bp]))
+    for seg, seg_xs in segments:
+        seg_ys = [seg.predict(x) for x in seg_xs]
+        series.append(svgplot.Series(phasefit.trend_label(seg), [float(x) for x in seg_xs], seg_ys))
+    return _month_svg(series, f"{column.metric}: {fit.pattern.value}", column.metric, column.dates)
 
 
 def cmd_fit(args) -> None:
-    phasefit.check_fit_params(args.min_segment, args.parsimony)
-    csv_path = Path(args.input)
-    dates, columns = _read_metrics_csv(csv_path)
-    if args.metric not in columns:
-        raise CorpusError(f"{csv_path} has no column {args.metric!r}")
-    exclude = _load_exclude_dates(args.exclude_dates)
-    try:
-        points, fit = _fit_column(args, dates, columns[args.metric], exclude, args.metric)
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"column {args.metric} has {exc}") from None
-
-    report = {
-        **_fit_record(args.metric, fit, dates),
-        "points_used": len(points),
-        "excluded_dates": sorted(exclude & set(dates)),
-    }
+    [column], excluded = _fit_metrics_csv(args, args.metric)
+    record = {**column.to_dict(), "points_used": len(column.points), "excluded_dates": excluded}
     out = _outdir(args)
-    (out / f"fit_{args.metric}.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    (out / f"fit_{args.metric}.svg").write_text(_fit_svg(points, fit, args.metric, dates))
-    _write_manifest(
-        out,
-        "fit",
-        {
-            "input": str(csv_path),
-            "metric": args.metric,
-            "min_segment": args.min_segment,
-            "parsimony": args.parsimony,
-            "exclude_dates_file": args.exclude_dates,
-        },
-        _fit_inputs(args),
-    )
+    _write_json(out / f"fit_{args.metric}.json", record)
+    (out / f"fit_{args.metric}.svg").write_text(_fit_svg(column))
+    _write_fit_manifest(out, args, metric=args.metric)
 
 
 def _default_checkpoints(m0: int, n_target: int) -> list[int]:
@@ -420,12 +320,8 @@ def cmd_generate(args) -> None:
     out = _outdir(args)
     write_edgelist(graph, out / "graph.edges", directives={"model": params.model})
     (out / "trajectory.csv").write_text(trajectory.to_csv())
-    _write_manifest(
-        out,
-        "generate",
-        {**dataclasses.asdict(params), "m0": params.seed_size(), "checkpoints": checkpoints},
-        {},
-    )
+    config = {**dataclasses.asdict(params), "m0": params.seed_size(), "checkpoints": checkpoints}
+    _write_manifest(out, args, {}, **config)
 
 
 def cmd_tunnel(args) -> None:
@@ -447,59 +343,16 @@ def cmd_tunnel(args) -> None:
     )
     (out / "tunnel_aspl.svg").write_text(svg)
 
-    inputs = {f"ipv6/{k}": v for k, v in _hash_tree(dir6, "*.edges").items()}
-    inputs.update({f"ipv4/{k}": v for k, v in _hash_tree(dir4, "*.edges").items()})
-    _write_manifest(
-        out, "tunnel", {"input6": str(dir6), "input4": str(dir4)}, inputs
-    )
+    inputs = {**_hash_tree(dir6, "*.edges", "ipv6"), **_hash_tree(dir4, "*.edges", "ipv4")}
+    _write_manifest(out, args, inputs, input6=str(dir6), input4=str(dir4))
 
 
 def cmd_report(args) -> None:
-    phasefit.check_fit_params(args.min_segment, args.parsimony)
-    csv_path = Path(args.input)
-    dates, columns = _read_metrics_csv(csv_path)
-    exclude = _load_exclude_dates(args.exclude_dates)
-
-    summary_lines = [PHASE_SUMMARY_HEADER]
-    fits_json = []
-    for col in metrics.METRIC_COLUMNS:
-        if col not in columns:
-            continue
-        try:
-            _, fit = _fit_column(args, dates, columns[col], exclude, col)
-        except (DomainError, InsufficientDataError) as exc:
-            summary_lines.append(f"{col},,,,,,,{_csv_quote(str(exc))}")
-            fits_json.append({"metric": col, "skipped": str(exc)})
-            continue
-        record = _fit_record(col, fit, dates)
-        pre = phasefit.trend_label(fit.first_segment)
-        post = phasefit.trend_label(fit.second_segment) if fit.second_segment else ""
-        summary_lines.append(
-            f"{col},{fit.pattern.value},{fit.breakpoint if fit.breakpoint is not None else ''},"
-            f"{record['breakpoint_date'] or ''},{pre},{post},{repr(fit.total_sse)},"
-        )
-        fits_json.append(record)
-
+    fits, _ = _fit_metrics_csv(args)
     out = _outdir(args)
-    (out / "phase_summary.csv").write_text("\n".join(summary_lines) + "\n")
-    (out / "report.json").write_text(json.dumps(fits_json, sort_keys=True, indent=2) + "\n")
-    _write_manifest(
-        out,
-        "report",
-        {
-            "input": str(csv_path),
-            "min_segment": args.min_segment,
-            "parsimony": args.parsimony,
-            "exclude_dates_file": args.exclude_dates,
-        },
-        _fit_inputs(args),
-    )
-
-
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    (out / "phase_summary.csv").write_text(phasefit.phase_summary_to_csv(fits))
+    _write_json(out / "report.json", [column.to_dict() for column in fits])
+    _write_fit_manifest(out, args)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,13 @@ class InsufficientDataError(AsTopoError):
 
 
 class DomainError(AsTopoError):
-    """Value outside the mathematical domain of the fit (nonpositive y for log fits)."""
+    """Value outside the mathematical domain of the fit: a nonpositive y for
+    log fits, a non-finite y, or a squared error past float range. point is
+    the offending SeriesPoint, when there is one."""
+
+    def __init__(self, message: str, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class ParameterError(AsTopoError):

@@ -96,26 +96,24 @@ class GeneratorParams:
                 raise ParameterError(f"beta must be < 1, got {self.beta}")
             if self.n_target > m0 and self.p >= 1.0:
                 raise ParameterError("p must be < 1 to ever add a node (n_target exceeds m0)")
-            self._check_top_weight("beta", math.log10(self.n_target - 1 - self.beta))
+            # Below 2**52 floats lie at most 0.5 apart: each degree keeps its own k - beta.
+            if self.n_target - 1 - self.beta >= 2.0**52:
+                raise ParameterError(
+                    f"beta={self.beta} puts the weight k - beta at or past 2^52 by degree "
+                    f"{self.n_target - 1}, where two degrees can get the same float weight"
+                )
         if self.model == "pfp":
             if self.delta < 0.0:
                 raise ParameterError(f"delta must be >= 0, got {self.delta}")
+            # n_target times the weight at degree n_target - 1 bounds the
+            # sampler's total of all weights, which must stay a finite float.
             log_k = math.log10(self.n_target - 1)
-            self._check_top_weight("delta", (1.0 + self.delta * log_k) * log_k)
-
-    def _check_top_weight(self, name: str, log_weight: float) -> None:
-        """ParameterError unless n_target times the kernel weight at degree
-        n_target - 1, given as log10, is a finite float.
-
-        No node's degree exceeds n_target - 1, so the sampler's total of all
-        weights stays below that product and never overflows.
-        """
-        log_total = math.log10(self.n_target) + log_weight
-        if log_total > _LOG10_FLOAT_MAX:
-            raise ParameterError(
-                f"{name}={getattr(self, name)} puts n_target times the kernel weight at "
-                f"degree {self.n_target - 1} at 10^{log_total:.1f}, past float range"
-            )
+            log_total = math.log10(self.n_target) + (1.0 + self.delta * log_k) * log_k
+            if log_total > _LOG10_FLOAT_MAX:
+                raise ParameterError(
+                    f"delta={self.delta} puts n_target times the kernel weight at degree "
+                    f"{self.n_target - 1} at 10^{log_total:.1f}, past float range"
+                )
 
 
 @dataclass

@@ -20,27 +20,32 @@ count capped equals exact ASPL bit for bit.
 
 This module owns the metric table: METRIC_COLUMNS names its columns once,
 MetricSeries.to_csv writes metrics.csv (CSV_HEADER, one row per month) and
-to_dicts the rows of metrics.json, and ccdf_to_csv writes each month's
-ccdf_<date>.csv.
+read_metrics_csv reads it back, to_dicts gives the rows of metrics.json, and
+ccdf_to_csv writes each month's ccdf_<date>.csv.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     AsTopoError,
+    CorpusError,
     DegenerateInputError,
     EmptyGraphError,
     InsufficientDataError,
     ParameterError,
     UndefinedMetricError,
 )
-from .graph import CsrGraph, Snapshot, SnapshotSeries
+from .graph import CsrGraph, Snapshot, SnapshotSeries, read_input_text, validate_date
 
 # The metric columns of metrics.csv and metrics.json, after the date, in order.
 METRIC_COLUMNS = ("N", "L", "k_max", "k_avg", "aspl", "C", "rho", "r")
@@ -107,6 +112,38 @@ def _cell(value) -> str:
     if value is None:
         return ""
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | None]]]:
+    """The dates and columns of a metrics CSV: date first, then any columns.
+
+    An empty or missing cell is None. A bad or out-of-order date, or a cell
+    that is not a finite number, is a CorpusError naming the file.
+    """
+    reader = csv.DictReader(io.StringIO(read_input_text(Path(path))))
+    if reader.fieldnames is None or reader.fieldnames[0] != "date":
+        raise CorpusError(f"{path}: not a metrics CSV (missing 'date' column)")
+    columns: dict[str, list[float | None]] = {c: [] for c in reader.fieldnames if c != "date"}
+    dates: list[str] = []
+    for row in reader:
+        date, where = row["date"], f"{path}:{reader.line_num}"
+        try:
+            validate_date(date)
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
+        if dates and date <= dates[-1]:
+            raise CorpusError(f"{where}: date {date!r} is not after {dates[-1]!r}")
+        dates.append(date)
+        for col in columns:
+            cell = row[col]  # None when the row is short
+            try:
+                value = float(cell) if cell else None
+            except ValueError:
+                value = math.nan
+            if value is not None and not math.isfinite(value):
+                raise CorpusError(f"{path}: {date}: column {col}: {cell!r} is not a finite number")
+            columns[col].append(value)
+    return dates, columns
 
 
 def max_degree(g: CsrGraph) -> int:

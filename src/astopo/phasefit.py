@@ -8,14 +8,22 @@ residuals is evaluated in the original y units so exponential and linear
 candidates compete on the same footing. A two-segment model only wins if it
 beats the best single-segment fit by a parsimony factor; otherwise the series
 is classified as a single exponential or a single line.
+
+detect_phase_change alone decides whether a series can be fitted: at least
+2 * min_segment points, every y finite and positive, a finite squared error.
+fit_columns fits metrics-table columns and names the column and month at
+fault. PHASE_COLUMNS names the columns of phase_summary.csv, which
+phase_summary_to_csv writes; ColumnFit.to_dict is the JSON record.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +31,11 @@ from .errors import DomainError, InsufficientDataError, ParameterError
 
 DEFAULT_MIN_SEGMENT = 6
 DEFAULT_PARSIMONY = 0.5
+
+# The columns of phase_summary.csv after the metric name, in order.
+PHASE_COLUMNS = (
+    "pattern", "break_index", "break_date", "pre_trend", "post_trend", "total_sse", "note"
+)
 
 
 @dataclass(frozen=True)
@@ -113,7 +126,8 @@ def fit_linear(points: Sequence[SeriesPoint]) -> LinearFit:
         raise InsufficientDataError(f"linear fit needs >= 2 points, got {len(points)}")
     x, y = _xy(points)
     slope, intercept = np.polyfit(x, y, 1)
-    sse = float(np.sum((y - (slope * x + intercept)) ** 2))
+    with np.errstate(over="ignore"):  # past float range, the sse is inf
+        sse = float(np.sum((y - (slope * x + intercept)) ** 2))
     return LinearFit(slope=float(slope), intercept=float(intercept), sse=sse)
 
 
@@ -123,7 +137,7 @@ def fit_exponential(points: Sequence[SeriesPoint]) -> ExpFit:
         raise InsufficientDataError(f"exponential fit needs >= 2 points, got {len(points)}")
     bad = next((p for p in points if p.y <= 0), None)
     if bad is not None:
-        raise DomainError(f"exponential fit needs y > 0, got y={bad.y} at x={bad.x}")
+        raise DomainError(_y_fault(bad.y, f"x={bad.x}"), bad)
     x, y = _xy(points)
     rate, log_scale = np.polyfit(x, np.log(y), 1)
     scale = math.exp(float(log_scale))
@@ -157,13 +171,13 @@ def detect_phase_change(
     pts = list(points)
     n = len(pts)
     if n < 2 * min_segment:
-        raise InsufficientDataError(f"need >= {2 * min_segment} points, got {n}")
+        raise InsufficientDataError(f"{n} usable points, need >= {2 * min_segment}")
     for a, b in zip(pts, pts[1:]):
         if b.x <= a.x:
             raise ParameterError(f"x must be strictly increasing, got {a.x} then {b.x}")
-    bad = next((p for p in pts if p.y <= 0), None)
+    bad = next((p for p in pts if not 0 < p.y < math.inf), None)
     if bad is not None:
-        raise DomainError(f"phase detection needs y > 0, got y={bad.y} at x={bad.x}")
+        raise DomainError(_y_fault(bad.y, f"x={bad.x}"), bad)
 
     best: tuple[float, GrowthPattern, int, Segment, Segment] | None = None
     for i in range(min_segment, n - min_segment + 1):
@@ -190,11 +204,20 @@ def detect_phase_change(
         single = PhaseFit(GrowthPattern.SINGLE_LINEAR, None, single_lin, None, single_lin.sse)
     else:
         single = PhaseFit(GrowthPattern.SINGLE_EXP, None, single_exp, None, single_exp.sse)
+    # Every fit returned has a total sse at most the single fit's.
+    if not math.isfinite(single.total_sse):
+        raise DomainError(f"squared error {single.total_sse} of the fit, past float range")
 
     if best is not None and single.total_sse > tie_eps and best[0] < parsimony * single.total_sse:
         total, pattern, breakpoint, first, second = best
         return PhaseFit(pattern, breakpoint, first, second, total)
     return single
+
+
+def _y_fault(y: float, where: str) -> str:
+    if math.isfinite(y):
+        return f"nonpositive value {y} at {where}; exponential fitting needs y > 0"
+    return f"non-finite value {y} at {where}; fitting needs finite y"
 
 
 def classify_transition(
@@ -206,10 +229,92 @@ def classify_transition(
     dates are supplied the position is mapped back to its YYYY-MM label.
     """
     prefix = f"{metric}: " if metric else ""
-    first = trend_label(fit.first_segment)
-    if fit.second_segment is None:
-        return f"{prefix}{first} | -, no break"
-    when = str(fit.breakpoint)
-    if dates and fit.breakpoint is not None and 1 <= fit.breakpoint <= len(dates):
-        when = dates[fit.breakpoint - 1]
-    return f"{prefix}{first} | {trend_label(fit.second_segment)}, break {when}"
+    when = "no break" if fit.breakpoint is None else f"break {_break_date(fit, dates)}"
+    return f"{prefix}{trend_label(fit.first_segment)} | {trend_label(fit.second_segment)}, {when}"
+
+
+def _break_date(fit: PhaseFit, dates: Sequence[str] | None) -> str | None:
+    """The breakpoint's YYYY-MM in dates, or its position where dates do not reach it."""
+    if fit.breakpoint is None:
+        return None
+    bp = fit.breakpoint
+    return dates[bp - 1] if dates and 1 <= bp <= len(dates) else str(bp)
+
+
+@dataclass(frozen=True)
+class ColumnFit:
+    """A metrics-table column's usable points, at their 1-based month
+    positions in dates, and their phase fit; with fit None, the note says
+    why the column was skipped."""
+
+    metric: str
+    dates: Sequence[str]
+    points: list[SeriesPoint]
+    fit: PhaseFit | None
+    note: str = ""
+
+    def to_dict(self) -> dict:
+        """The column's record in report.json and fit_<metric>.json."""
+        if self.fit is None:
+            return {"metric": self.metric, "skipped": self.note}
+        return {
+            "metric": self.metric,
+            "summary": classify_transition(self.fit, self.metric, self.dates),
+            "breakpoint_date": _break_date(self.fit, self.dates),
+            **self.fit.to_dict(),
+        }
+
+    def phase_row(self) -> tuple:
+        """The column's phase_summary.csv row: the metric, then PHASE_COLUMNS."""
+        fit = self.fit
+        if fit is None:
+            return (self.metric, *[""] * (len(PHASE_COLUMNS) - 1), self.note)
+        post = trend_label(fit.second_segment) if fit.second_segment else ""
+        return (self.metric, fit.pattern.value, fit.breakpoint, _break_date(fit, self.dates),
+                trend_label(fit.first_segment), post, repr(fit.total_sse), "")
+
+
+def fit_columns(
+    dates: Sequence[str],
+    columns: Mapping[str, Sequence[float | None]],
+    exclude: Collection[str] = (),
+    min_segment: int = DEFAULT_MIN_SEGMENT,
+    parsimony: float = DEFAULT_PARSIMONY,
+    skip: bool = False,
+) -> list[ColumnFit]:
+    """Phase fit of each column, over its non-None values outside exclude.
+
+    A column that cannot be fitted raises its error, naming the column and any
+    month at fault; with skip, its ColumnFit notes that error (a short column's
+    note gives only its point count).
+    """
+    fits = []
+    for metric, values in columns.items():
+        points = [
+            SeriesPoint(i + 1, v)
+            for i, (date, v) in enumerate(zip(dates, values))
+            if v is not None and date not in exclude
+        ]
+        try:
+            fit = detect_phase_change(points, min_segment, parsimony)
+        except InsufficientDataError as exc:
+            note, error = str(exc), InsufficientDataError(f"column {metric} has {exc}")
+        except DomainError as exc:
+            bad = exc.point
+            note = f"column {metric} has {_y_fault(bad.y, dates[bad.x - 1]) if bad else exc}"
+            error = DomainError(note, bad)
+        else:
+            fits.append(ColumnFit(metric, dates, points, fit))
+            continue
+        if not skip:
+            raise error
+        fits.append(ColumnFit(metric, dates, points, None, note))
+    return fits
+
+
+def phase_summary_to_csv(fits: Sequence[ColumnFit]) -> str:
+    """phase_summary.csv: a header, then one row per column; a note with a comma is quoted."""
+    buf = io.StringIO()
+    rows = [("metric", *PHASE_COLUMNS)] + [column.phase_row() for column in fits]
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

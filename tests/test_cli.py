@@ -1,7 +1,10 @@
 import argparse
+import csv
+import io
 import json
 import math
 import random
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -11,6 +14,7 @@ from astopo.cli import build_parser, main
 from astopo.generators import GeneratorParams
 from astopo.ingest import REJECT_REASONS, FilterReport
 from astopo.metrics import METRIC_COLUMNS, MetricRow
+from astopo.phasefit import PHASE_COLUMNS
 from corpus_utils import (
     build_filter_corpus,
     build_growing_corpus,
@@ -370,6 +374,58 @@ def test_metrics_csv_date_must_follow_previous(tmp_path, capsys, command, bad_da
     assert capsys.readouterr().err == f"error: {csv_path}:5: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cell_fails_naming_it(tmp_path, capsys, command, bad):
+    csv_path = tmp_path / "metrics.csv"
+    dates = month_labels(30)
+    column = [float(i + 1) for i in range(30)]
+    column[13] = bad
+    write_metrics_csv(csv_path, dates, column)
+    argv = [command, "--input", csv_path, "--out", tmp_path / "out"]
+    assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv_path}: {dates[13]}: column N: {repr(bad)!r} is not a finite number\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def write_squared_overflow_csv(path):
+    """30 months of N = x and L = 1e200 x^2, whose squared errors pass float range."""
+    lines = ["date,N,L,k_max,k_avg,aspl,C,rho,r"]
+    for x, d in enumerate(month_labels(30), 1):
+        lines.append(f"{d},{float(x)!r},{1e200 * x * x!r},,,,,,")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_fit_squared_error_past_float_range_fails_without_warning(tmp_path, capsys):
+    write_squared_overflow_csv(tmp_path / "m.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("fit", "--input", tmp_path / "m.csv", "--out", tmp_path / "out", "--metric", "L") == 1
+    assert capsys.readouterr().err == (
+        "error: column L has squared error inf of the fit, past float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_notes_squared_error_past_float_range(tmp_path):
+    write_squared_overflow_csv(tmp_path / "m.csv")
+    out = tmp_path / "report"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("report", "--input", tmp_path / "m.csv", "--out", out) == 0
+    rows = {row[0]: row for row in csv.reader(io.StringIO((out / "phase_summary.csv").read_text()))}
+    assert rows["N"][1] == "single_linear"
+    assert rows["L"][1:] == [""] * 6 + ["column L has squared error inf of the fit, past float range"]
+
+    def no_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    assert {"metric": "L", "skipped": rows["L"][-1]} in report
+
+
 def test_unknown_metric_column(tmp_path, capsys):
     csv_path = tmp_path / "m.csv"
     csv_path.write_text("date,weird\n2001-01,1\n")
@@ -455,6 +511,9 @@ REJECTED_COMMANDS = {
     "generate-pfp-delta-overflow": lambda tmp: _generate("pfp", 200, "--delta", "400"),
     # delta 30 passes at n 200, but log10 of the weight at degree 1999 is 330.
     "generate-pfp-delta-overflow-at-n": lambda tmp: _generate("pfp", 2000, "--delta", "30"),
+    # Degrees would share a float weight k - beta; at -1e300 all of them do.
+    "generate-glp-beta-minus-1e300": lambda tmp: _generate("glp", 200, "--beta=-1e300"),
+    "generate-glp-beta-minus-1e16": lambda tmp: _generate("glp", 200, "--beta=-1e16"),
 }
 
 # The parameter a rejected command's error message must name.
@@ -465,6 +524,8 @@ REJECTED_PARAMETER = {
     "generate-glp-beta-nan": "beta",
     "generate-glp-beta-minus-inf": "beta",
     "generate-glp-beta-overflow": "beta",
+    "generate-glp-beta-minus-1e300": "beta",
+    "generate-glp-beta-minus-1e16": "beta",
     "generate-pfp-delta-nan": "delta",
     "generate-pfp-delta-inf": "delta",
     "generate-pfp-delta-overflow": "delta",
@@ -483,7 +544,7 @@ def test_rejected_command_leaves_no_out_directory(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
-def test_each_table_is_declared_once():
+def test_each_table_is_declared_once(tmp_path):
     """A field added to a record or to the generator parameters without its
     column or flag fails here instead of silently dropping out of the output."""
     assert [f.name for f in fields(MetricRow)] == ["date", *METRIC_COLUMNS, "ccdf"]
@@ -491,3 +552,14 @@ def test_each_table_is_declared_once():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {action.dest for action in sub.choices["generate"]._actions}
     assert {f.name for f in fields(GeneratorParams)} <= dests
+
+    # Only N is filled in, so every other column is skipped with a note that holds a comma.
+    write_metrics_csv(tmp_path / "m.csv", month_labels(120), planted_exp_then_linear())
+    assert run("report", "--input", tmp_path / "m.csv", "--out", tmp_path / "report") == 0
+    text = (tmp_path / "report" / "phase_summary.csv").read_text()
+    assert text.splitlines()[0] == ",".join(("metric", *PHASE_COLUMNS))
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [row[0] for row in rows[1:]] == list(METRIC_COLUMNS)
+    assert all(len(row) == 1 + len(PHASE_COLUMNS) for row in rows)
+    assert rows[1][1] == "exp_then_linear"
+    assert rows[2][-1] == "0 usable points, need >= 12"

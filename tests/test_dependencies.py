@@ -32,6 +32,26 @@ def test_package_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
+def test_package_has_no_unused_import():
+    """Every name a module imports is read in it; __init__.py imports only to re-export."""
+    unused = []
+    for path in sorted((ROOT / "src" / "astopo").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unused += [
+                    f"{path.name}:{node.lineno}: {name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in used
+                ]
+    assert unused == []
+
+
 def test_pyproject_declares_only_numpy():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     listed = re.search(r"^dependencies\s*=\s*(\[.*?\])", text, re.M | re.S)

@@ -72,6 +72,15 @@ def test_param_validation():
         GeneratorParams(model="glp", n_target=10, seed=0, p=1.0).validate()
 
 
+def test_glp_beta_bound_keeps_degree_weights_distinct():
+    n = 200
+    beta = -(2.0**52 - n)  # the top weight n - 1 - beta is 2**52 - 1
+    GeneratorParams(model="glp", n_target=n, seed=0, beta=beta).validate()
+    assert len({k - beta for k in range(1, n)}) == n - 1
+    with pytest.raises(ParameterError, match="beta"):
+        GeneratorParams(model="glp", n_target=n, seed=0, beta=beta - 1.0).validate()
+
+
 def test_ba_seed_only_returns_ring():
     g = generate(ba(3, seed=0, m=2, m0=3))
     assert g.edges().tolist() == [[0, 1], [0, 2], [1, 2]]

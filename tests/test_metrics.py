@@ -27,7 +27,7 @@ from astopo import (
 from astopo import metrics
 from astopo.generators import GeneratorParams, generate
 from astopo.graph import MSBFS_BATCH
-from astopo.metrics import CSV_HEADER, MetricSeries
+from astopo.metrics import CSV_HEADER, METRIC_COLUMNS, MetricRow, MetricSeries
 from corpus_utils import sparse_graph
 
 TOL = 1e-12
@@ -439,3 +439,18 @@ def test_csv_empty_cells():
     cells = line.split(",")
     assert cells[5] == "1.0"  # aspl of the single giant-component edge
     assert cells[6] == "" and cells[7] == ""
+
+
+def test_metrics_csv_round_trip(tmp_path):
+    rows = [
+        metric_row(snapshot(triangle(), "2001-01")),  # rho and r undefined
+        metric_row(snapshot(star(5), "2001-02")),
+        MetricRow(date="2001-03", N=0, L=0),  # a month whose metrics failed
+    ]
+    table = MetricSeries(rows=rows, family="ipv4", monitor_set="ALL")
+    path = tmp_path / "metrics.csv"
+    path.write_text(table.to_csv())
+    dates, columns = metrics.read_metrics_csv(path)
+    assert dates == ["2001-01", "2001-02", "2001-03"]
+    assert columns == {col: [getattr(row, col) for row in rows] for col in METRIC_COLUMNS}
+    assert columns["rho"][0] is None and columns["aspl"][2] is None

@@ -1,8 +1,11 @@
 import math
 import random
+import re
+import warnings
 
 import pytest
 
+from astopo import phasefit
 from astopo import (
     DomainError,
     ExpFit,
@@ -168,6 +171,50 @@ def test_detect_validation_errors():
         detect_phase_change(pts(range(1, 31), [1.0] * 15 + [0.0] + [1.0] * 14), min_segment=6)
     with pytest.raises(ParameterError):
         detect_phase_change(pts([1, 3, 2] + list(range(4, 31)), range(1, 31)), min_segment=6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detect_rejects_non_finite_y(bad):
+    ys = [float(x) for x in range(1, 31)]
+    ys[15] = bad
+    with pytest.raises(DomainError, match="non-finite value") as info:
+        detect_phase_change(pts(range(1, 31), ys), min_segment=6)
+    assert info.value.point.x == 16
+
+
+def test_detect_rejects_squared_error_past_float_range_without_warning():
+    series = pts(range(1, 31), [1e200 * x * x for x in range(1, 31)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="past float range"):
+            detect_phase_change(series, min_segment=6)
+
+
+def test_fit_columns_names_the_column_and_month_at_fault():
+    dates = [f"{2001 + i // 12}-{i % 12 + 1:02d}" for i in range(30)]
+    rho = [float(x) for x in range(1, 31)]
+    rho[4] = -0.5
+    columns = {"rho": rho, "C": [None] * 30}
+    skipped, short = phasefit.fit_columns(dates, columns, skip=True)
+    assert (skipped.fit, short.fit) == (None, None)
+    assert skipped.note == (
+        "column rho has nonpositive value -0.5 at 2001-05; exponential fitting needs y > 0"
+    )
+    assert short.note == "0 usable points, need >= 12"
+    with pytest.raises(DomainError, match=f"^{re.escape(skipped.note)}$"):
+        phasefit.fit_columns(dates, columns)
+    with pytest.raises(InsufficientDataError, match="^column C has 0 usable points, need >= 12$"):
+        phasefit.fit_columns(dates, {"C": columns["C"]})
+
+
+def test_fit_columns_maps_the_break_to_its_month():
+    dates = [f"{1997 + i // 12}-{i % 12 + 1:02d}" for i in range(120)]
+    series = planted_exp_then_linear(noise=0.01, seed=7)
+    [column] = phasefit.fit_columns(dates, {"N": [p.y for p in series]}, exclude={dates[0]})
+    assert [p.x for p in column.points] == list(range(2, 121))
+    record = column.to_dict()
+    assert record["breakpoint_date"] == dates[column.fit.breakpoint - 1]
+    assert record["summary"].endswith(f"break {record['breakpoint_date']}")
 
 
 def test_total_sse_is_minimal_over_the_scan():
