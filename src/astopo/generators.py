@@ -35,7 +35,7 @@ from typing import Callable, Collection, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .graph import CsrGraph
+from .graph import AS_MAX, CsrGraph
 
 MODELS = ("ba", "ab", "glp", "pfp")
 
@@ -80,6 +80,12 @@ class GeneratorParams:
             raise ParameterError(f"m must be <= m0, got m={self.m} m0={m0}")
         if self.n_target < m0:
             raise ParameterError(f"n_target must be >= m0, got n_target={self.n_target} m0={m0}")
+        # Node ids 0 .. n_target - 1 are written out as AS numbers.
+        if self.n_target - 1 > AS_MAX:
+            raise ParameterError(
+                f"n_target must be <= {AS_MAX + 1}, since node ids are AS numbers, "
+                f"got {self.n_target}"
+            )
         if not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"p must be in [0, 1], got {self.p}")
         if not 0.0 <= self.q <= 1.0:

@@ -25,7 +25,10 @@ AS numbers without a Python object per line. Only comment lines and lines
 the masks cannot settle (non-ASCII text, bad lines) are decoded and parsed
 one at a time, in file order, so the first bad line is the error and names
 path:line. ingest.parse_path_file reads path files with the same private
-helpers; they are the package's one tokenizer, not public API.
+helpers; they are the package's one tokenizer, not public API. It reads a
+file's header line by line (_LINE_BREAK_RE, the same ASCII breaks) and hands
+_scan_words only the distinct '\n' lines of each block, so it weights each
+line's filter counts by how often its '\n' line occurs.
 """
 
 from __future__ import annotations
@@ -64,10 +67,14 @@ _READ_BLOCK = 1 << 18
 # str.splitlines breaks at, the rest of the ASCII bytes that str.isspace
 # accepts, digits, and every other byte (non-ASCII included).
 _OTHER, _DIGIT, _SPACE, _BREAK = range(4)
+_BREAK_BYTES = b"\n\r\x0b\x0c\x1c\x1d\x1e"
 _BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_KIND[list(b"0123456789")] = _DIGIT
 _BYTE_KIND[list(b"\t\x1f ")] = _SPACE
-_BYTE_KIND[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
+_BYTE_KIND[list(_BREAK_BYTES)] = _BREAK
+# The same line breaks one at a time, '\r\n' once, for a reader that needs
+# only the first few lines of a block.
+_LINE_BREAK_RE = re.compile(b"\r\n|[" + re.escape(_BREAK_BYTES) + b"]")
 
 # Digits of AS_MAX: the longest word read by the byte masks.
 _ASN_DIGITS = len(str(AS_MAX))

@@ -5,15 +5,17 @@ Path files are plain text: three header lines ('# date:', '# monitor:',
 AS sets, private or reserved ASNs, or loops are dropped; consecutive repeats
 are collapsed as prepending. Every drop is accounted per reason.
 
-parse_path_file reads a file a block of bytes at a time and splits it into
-lines and words with the byte masks read_edgelist uses (graph._scan_words).
-A plain line (ASCII digits and whitespace, no word over ten digits) is
-classified and turned into hop pairs in numpy, with no Python object per
-line. Every other line is decoded; a RIB dump repeats a path once per prefix
-behind it, so each distinct such line of a file is parsed by parse_path_line
-once and counted as often as it occurs. A file gives its distinct hop pairs
-and the ASes of its one-hop paths (PathHops), and each month's files build
-one CsrGraph.
+parse_path_file reads a file a block of bytes at a time. A RIB dump repeats
+a path once per prefix behind it, so each block's '\n' lines are counted
+first (collections.Counter) and only the distinct ones are split into lines
+and words, with the byte masks read_edgelist uses (graph._scan_words); each
+line found there counts as often as its '\n' line occurs. A plain line
+(ASCII digits and whitespace, no word over ten digits) is classified and
+turned into hop pairs in numpy, with no Python object per line, and its
+filter counts are weighted by its count. Every other line is decoded; each
+distinct such line of a file is parsed by parse_path_line once and counted
+as often as it occurs. A file gives its distinct hop pairs and the ASes of
+its one-hop paths (PathHops), and each month's files build one CsrGraph.
 
 This module owns the filter table: FILTER_COLUMNS names its columns once,
 and filter_summary_to_csv writes filter_summary.csv, one row per month of
@@ -44,7 +46,15 @@ from .graph import (
 
 # The byte-mask tokenizer that read_edgelist uses; its helpers are private to
 # the package, not public graph API.
-from .graph import _distinct, _read_blocks, _scan_words, _text_lines, _Words, _word_values
+from .graph import (
+    _LINE_BREAK_RE,
+    _distinct,
+    _read_blocks,
+    _scan_words,
+    _text_lines,
+    _Words,
+    _word_values,
+)
 
 AsPath = list
 
@@ -185,15 +195,16 @@ def _flagged(value: np.ndarray) -> np.ndarray:
 
 
 def _plain_paths(
-    block: np.ndarray, words: _Words, plain: np.ndarray, report: FilterReport
+    block: np.ndarray, words: _Words, plain: np.ndarray, mult: np.ndarray, report: FilterReport
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hop-pair keys and bare ASes of the plain lines of block, by byte masks.
 
     plain marks lines of ASCII digits and whitespace whose words have at most
     ten digits (lines that are not _Words.odd). Each is classified as
     parse_path_line would (malformed, then private_asn, then loop once
-    prepending is collapsed) and recorded in report; no Python object is
-    made per line.
+    prepending is collapsed) and recorded in report as often as mult, the
+    int64 count of each line, says it occurs; no Python object is made per
+    line.
     """
     n_lines = len(words.counts)
     mine = plain[words.line]
@@ -218,11 +229,11 @@ def _plain_paths(
     rejected = malformed | private
     loop &= ~rejected
     rejected |= loop
-    n_malformed, n_private, n_loop = (int(np.count_nonzero(m)) for m in (malformed, private, loop))
+    n_malformed, n_private, n_loop = (int(mult[m].sum()) for m in (malformed, private, loop))
     report.record(REJECT_MALFORMED, n_malformed)
     report.record(REJECT_PRIVATE_ASN, n_private)
     report.record(REJECT_LOOP, n_loop)
-    report.record(None, int(np.count_nonzero(plain)) - n_malformed - n_private - n_loop)
+    report.record(None, int(mult[plain].sum()) - n_malformed - n_private - n_loop)
     kept = ~rejected[line]
     line, value = line[kept], value[kept]
     hop = line[1:] == line[:-1]
@@ -230,6 +241,27 @@ def _plain_paths(
     alone[1:] &= ~hop
     alone[:-1] &= ~hop
     return _pair_keys(value[:-1][hop], value[1:][hop]), value[alone]
+
+
+def _header_lines(data: bytes, header: list[str]) -> int:
+    """Extend header with the str.splitlines lines at the start of data until
+    it holds three, or data ends; returns how many bytes of data it used.
+
+    A line is read up to its ASCII line break, as _scan_words ends it, and
+    the break is used with it. The breaks are found one at a time, so only
+    the header's own bytes are scanned. data is a block of _read_blocks: only
+    the last block of a file ends without a break, and its last line is read
+    unless it is empty.
+    """
+    start = 0
+    for brk in _LINE_BREAK_RE.finditer(data):
+        header.extend(_text_lines(data[start:brk.start()]))
+        start = brk.end()
+        if len(header) >= 3:
+            return start
+    if start < len(data):
+        header.extend(_text_lines(data[start:]))
+    return len(data)
 
 
 def _read_header(path: Path, lines: list[str]) -> PathFileMeta:
@@ -257,14 +289,18 @@ def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
 def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterReport]:
     """Parse one path file into (meta, hops, filter report).
 
-    The file is read a block at a time, and byte masks (graph._scan_words)
-    split each block into lines and words. The header is the first three
-    str.splitlines lines. A plain data line (ASCII digits and whitespace,
-    no word over ten digits) is classified in numpy and makes no Python
-    object. Every other line that holds a word is decoded and split into str
-    lines; each such stripped line that is not a comment is counted, and
-    each distinct one is parsed by parse_path_line once. Every data line is
-    recorded in the report, the file's FilterReport.
+    The file is read a block at a time. The header is the first three
+    str.splitlines lines, read from the bytes as they are (_header_lines).
+    The rest of each block is counted by '\n' line, and byte masks
+    (graph._scan_words) split only its distinct '\n' lines into lines and
+    words; each line found there carries the count of its '\n' line. Dict
+    keys compare whole byte strings, so the counts are exact. A plain data
+    line (ASCII digits and whitespace, no word over ten digits) is
+    classified in numpy, weighted by its count, and makes no Python object.
+    Every other line that holds a word is decoded and split into str lines;
+    each such stripped line that is not a comment is counted as often as
+    its '\n' line occurs, and each distinct one is parsed by parse_path_line
+    once. Every data line is recorded in the report, the file's FilterReport.
 
     hops.pairs holds the distinct adjacent hop pairs of the accepted paths,
     as (k, 2) int64 rows with u < v in ascending order; hops.bare holds the
@@ -279,24 +315,27 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterRep
     keys = np.zeros(0, dtype=np.uint64)
     bare = np.zeros(0, dtype=np.int64)
     for data in _read_blocks(path):
+        if meta is None:
+            start = _header_lines(data, header)
+            if len(header) < 3:
+                continue  # the block is all header; the header goes on in the next
+            meta = _read_header(path, header)
+            opened.update(_data_lines(header[3:]))
+            data = data[start:]
+        repeats = Counter(data.split(b"\n"))
+        data = b"\n".join(repeats)
         block = np.frombuffer(data, np.uint8)
         words = _scan_words(block)
-        first = 0  # lines of this block that hold the header
-        if meta is None:
-            for raw in words.raw_lines(data, np.arange(min(3, len(words.counts)))):
-                if len(header) >= 3 or (first == len(words.breaks) and not raw):
-                    break  # the header is whole, or the block ended with its last line
-                header.extend(_text_lines(raw))
-                first += 1
-            if len(header) >= 3:
-                meta = _read_header(path, header)
-                opened.update(_data_lines(header[3:]))
+        source = np.zeros(len(words.counts), dtype=np.intp)  # '\n' line of each line
+        source[1:] = np.cumsum(block[words.breaks] == 10)
+        mult = np.fromiter(repeats.values(), dtype=np.int64, count=len(repeats))[source]
         live = words.counts > 0
-        live[:first] = False
         plain = live & ~words.odd
-        for raw in words.raw_lines(data, np.flatnonzero(live & words.odd)):
-            opened.update(_data_lines(_text_lines(raw)))
-        block_keys, block_bare = _plain_paths(block, words, plain, report)
+        odd = np.flatnonzero(live & words.odd)
+        for raw, n in zip(words.raw_lines(data, odd), mult[odd].tolist()):
+            for line in _data_lines(_text_lines(raw)):
+                opened[line] += n
+        block_keys, block_bare = _plain_paths(block, words, plain, mult, report)
         keys = _distinct(np.concatenate((keys, block_keys)))
         bare = _distinct(np.concatenate((bare, block_bare)))
     if meta is None:

@@ -117,12 +117,17 @@ def _cell(value) -> str:
 def read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | None]]]:
     """The dates and columns of a metrics CSV: date first, then any columns.
 
-    An empty or missing cell is None. A bad or out-of-order date, or a cell
-    that is not a finite number, is a CorpusError naming the file.
+    An empty or missing cell is None. A bad or out-of-order date, a cell that
+    is not a finite number, or a column name given twice in the header is a
+    CorpusError naming the file.
     """
     reader = csv.DictReader(io.StringIO(read_input_text(Path(path))))
     if reader.fieldnames is None or reader.fieldnames[0] != "date":
         raise CorpusError(f"{path}: not a metrics CSV (missing 'date' column)")
+    for i, name in enumerate(reader.fieldnames):
+        if name in reader.fieldnames[:i]:
+            # A row maps each name to one cell, so all but one column would be lost.
+            raise CorpusError(f"{path}: column {name!r} appears twice in the header")
     columns: dict[str, list[float | None]] = {c: [] for c in reader.fieldnames if c != "date"}
     dates: list[str] = []
     for row in reader:

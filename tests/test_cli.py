@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import pytest
 
+from astopo import AS_MAX
 from astopo import store as store_module
 from astopo.cli import build_parser, main
 from astopo.generators import GeneratorParams
@@ -390,6 +391,19 @@ def test_non_finite_cell_fails_naming_it(tmp_path, capsys, command, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_repeated_column_name_fails_naming_it(tmp_path, capsys, command):
+    """Only one of two same-named columns could be read, so neither is: with
+    N = 1..30 first and -1..-30 second, fit must not silently fit the second."""
+    csv_path = tmp_path / "metrics.csv"
+    dates = month_labels(30)
+    csv_path.write_text("date,N,N\n" + "".join(f"{d},{i},{-i}\n" for i, d in enumerate(dates, 1)))
+    argv = [command, "--input", csv_path, "--out", tmp_path / "out"]
+    assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: column 'N' appears twice in the header\n"
+    assert not (tmp_path / "out").exists()
+
+
 def write_squared_overflow_csv(path):
     """30 months of N = x and L = 1e200 x^2, whose squared errors pass float range."""
     lines = ["date,N,L,k_max,k_avg,aspl,C,rho,r"]
@@ -514,6 +528,10 @@ REJECTED_COMMANDS = {
     # Degrees would share a float weight k - beta; at -1e300 all of them do.
     "generate-glp-beta-minus-1e300": lambda tmp: _generate("glp", 200, "--beta=-1e300"),
     "generate-glp-beta-minus-1e16": lambda tmp: _generate("glp", 200, "--beta=-1e16"),
+    # Past float range (glp) and past an index-sized int (ba): caught before either.
+    "generate-glp-n-past-float-range": lambda tmp: _generate("glp", 10**400),
+    "generate-ba-n-past-as-range": lambda tmp: _generate("ba", 10**400),
+    "generate-pfp-n-past-as-range": lambda tmp: _generate("pfp", AS_MAX + 2),
 }
 
 # The parameter a rejected command's error message must name.
@@ -530,6 +548,9 @@ REJECTED_PARAMETER = {
     "generate-pfp-delta-inf": "delta",
     "generate-pfp-delta-overflow": "delta",
     "generate-pfp-delta-overflow-at-n": "delta",
+    "generate-glp-n-past-float-range": "n_target",
+    "generate-ba-n-past-as-range": "n_target",
+    "generate-pfp-n-past-as-range": "n_target",
 }
 
 

@@ -6,6 +6,7 @@ import oracles
 import pytest
 
 from astopo import (
+    AS_MAX,
     CsrGraph,
     GeneratorParams,
     ParameterError,
@@ -70,6 +71,15 @@ def test_param_validation():
         GeneratorParams(model="ab", n_target=10, seed=0, p=0.0, q=1.0).validate()
     with pytest.raises(ParameterError, match="add a node"):
         GeneratorParams(model="glp", n_target=10, seed=0, p=1.0).validate()
+
+
+@pytest.mark.parametrize("model", ["ba", "ab", "glp", "pfp"])
+def test_n_target_bound_keeps_node_ids_as_numbers(model):
+    """Node ids run up to n_target - 1 and are written as AS numbers; only
+    validate() runs, since a growth run this size would need a 2**32-slot picker."""
+    GeneratorParams(model=model, n_target=AS_MAX + 1, seed=0).validate()
+    with pytest.raises(ParameterError, match="n_target"):
+        GeneratorParams(model=model, n_target=AS_MAX + 2, seed=0).validate()
 
 
 def test_glp_beta_bound_keeps_degree_weights_distinct():

@@ -311,14 +311,16 @@ def test_parse_path_file_matches_line_at_a_time_reference(tmp_path, seed):
     assert got == oracles.path_hops_reference(f)
 
 
-def random_soup(rng, n_lines):
-    """A path file of n_lines soup lines, a quarter of them repeats."""
-    lines = []
-    for _ in range(n_lines):
+def random_soup(rng, n_lines, repeats=0.25, first=()):
+    """A path file of n_lines soup lines, each with its own line ending: the
+    lines of first, then soup lines that each repeat an earlier line with
+    probability repeats."""
+    lines = list(first)
+    while len(lines) < n_lines:
         r = rng.random()
-        if lines and r < 0.25:
+        if lines and r < repeats:
             line = rng.choice(lines)
-        elif r < 0.4:
+        elif r < repeats + (1 - repeats) / 5:
             line = rng.choice(SOUP_LINES)
         else:
             words = rng.choices(SOUP_WORDS, k=rng.randint(0, 6))
@@ -352,6 +354,53 @@ def test_parse_path_file_matches_reference_on_byte_soups(tmp_path, monkeypatch, 
     assert parse_calls and parse_calls == Counter(open_path_lines(data))
 
 
+# Open lines that a repeat-heavy soup writes first and then repeats: an AS
+# set, a byte that is not UTF-8, a non-ASCII space, a non-ASCII line break
+# inside a line, an eleven-digit word.
+REPEATED_OPEN_LINES = [
+    b"1 {2} 3", b"1 \xff 2", "701\u00a01239".encode(), "1 2\u20283 4".encode(), b"00000000001 2 3",
+]
+
+
+@pytest.mark.parametrize("block", [None, 1, 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_lines_count_as_often_as_they_occur(tmp_path, monkeypatch, parse_calls, seed, block):
+    """A soup where about nine lines in ten repeat an earlier one, each with
+    its own ending: the same report, hop pairs and one-hop ASes as the
+    reference, and each distinct stripped open line parsed once."""
+    if block is not None:
+        monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    data = random_soup(random.Random(seed), 400, repeats=0.9, first=REPEATED_OPEN_LINES)
+    lines = data[len(SOUP_HEADER):].splitlines()
+    assert len(set(lines)) < len(lines) / 4
+    f = tmp_path / "m.paths"
+    f.write_bytes(data)
+    got = file_hops(f)
+    assert got == oracles.path_hops_reference(f)
+    assert got[3].accepted and all(type(n) is int for n in got[3].to_dict().values())
+    assert parse_calls == Counter(open_path_lines(data))
+
+
+@pytest.mark.parametrize("block", [None, 1, 16])
+def test_same_path_with_every_line_ending_counts_each_time(tmp_path, monkeypatch, parse_calls, block):
+    if block is not None:
+        monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    data = SOUP_HEADER + b"".join([
+        b"1 2 3\n1 2 3\r\n1 2 3\r",
+        b"7 8\r9 10\n" * 3,  # two plain lines in one '\n' line
+        b"00000000001 2\r\n00000000001 2\n",
+        "1\u20282 3\n".encode() * 2,  # two str lines in one open line
+        b"1 2 3",  # the last line, with no break after it
+    ])
+    f = tmp_path / "m.paths"
+    f.write_bytes(data)
+    got = file_hops(f)
+    assert got == oracles.path_hops_reference(f)
+    assert got[3] == FilterReport(accepted=16)
+    assert got[2] == [1]
+    assert parse_calls == {"00000000001 2": 1, "1": 1, "2 3": 1}
+
+
 HEADER_FILES = {
     "lf": b"# date: 2001-01\n# monitor: m\n# family: ipv4\n1 2 3\n4 5\n",
     "crlf": b"# date: 2001-01\r\n# monitor: m\r\n# family: ipv4\r\n1 2 3\r\n4 5\r\n",
@@ -360,6 +409,8 @@ HEADER_FILES = {
     # third header line on its byte line is a data line.
     "non-ascii-breaks": "# date: 2001-01\u2028# monitor: m\n# family: ipv4\u20281 2 3\u2028\n4 5\n".encode(),
     "header-only": b"# date: 2001-01\n# monitor: m\n# family: ipv4",
+    # Past a whole default block, so the header is read from more than one.
+    "long-header-line": b"# date: 2001-01" + b" " * 300_000 + b"\n# monitor: m\n# family: ipv4\n1 2 3\n",
 }
 
 
@@ -375,10 +426,15 @@ def test_header_straddling_chunks(tmp_path, monkeypatch, name, block):
     assert got[0] == PathFileMeta("2001-01", "m", "ipv4")
 
 
-@pytest.mark.parametrize("block", [1, 4, 20])
+@pytest.mark.parametrize("block", [1, 4, 20, None])
 @pytest.mark.parametrize(
     "data, error",
     [
+        # A header line repeated is still the header, not a repeat to count once.
+        (
+            b"# date: 2001-01\n# date: 2001-01\n# monitor: m\n# family: ipv4\n1 2\n",
+            r"m\.paths: line 2 must be '# monitor: ",
+        ),
         (b"# date: 2001-01\r\n# monitor: m\r\n# famly: ipv4\r\n1 2\r\n", r"m\.paths: line 3 must be '# family: "),
         (b"# date: 2001-01\n# monitor: m\xe9\n# family: ipv4\n1 2\n", r"m\.paths:2: undecodable byte"),
         (b"# date: 2001-01\n# monitor: m\n", r"m\.paths: line 3 must be '# family: "),
@@ -388,7 +444,8 @@ def test_header_straddling_chunks(tmp_path, monkeypatch, name, block):
     ],
 )
 def test_header_error_in_a_later_chunk_names_its_line(tmp_path, monkeypatch, data, error, block):
-    monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    if block is not None:
+        monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
     f = tmp_path / "m.paths"
     f.write_bytes(data)
     with pytest.raises(CorpusError, match=error):
