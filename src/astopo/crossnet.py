@@ -7,13 +7,15 @@ infrastructure. Edges whose endpoints are absent from the IPv4 graph, or
 present but unreachable, are excluded from the average and reported apart.
 
 Both snapshots arrive as CsrGraphs and nothing is rebuilt. The IPv6 edges
-are classified against the IPv4 graph by sorted-label lookups (an endpoint
-missing) and edge-key lookups (native). Only the rest are traversed: one
-component labelling settles the pairs in different components, and one
-multi-source BFS, batched over the distinct endpoints of the remaining
-pairs, stops each batch at the level where its farthest pair meets. The
-traversal cost thus follows the tunnelled edges and how far apart their ends
-sit, not the number of IPv6 endpoints or the depth of the IPv4 graph.
+are classified against the IPv4 graph by binary searches of arrays it holds
+sorted: its labels (CsrGraph.has_nodes: an endpoint missing) and its arc
+keys (CsrGraph.has_edges: native); nothing is hashed. Only the rest are
+traversed: one component labelling settles the pairs in different
+components, and one multi-source BFS, batched over the distinct endpoints of
+the remaining pairs, stops each batch at the level where its farthest pair
+meets. The traversal cost thus follows the tunnelled edges and how far apart
+their ends sit, not the number of IPv6 endpoints or the depth of the IPv4
+graph.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def tunnel_path_lengths(g6: CsrGraph, g4: CsrGraph, date: str | None = None) -> 
     if g6.edge_count == 0:
         raise DegenerateInputError("IPv6 graph has no edges")
     ends = g6.edges()
-    shared = ends[np.isin(ends, g4.labels).all(axis=1)]
+    shared = ends[g4.has_nodes(ends).all(axis=1)]
     is_native = g4.has_edges(shared)
     pending = shared[~is_native]
     counts = Counter(g4.pair_distances(pending).tolist()) if len(pending) else Counter()

@@ -8,8 +8,12 @@ CsrGraph is the one graph of the package: store and ingest build one per
 month from edge pairs, the generators build one from their neighbour sets,
 and metrics and crossnet read it without building another. It indexes nodes
 by their position in the sorted AS numbers internally, and takes and returns
-AS numbers at its boundary. AsGraph, a dict of neighbour sets, has no caller
-in the package; it is the reference graph of the test oracles.
+AS numbers at its boundary. Its one constructor takes one argsort of the
+endpoint AS numbers (_distinct_inverse), which gives both the sorted labels
+and every endpoint's row; AS-number and edge lookups are binary searches
+(_sorted_search) of the labels and of the arc keys, which already ascend.
+AsGraph, a dict of neighbour sets, has no caller in the package; it is the
+reference graph of the test oracles.
 
 Every hop distance (ASPL, tunnel paths) comes from one bit-parallel
 multi-source BFS loop, CsrGraph._levels. Each batch of MSBFS_BATCH sources
@@ -52,6 +56,10 @@ MSBFS_BATCH = 512
 
 # CsrGraph.pair_distances value for a pair whose ends share no component.
 UNREACHABLE = -1
+
+# Entries per step of the two passes of _distinct_inverse over the sorted
+# order: its one buffer is 64 KiB of int64.
+_RANK_BLOCK = 1 << 13
 
 # Edges formatted per write by write_edgelist.
 _WRITE_BLOCK = 1 << 14
@@ -229,12 +237,59 @@ class AsGraph:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Ascending distinct entries of values, which is sorted in place.
 
-    Unlike np.unique, it makes no sorted copy and needs no masked-array import.
+    Unlike numpy's unique, it makes no sorted copy and needs no masked-array
+    import.
     """
     values.sort()
     first = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return values[first]
+
+
+def _distinct_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct entries of the 1-D values, and the index of each
+    entry among them; values is overwritten with those indices and returned.
+
+    One argsort: a not-equal mask over the sorted order marks where each run
+    of equal values starts, and the running count of starts, scattered back
+    to input order, is the index. Both passes go _RANK_BLOCK entries at a
+    time through one buffer, so besides the order and the mask no array the
+    size of values is made.
+    """
+    order = np.argsort(values)
+    block = np.empty(min(len(values), _RANK_BLOCK + 1), dtype=values.dtype)
+    first = np.ones(len(values), dtype=bool)
+    for lo in range(1, len(values), _RANK_BLOCK):
+        hi = min(lo + _RANK_BLOCK, len(values))
+        run = block[:hi - lo + 1]
+        # Every index is in range; mode="raise" would buffer the output.
+        np.take(values, order[lo - 1:hi], out=run, mode="clip")
+        np.not_equal(run[1:], run[:-1], out=first[lo:hi])
+    distinct = values[order[first]]
+    first[:1] = False
+    count = 0
+    for lo in range(0, len(values), _RANK_BLOCK):
+        hi = min(lo + _RANK_BLOCK, len(values))
+        rank = block[:hi - lo]
+        rank[:] = first[lo:hi]
+        np.cumsum(rank, out=rank)
+        rank += count
+        count = rank[-1]
+        values[order[lo:hi]] = rank
+    return distinct, values
+
+
+def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each query in the ascending array keys, and whether it is there.
+
+    The index is searchsorted's, clipped to a valid one, so it is meaningful
+    only where the query is found.
+    """
+    at = np.searchsorted(keys, queries)
+    if not len(keys):
+        return at, np.zeros(at.shape, dtype=bool)
+    np.minimum(at, len(keys) - 1, out=at)
+    return at, keys[at] == queries
 
 
 def _popcount_table(words: np.ndarray) -> int:
@@ -270,13 +325,21 @@ class CsrGraph:
         neither an edge nor a node.
         """
         ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        ends = ends[ends[:, 0] != ends[:, 1]]
-        labels = _distinct(np.concatenate((ends.ravel(), np.asarray(nodes, dtype=np.int64))))
+        loops = ends[:, 0] == ends[:, 1]
+        if loops.any():
+            ends = ends[~loops]
+        size = ends.size
+        rows = np.concatenate((ends.ravel(), np.asarray(nodes, dtype=np.int64)))
+        del ends, loops
+        # One argsort gives the labels and turns every AS number into its row.
+        labels, rows = _distinct_inverse(rows)
         n = len(labels)
-        ends = np.searchsorted(labels, ends)
-        ends.sort(axis=1)
-        keys = _distinct(ends[:, 0] * n + ends[:, 1])
-        del ends
+        ends = rows[:size].reshape(-1, 2)
+        keys = np.minimum(ends[:, 0], ends[:, 1])
+        keys *= n
+        keys += np.maximum(ends[:, 0], ends[:, 1])
+        del ends, rows
+        keys = _distinct(keys)
         # Both orientations of every edge, ordered by row, then by neighbour.
         arcs = np.concatenate((keys, keys % n * n + keys // n))
         del keys
@@ -320,6 +383,10 @@ class CsrGraph:
         upper = self.indices > rows
         return np.column_stack((self.labels[rows[upper]], self.labels[self.indices[upper]]))
 
+    def has_nodes(self, as_numbers) -> np.ndarray:
+        """Whether each AS number is a node, in the shape of as_numbers."""
+        return _sorted_search(self.labels, np.asarray(as_numbers, dtype=np.int64))[1]
+
     def has_edges(self, pairs) -> np.ndarray:
         """Whether each (u, v) pair of AS numbers is an edge.
 
@@ -327,7 +394,8 @@ class CsrGraph:
         """
         ends = self._positions(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
         n = len(self.labels)
-        return np.isin(ends[:, 0] * n + ends[:, 1], self.rows() * n + self.indices)
+        # Arc keys ascend: rows ascend, and so do the neighbours in each row.
+        return _sorted_search(self.rows() * n + self.indices, ends[:, 0] * n + ends[:, 1])[1]
 
     def subgraph(self, keep: np.ndarray) -> "CsrGraph":
         """Sub-graph induced by the ascending node positions keep."""
@@ -365,6 +433,8 @@ class CsrGraph:
 
         Size ties go to the component containing the smallest AS number.
         """
+        if not len(self.labels):
+            raise EmptyGraphError("graph has no nodes")
         roots = self.component_roots()
         return np.flatnonzero(roots == np.argmax(np.bincount(roots)))
 
@@ -380,9 +450,7 @@ class CsrGraph:
     def _positions(self, as_numbers: Sequence[int]) -> np.ndarray:
         """Row of each AS number; UnknownNodeError names the first one absent."""
         asn = np.asarray(as_numbers, dtype=np.int64)
-        pos = np.searchsorted(self.labels, asn)
-        known = pos < len(self.labels)
-        known[known] = self.labels[pos[known]] == asn[known]
+        pos, known = _sorted_search(self.labels, asn)
         if not known.all():
             raise UnknownNodeError(f"AS {asn[~known][0]} is not in the graph")
         return pos
@@ -452,7 +520,7 @@ class CsrGraph:
         out[ends[:, 0] == ends[:, 1]] = 0
         roots = self.component_roots()
         pending = np.flatnonzero((ends[:, 0] != ends[:, 1]) & (roots[ends[:, 0]] == roots[ends[:, 1]]))
-        sources, slot = np.unique(ends[pending, 0], return_inverse=True)
+        sources, slot = _distinct_inverse(ends[pending, 0])
         for lo in range(0, len(sources), MSBFS_BATCH):
             in_batch = (slot >= lo) & (slot < lo + MSBFS_BATCH)
             todo = pending[in_batch]

@@ -45,7 +45,14 @@ from .errors import (
     ParameterError,
     UndefinedMetricError,
 )
-from .graph import CsrGraph, Snapshot, SnapshotSeries, read_input_text, validate_date
+from .graph import (
+    CsrGraph,
+    Snapshot,
+    SnapshotSeries,
+    _sorted_search,
+    read_input_text,
+    validate_date,
+)
 
 # The metric columns of metrics.csv and metrics.json, after the date, in order.
 METRIC_COLUMNS = ("N", "L", "k_max", "k_avg", "aspl", "C", "rho", "r")
@@ -249,8 +256,7 @@ def _triangles(g: CsrGraph) -> int:
         for lo in range(0, len(starts), step):
             block = starts[lo:lo + step]
             wedges = head[block + i] * n + head[block + j]
-            at = np.minimum(np.searchsorted(keys, wedges), len(keys) - 1)
-            found += int(np.count_nonzero(keys[at] == wedges))
+            found += int(np.count_nonzero(_sorted_search(keys, wedges)[1]))
     return found
 
 

@@ -48,6 +48,44 @@ def bf_ccdf(g):
     return out
 
 
+def csr_reference(pairs=(), nodes=()):
+    """CsrGraph(pairs, nodes) the way astopo built it before its one-argsort
+    build: the labels sorted and deduplicated in place, every endpoint's row
+    found by a binary search of the labels, the ends of each pair ordered by
+    sort(axis=1), then the edge keys and both arc orientations sorted.
+    """
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    labels = _distinct_in_place(np.concatenate((ends.ravel(), np.asarray(nodes, dtype=np.int64))))
+    n = len(labels)
+    ends = np.searchsorted(labels, ends)
+    ends.sort(axis=1)
+    keys = _distinct_in_place(ends[:, 0] * n + ends[:, 1])
+    del ends
+    arcs = np.concatenate((keys, keys % n * n + keys // n))
+    del keys
+    arcs.sort()
+    cols = arcs % n
+    degrees = np.bincount(np.floor_divide(arcs, n, out=arcs), minlength=n)
+    g = object.__new__(CsrGraph)
+    g.labels = labels
+    g.indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(degrees, out=g.indptr[1:])
+    g.indices = cols.astype(np.intp, copy=False)
+    isolated = degrees == 0
+    g._isolated = np.flatnonzero(isolated)
+    g._gather = np.append(g.indices, 0) if isolated[-1:].any() else g.indices
+    g._connected = False
+    return g
+
+
+def _distinct_in_place(values):
+    values.sort()
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def bf_components(g):
     nodes = set(g.nodes())
     comps = []

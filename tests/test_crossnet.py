@@ -195,6 +195,23 @@ def test_matches_dict_bfs_reference(seed, n, n_edges, native_share, batches):
     assert type(dist.missing) is type(dist.disconnected) is int and type(dist.aspl) is float
 
 
+def test_ipv6_endpoints_outside_the_ipv4_labels():
+    """IPv6 endpoints below and above every IPv4 label (AS 0 and 2**32-1
+    among them) and between two labels are missing; the rest are measured."""
+    rng = random.Random(8)
+    labels = list(range(1000, 1400, 2))
+    g4 = AsGraph.from_edges(rng.sample(labels, 2) for _ in range(300))
+    g6 = AsGraph.from_edges(
+        [(0, 1000), (1398, 2**32 - 1), (5, 7), (2**31, 1200), (999, 1400), (1001, 1002)]
+    )
+    g6_edges = sorted(g4.edges())
+    while g6.edge_count < 150:
+        g6.add_edge(*(rng.choice(g6_edges) if rng.random() < 0.4 else rng.sample(labels, 2)))
+    expected = oracles.bfs_tunnel_distribution(g6, g4, "2003-01")
+    assert tunnel_path_lengths(g6.freeze(), g4.freeze(), "2003-01").to_dict() == expected
+    assert expected["missing"] >= 6 and expected["counts"][1] and len(expected["counts"]) > 2
+
+
 def test_all_native_month_needs_no_traversal(monkeypatch):
     rng = random.Random(5)
     g4 = sparse_graph(rng, 500)

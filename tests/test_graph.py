@@ -10,6 +10,7 @@ import oracles
 from astopo import graph as graph_module
 from astopo import AsGraph, CorpusError, EmptyGraphError, UnknownNodeError
 from astopo.graph import (
+    AS_MAX,
     MSBFS_BATCH,
     UNREACHABLE,
     CsrGraph,
@@ -224,6 +225,150 @@ def test_csr_has_edges():
         csr.has_edges([(1, 9)])
 
 
+def build_case(name, rng):
+    """(pairs, nodes) of one differential build case: a seeded random pair list."""
+    pool = rng.integers(1, AS_MAX, size=40, dtype=np.int64)
+    pairs = pool[rng.integers(0, len(pool), size=(120, 2))]
+    if name == "repeats-and-loops":
+        pairs = np.concatenate((pairs, pairs[::3, ::-1], pairs[:7], pairs[:5, [0, 0]]))
+        return rng.permutation(pairs), []
+    if name == "nodes-on-edges":
+        return pairs, np.concatenate((pool[::2], pool[:5], [3]))
+    if name == "as-0-and-as-max":
+        pairs[:4] = [(0, AS_MAX), (AS_MAX, pool[0]), (pool[1], 0), (0, 0)]
+        return rng.permutation(pairs), [AS_MAX, 0]
+    if name == "empty":
+        return np.empty((0, 2), dtype=np.int64), []
+    if name == "nodes-only":
+        return [], np.concatenate((pool, pool[:9]))
+    if name == "self-loops-only":
+        return pairs[:, [1, 1]], pool[:3]
+    if name == "isolated-last":
+        return pairs, [AS_MAX]
+    return pairs, []
+
+
+BUILD_CASES = [
+    "plain",
+    "repeats-and-loops",
+    "nodes-on-edges",
+    "as-0-and-as-max",
+    "empty",
+    "nodes-only",
+    "self-loops-only",
+    "isolated-last",
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, graph_module._RANK_BLOCK])
+@pytest.mark.parametrize("name", BUILD_CASES)
+def test_csr_build_matches_reference(monkeypatch, name, block):
+    """The one-argsort build gives the arrays of the binary-search build it
+    replaced, at every pass block size down to one entry."""
+    monkeypatch.setattr(graph_module, "_RANK_BLOCK", block)
+    for seed in range(4):
+        pairs, nodes = build_case(name, np.random.default_rng(seed))
+        got = CsrGraph(pairs, nodes)
+        expected = oracles.csr_reference(pairs, nodes)
+        for attr in ("labels", "indptr", "indices", "_isolated", "_gather"):
+            a, b = getattr(got, attr), getattr(expected, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, seed, attr)
+    if name == "isolated-last":
+        assert len(got._gather) == len(got.indices) + 1
+
+
+@pytest.mark.parametrize("block", [1, 3, graph_module._RANK_BLOCK])
+def test_distinct_inverse_matches_unique(monkeypatch, block):
+    monkeypatch.setattr(graph_module, "_RANK_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for values in (
+        [],
+        [5],
+        [4, 4, 4],
+        [AS_MAX, 0, AS_MAX, 1],
+        rng.integers(0, 30, size=200),
+        rng.integers(0, 2**40, size=50),
+    ):
+        values = np.array(values, dtype=np.int64)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        got = graph_module._distinct_inverse(values.copy())
+        assert np.array_equal(got[0], distinct) and np.array_equal(got[1], inverse.ravel())
+
+
+def test_csr_build_peak_memory_bounded_by_reference():
+    """The build holds the order and one block beside its input; it must stay
+    within 1.5 times the binary-search build's traced peak."""
+    rng = np.random.default_rng(11)
+    pairs = rng.integers(0, 2**32, size=(100_000, 2), dtype=np.int64)
+    pairs[::50, 1] = pairs[::50, 0]
+    for pairs, nodes in (
+        (pairs, rng.integers(0, 2**32, size=50, dtype=np.int64)),
+        (pairs % 20_000, []),
+    ):
+        peaks = []
+        for build in (CsrGraph, oracles.csr_reference):
+            tracemalloc.start()
+            try:
+                build(pairs, nodes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.5 * peaks[1], peaks
+
+
+def lookup_graphs():
+    rng = random.Random(3)
+    yield "empty", AsGraph()
+    isolated = AsGraph()
+    for u in (AS_MAX, 0, 5):
+        isolated.add_node(u)
+    yield "isolated-only", isolated
+    for n in (2, 9, 60):
+        yield f"sparse-{n}", sparse_graph(rng, n)
+
+
+@pytest.mark.parametrize("name, g", list(lookup_graphs()))
+def test_csr_has_nodes_and_edges_match_sets(name, g):
+    """Queries below the first label, past the last one, between labels, and empty."""
+    csr = g.freeze()
+    nodes = set(g.nodes())
+    rng = random.Random(len(nodes))
+    labels = sorted(nodes)
+    probe = labels + [0, 1, AS_MAX, 2**40, -1] + [u + 1 for u in labels] + [u - 1 for u in labels]
+    assert csr.has_nodes(probe).tolist() == [u in nodes for u in probe]
+    assert csr.has_nodes(np.array(probe).reshape(-1, 1)).shape == (len(probe), 1)
+    assert csr.has_nodes([]).tolist() == []
+    assert csr.has_edges([]).tolist() == []
+    edges = {frozenset(e) for e in g.edges()}
+    pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(200)] if labels else []
+    pairs += [(v, u) for u, v in g.edges()]
+    assert csr.has_edges(pairs).tolist() == [frozenset(p) in edges for p in pairs]
+
+
+def test_csr_unknown_node_named_in_pair_order():
+    csr = CsrGraph([(10, 20), (20, 30)])
+    for pairs, first in (
+        ([(10, 20), (30, 40), (5, 20)], 40),
+        ([(10, 20), (5, 40)], 5),
+        ([(35, 10), (0, 10)], 35),
+        ([(10, AS_MAX), (0, 10)], AS_MAX),
+    ):
+        for lookup in (csr.has_edges, csr.pair_distances):
+            with pytest.raises(UnknownNodeError, match=f"AS {first} "):
+                lookup(pairs)
+    with pytest.raises(UnknownNodeError, match="AS 1 "):
+        CsrGraph().has_edges([(1, 2)])
+
+
+def test_empty_graph_component_calls_raise():
+    for g in (CsrGraph(), CsrGraph([(3, 3)])):
+        with pytest.raises(EmptyGraphError, match="no nodes"):
+            g.giant()
+        with pytest.raises(EmptyGraphError, match="no nodes"):
+            g.giant_graph()
+    assert CsrGraph().component_roots().tolist() == []
+
+
 HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
@@ -305,6 +450,20 @@ def test_pair_distances_repeated_sources():
     csr = CsrGraph([(i, i + 1) for i in range(1, 8)])
     pairs = [(1, 2), (1, 8), (1, 2), (1, 5), (5, 1), (1, 1)]
     assert csr.pair_distances(pairs).tolist() == [1, 7, 1, 4, 4, 0]
+
+
+def test_pair_distances_repeated_sources_across_batches():
+    """More distinct sources than one batch holds, each in several pairs,
+    shuffled so that a source's pairs sit in different places."""
+    rng = random.Random(21)
+    g = sparse_graph(rng, 700, avg_degree=3)
+    nodes = sorted(g.nodes())
+    sources = rng.sample(nodes, MSBFS_BATCH + 40)
+    pairs = [(s, rng.choice(nodes)) for s in sources for _ in range(3)]
+    rng.shuffle(pairs)
+    dist = {s: oracles.bfs_distances(g, s) for s in sources}
+    expected = [dist[s].get(t, UNREACHABLE) for s, t in pairs]
+    assert g.freeze().pair_distances(pairs).tolist() == expected
 
 
 def test_pair_distances_other_component():
