@@ -1,14 +1,18 @@
 """Command-line pipeline driver.
 
 Every command writes its outputs plus a manifest.json echoing the resolved
-configuration and the SHA-256 of each input file, so a run can be audited
-and reproduced byte for byte. Nothing here is time-stamped or randomized
-outside the seeds named in the config.
+configuration and the SHA-256 of exactly the input files it reads (as
+listed by ingest.corpus_files and store.store_files, plus the files its
+flags name). Nothing here is time-stamped or randomized outside the seeds
+named in the config. Dates are YYYY-MM in ASCII digits.
 
-The commands only name the files they write: each table is declared and
-written by the module that owns its record, and fit and report read
-metrics.csv with metrics.read_metrics_csv and fit it with
-phasefit.fit_columns. The charts and the JSON files are written here.
+The commands only name files; each policy is kept by the module that owns
+it. Each table is declared and written by the module that owns its record.
+--aspl-mode 'sampled' means 1000 sources, checked with the N of
+'sampled:N' by metrics.check_aspl_sources before the store is read.
+generate writes generators.generate_with_trajectory(params), whose default
+checkpoints are m0, the powers of ten between, and n_target. Every chart
+is svgplot.render_chart, whose x axis covers every month.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 from . import crossnet, generators, metrics, phasefit, store, svgplot
 from .errors import AsTopoError, CorpusError, ParameterError
 from .graph import read_input_text, validate_date, write_edgelist
-from .ingest import ALL_MONITORS, MonitorSet, filter_summary_to_csv, load_series
+from .ingest import ALL_MONITORS, MonitorSet, corpus_files, filter_summary_to_csv, load_series
 
 
 def main(argv=None) -> int:
@@ -108,8 +112,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _hash_tree(root: Path, pattern: str, prefix: str) -> dict[str, str]:
-    return {f"{prefix}/{p.relative_to(root)}": _sha256(p) for p in sorted(root.rglob(pattern))}
+def _hash_files(root: Path, files, prefix: str) -> dict[str, str]:
+    """The SHA-256 of each file read under root, keyed prefix/<path relative to root>."""
+    return {f"{prefix}/{p.relative_to(root)}": _sha256(p) for p in files}
 
 
 def _hash_file(path: str | None, prefix: str) -> dict[str, str]:
@@ -146,8 +151,7 @@ def _parse_aspl_mode(text: str) -> int | None:
             n = int(text.split(":", 1)[1])
         except ValueError:
             raise ParameterError(f"bad --aspl-mode {text!r}") from None
-        if n < 1:
-            raise ParameterError("sampled ASPL needs at least 1 source")
+        metrics.check_aspl_sources(n)
         return n
     raise ParameterError(f"bad --aspl-mode {text!r} (expected exact or sampled[:N])")
 
@@ -166,16 +170,6 @@ def _load_exclude_dates(path: str | None) -> set[str]:
     return dates
 
 
-def _date_ticks(dates: list[str], max_ticks: int = 6) -> list[tuple[float, str]]:
-    if not dates:
-        return []
-    step = max(1, (len(dates) - 1) // (max_ticks - 1)) if len(dates) > 1 else 1
-    idx = list(range(0, len(dates), step))
-    if idx[-1] != len(dates) - 1:
-        idx.append(len(dates) - 1)
-    return [(float(i + 1), dates[i]) for i in idx]
-
-
 def cmd_ingest(args) -> None:
     root = Path(args.input)
     config = MonitorSet.load(args.monitors) if args.monitors else ALL_MONITORS
@@ -184,7 +178,8 @@ def cmd_ingest(args) -> None:
     store.write_store(out, series)
     (out / "filter_summary.csv").write_text(filter_summary_to_csv(series.filter_reports))
 
-    inputs = {**_hash_tree(root, "*.paths", "corpus"), **_hash_file(args.monitors, "monitors")}
+    files = [f for month in corpus_files(root, config).values() for f in month]
+    inputs = {**_hash_files(root, files, "corpus"), **_hash_file(args.monitors, "monitors")}
     _write_manifest(
         out, args, inputs, input=str(root), monitor_set=config.label,
         monitors_file=args.monitors, months=series.dates(), family=series.family,
@@ -219,8 +214,9 @@ def cmd_metrics(args) -> None:
             )
             (out / f"metric_{col}.svg").write_text(svg)
 
+    inputs = _hash_files(store_dir, store.store_files(store_dir), "store")
     _write_manifest(
-        out, args, _hash_tree(store_dir, "*.edges", "store"), input=str(store_dir),
+        out, args, inputs, input=str(store_dir),
         aspl_mode=args.aspl_mode, seed=args.seed, k_min=args.kmin, plots=bool(args.plots),
     )
 
@@ -231,14 +227,7 @@ def _month_chart(
     """One value per month at its 1-based position; a None month is a gap."""
     points = [(float(i + 1), float(v)) for i, v in enumerate(values) if v is not None]
     series = svgplot.Series(label, [x for x, _ in points], [y for _, y in points], draw_points=True)
-    return _month_svg([series], title, y_label, dates)
-
-
-def _month_svg(series: list[svgplot.Series], title: str, y_label: str, dates: list[str]) -> str:
-    """A chart whose x is the 1-based month position, ticked with its dates."""
-    return svgplot.render_chart(
-        series, title=title, x_label="month", y_label=y_label, x_tick_labels=_date_ticks(dates)
-    )
+    return svgplot.render_chart([series], title, y_label, dates)
 
 
 def _fit_metrics_csv(args, metric: str | None = None):
@@ -280,7 +269,9 @@ def _fit_svg(column: phasefit.ColumnFit) -> str:
     for seg, seg_xs in segments:
         seg_ys = [seg.predict(x) for x in seg_xs]
         series.append(svgplot.Series(phasefit.trend_label(seg), [float(x) for x in seg_xs], seg_ys))
-    return _month_svg(series, f"{column.metric}: {fit.pattern.value}", column.metric, column.dates)
+    return svgplot.render_chart(
+        series, f"{column.metric}: {fit.pattern.value}", column.metric, column.dates
+    )
 
 
 def cmd_fit(args) -> None:
@@ -292,34 +283,21 @@ def cmd_fit(args) -> None:
     _write_fit_manifest(out, args, metric=args.metric)
 
 
-def _default_checkpoints(m0: int, n_target: int) -> list[int]:
-    ladder = [m0]
-    power = 10
-    while power < n_target:
-        if power > m0:
-            ladder.append(power)
-        power *= 10
-    if ladder[-1] != n_target:
-        ladder.append(n_target)
-    return ladder
-
-
 def cmd_generate(args) -> None:
     params = generators.GeneratorParams(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(generators.GeneratorParams)}
     )
-    params.validate()
+    checkpoints = None
     if args.checkpoints:
         try:
             checkpoints = [int(tok) for tok in args.checkpoints.split(",") if tok.strip()]
         except ValueError:
             raise ParameterError(f"bad --checkpoints {args.checkpoints!r}") from None
-    else:
-        checkpoints = _default_checkpoints(params.seed_size(), params.n_target)
     graph, trajectory = generators.generate_with_trajectory(params, checkpoints)
     out = _outdir(args)
     write_edgelist(graph, out / "graph.edges", directives={"model": params.model})
     (out / "trajectory.csv").write_text(trajectory.to_csv())
+    checkpoints = [n for n, _ in trajectory.checkpoints]
     config = {**dataclasses.asdict(params), "m0": params.seed_size(), "checkpoints": checkpoints}
     _write_manifest(out, args, {}, **config)
 
@@ -343,7 +321,10 @@ def cmd_tunnel(args) -> None:
     )
     (out / "tunnel_aspl.svg").write_text(svg)
 
-    inputs = {**_hash_tree(dir6, "*.edges", "ipv6"), **_hash_tree(dir4, "*.edges", "ipv4")}
+    inputs = {
+        **_hash_files(dir6, store.store_files(dir6), "ipv6"),
+        **_hash_files(dir4, store.store_files(dir4), "ipv4"),
+    }
     _write_manifest(out, args, inputs, input6=str(dir6), input4=str(dir4))
 
 

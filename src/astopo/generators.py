@@ -16,6 +16,9 @@ bit. The run ends by building the CsrGraph that the metrics read and the
 generate command writes, straight from the neighbour sets; a node that AB
 rewiring left without edges is still one of its nodes.
 
+generate_with_trajectory(params) also records k_max at m0, at each power of
+ten between m0 and n_target, and at n_target, unless given other checkpoints.
+
 Kernels:
   BA   w(k) = k
   AB   w(k) = k + 1
@@ -549,33 +552,32 @@ def _grow_pfp(params: GeneratorParams, record: _Recorder) -> _Growth:
 _GROWERS = {"ba": _grow_ba, "ab": _grow_ab, "glp": _grow_glp, "pfp": _grow_pfp}
 
 
-def _run(params: GeneratorParams, checkpoints: Sequence[int] | None) -> tuple[CsrGraph, list[tuple[int, int]]]:
-    params.validate()
-    if checkpoints is not None:
-        if list(checkpoints) != sorted(set(checkpoints)):
-            raise ParameterError("checkpoints must be strictly ascending")
-        if checkpoints and checkpoints[0] < params.seed_size():
-            raise ParameterError(
-                f"checkpoint {checkpoints[0]} is below the seed size m0={params.seed_size()}"
-            )
-        if checkpoints and checkpoints[-1] > params.n_target:
-            raise ParameterError(
-                f"last checkpoint {checkpoints[-1]} exceeds n_target {params.n_target}"
-            )
-    recorder = _Recorder(checkpoints)
-    growth = _GROWERS[params.model](params, recorder)
-    return growth.graph(), recorder.rows
-
-
 def generate(params: GeneratorParams) -> CsrGraph:
     """Grow one topology under params.model (one of MODELS); deterministic in (params, seed)."""
-    graph, _ = _run(params, None)
-    return graph
+    return generate_with_trajectory(params, [])[0]
 
 
 def generate_with_trajectory(
-    params: GeneratorParams, checkpoints: Sequence[int]
+    params: GeneratorParams, checkpoints: Sequence[int] | None = None
 ) -> tuple[CsrGraph, Trajectory]:
-    """One growth run returning both the final graph and its (N, k_max) trace."""
-    graph, rows = _run(params, list(checkpoints))
-    return graph, Trajectory(checkpoints=rows)
+    """One growth run returning both the final graph and its (N, k_max) trace.
+
+    The trace has one row per checkpoint, at that node count. The default
+    checkpoints are m0, each power of ten between m0 and n_target, and
+    n_target: the trajectory that the generate command writes.
+    """
+    params.validate()
+    m0, n_target = params.seed_size(), params.n_target
+    if checkpoints is None:
+        powers = (10**k for k in range(1, len(str(n_target))))
+        checkpoints = sorted({m0, n_target, *(p for p in powers if m0 < p < n_target)})
+    checkpoints = list(checkpoints)
+    if checkpoints != sorted(set(checkpoints)):
+        raise ParameterError("checkpoints must be strictly ascending")
+    if checkpoints and checkpoints[0] < m0:
+        raise ParameterError(f"checkpoint {checkpoints[0]} is below the seed size m0={m0}")
+    if checkpoints and checkpoints[-1] > n_target:
+        raise ParameterError(f"last checkpoint {checkpoints[-1]} exceeds n_target {n_target}")
+    recorder = _Recorder(checkpoints)
+    growth = _GROWERS[params.model](params, recorder)
+    return growth.graph(), Trajectory(checkpoints=recorder.rows)

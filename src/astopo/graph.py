@@ -94,12 +94,12 @@ IPV4 = "ipv4"
 IPV6 = "ipv6"
 FAMILIES = (IPV4, IPV6)
 
-_DATE_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
+_DATE_RE = re.compile(r"^[0-9]{4}-(0[1-9]|1[0-2])$")
 _DIRECTIVE_RE = re.compile(r"^#\s*([A-Za-z_]+)\s*:\s*(.*?)\s*$")
 
 
 def validate_date(date: str) -> str:
-    """Check a YYYY-MM label; zero-padded, so string order is date order."""
+    """Check a YYYY-MM label of ASCII digits; zero-padded, so string order is date order."""
     if not _DATE_RE.match(date):
         raise CorpusError(f"bad date {date!r} (expected YYYY-MM)")
     return date

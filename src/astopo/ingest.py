@@ -74,7 +74,7 @@ _PRIVATE_16 = range(64512, 65535)
 _PRIVATE_32 = range(4200000000, 4294967295)
 _RESERVED = frozenset({0, 23456, 65535, 4294967295})
 
-_MONTH_DIR_RE = re.compile(r"^\d{4}-\d{2}$")
+_MONTH_DIR_RE = re.compile(r"^[0-9]{4}-[0-9]{2}$")
 
 
 def is_private_asn(asn: int) -> bool:
@@ -403,19 +403,29 @@ class MonitorSet:
 ALL_MONITORS = MonitorSet("ALL", None)
 
 
-def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> SnapshotSeries:
-    """Load every month directory under root into a date-ordered series.
+def corpus_files(root: Path | str, config: MonitorSet = ALL_MONITORS) -> dict[str, list[Path]]:
+    """The files load_series reads, by month in date order: the *.paths files
+    of each <YYYY-MM> directory under root whose stem config admits. A month
+    without one is absent; a root that is not a directory is a CorpusError."""
+    root = Path(root)
+    if not root.is_dir():
+        raise CorpusError(f"corpus root {root} is not a directory")
+    months = {}
+    for month_dir in sorted(p for p in root.iterdir() if p.is_dir() and _MONTH_DIR_RE.match(p.name)):
+        files = sorted(p for p in month_dir.glob("*.paths") if config.admits(p.stem))
+        if files:
+            months[month_dir.name] = files
+    return months
 
-    Layout is <root>/<YYYY-MM>/<monitor_id>.paths. Only files whose stem the
-    config admits are read; months with no admitted files are simply absent.
+
+def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> SnapshotSeries:
+    """Load the files of corpus_files(root, config) into a date-ordered series.
+
     A month is read one file at a time: each file's PathHops are held, and
     the month's CsrGraph is built once from all of them. Per-month
     FilterReports (merged across monitors) ride on the returned series as
     .filter_reports.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise CorpusError(f"corpus root {root} is not a directory")
     snapshots: list[Snapshot] = []
     reports: dict[str, FilterReport] = {}
     family: str | None = None
@@ -441,11 +451,7 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
             report.merge(rep)
             yield hops
 
-    for month_dir in sorted(p for p in root.iterdir() if p.is_dir() and _MONTH_DIR_RE.match(p.name)):
-        files = sorted(p for p in month_dir.glob("*.paths") if config.admits(p.stem))
-        if not files:
-            continue
-        month = month_dir.name
+    for month, files in corpus_files(root, config).items():
         reports[month] = FilterReport()
         pairs, bare = zip(*file_hops(month, files, reports[month]))
         graph = CsrGraph(np.concatenate(pairs), np.concatenate(bare))

@@ -198,7 +198,7 @@ def powerlaw_exponent(ccdf: Sequence[CcdfPoint], k_min: int = 1) -> float:
     return 1.0 + abs(float(slope))
 
 
-def _check_aspl_sources(n_sources: int | None) -> None:
+def check_aspl_sources(n_sources: int | None) -> None:
     """ParameterError unless n_sources is None (exact) or at least 1."""
     if n_sources is not None and n_sources < 1:
         raise ParameterError(f"ASPL n_sources must be >= 1, got {n_sources}")
@@ -215,7 +215,7 @@ def average_shortest_path_length(
     exact value bit for bit (distance totals are integers). An n_sources
     below 1 is a ParameterError.
     """
-    _check_aspl_sources(n_sources)
+    check_aspl_sources(n_sources)
     if g.node_count < 2:
         raise DegenerateInputError("ASPL needs at least 2 nodes")
     gc = g.giant_graph()
@@ -341,7 +341,7 @@ def metrics_series(
     filled and a '<date>: <error>' line on the result's .warnings. An
     aspl_sources below 1 is a ParameterError before any month is read.
     """
-    _check_aspl_sources(aspl_sources)
+    check_aspl_sources(aspl_sources)
     rows = []
     warnings = []
     for snap in series.snapshots:

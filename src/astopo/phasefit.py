@@ -10,7 +10,8 @@ beats the best single-segment fit by a parsimony factor; otherwise the series
 is classified as a single exponential or a single line.
 
 detect_phase_change alone decides whether a series can be fitted: at least
-2 * min_segment points, every y finite and positive, a finite squared error.
+2 * min_segment points, every y finite and positive, and a finite scale and
+squared error for every fit it tries.
 fit_columns fits metrics-table columns and names the column and month at
 fault. PHASE_COLUMNS names the columns of phase_summary.csv, which
 phase_summary_to_csv writes; ColumnFit.to_dict is the JSON record.
@@ -140,7 +141,12 @@ def fit_exponential(points: Sequence[SeriesPoint]) -> ExpFit:
         raise DomainError(_y_fault(bad.y, f"x={bad.x}"), bad)
     x, y = _xy(points)
     rate, log_scale = np.polyfit(x, np.log(y), 1)
-    scale = math.exp(float(log_scale))
+    try:
+        scale = math.exp(float(log_scale))
+    except OverflowError:
+        raise DomainError(
+            f"scale e^{float(log_scale)!r} of the exponential fit, past float range"
+        ) from None
     with np.errstate(over="ignore"):
         sse = float(np.sum((y - scale * np.exp(rate * x)) ** 2))
     return ExpFit(rate=float(rate), scale=scale, sse=sse)

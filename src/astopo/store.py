@@ -57,18 +57,26 @@ def write_store(out_dir: Path | str, series: SnapshotSeries) -> list[Path]:
     return written
 
 
-def read_store(store_dir: Path | str) -> SnapshotSeries:
-    """Every <YYYY-MM>.edges file under store_dir, in date order.
-
-    A file whose '# date:' is not its stem, or whose family or monitor set
-    differs from the first file's, is a CorpusError naming that file.
-    """
+def store_files(store_dir: Path | str) -> list[Path]:
+    """The files that read_store reads: every *.edges file directly in
+    store_dir, sorted. A store_dir that is not a directory, or that holds
+    no such file, is a CorpusError."""
     store_dir = Path(store_dir)
     if not store_dir.is_dir():
         raise CorpusError(f"snapshot store {store_dir} is not a directory")
     files = sorted(store_dir.glob("*.edges"))
     if not files:
         raise CorpusError(f"no .edges files in {store_dir}")
+    return files
+
+
+def read_store(store_dir: Path | str) -> SnapshotSeries:
+    """Every <YYYY-MM>.edges file of store_files(store_dir), in date order.
+
+    A file whose '# date:' is not its stem, or whose family or monitor set
+    differs from the first file's, is a CorpusError naming that file.
+    """
+    files = store_files(store_dir)
     snapshots = []
     for f in files:
         snap = read_snapshot(f)

@@ -1,9 +1,11 @@
 """Tiny deterministic SVG chart writer.
 
-Just enough for the toolkit's report plots: line and point series on one
-axis pair, fixed canvas, fixed-precision coordinates, no dependencies. The
-same data always renders to the same bytes, which is what the reproducible-
-output contract needs (matplotlib SVGs embed volatile ids and dates).
+Just enough for the toolkit's month charts: line and point series over a
+month axis, fixed canvas, fixed-precision coordinates, no dependencies. The
+x axis of every chart covers every month of its dates, so a month without
+a value still has its place. The same data always renders to the same
+bytes, which is what the reproducible-output contract needs (matplotlib
+SVGs embed volatile ids and dates).
 """
 
 from __future__ import annotations
@@ -48,20 +50,17 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def render_chart(
-    series: Sequence[Series],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    x_tick_labels: Sequence[tuple[float, str]] | None = None,
-) -> str:
-    """Render the series into a standalone SVG document string."""
-    xs_all = [x for s in series for x in s.xs]
-    ys_all = [y for s in series for y in s.ys]
-    if not xs_all:
-        xs_all = [0.0, 1.0]
-        ys_all = [0.0, 1.0]
-    x_lo, x_hi = _span(xs_all)
+def render_chart(series: Sequence[Series], title: str, y_label: str, dates: Sequence[str]) -> str:
+    """Render the series into a standalone SVG document string.
+
+    A series' xs are 1-based positions into dates, which must not be empty.
+    The x axis spans every entry of dates, whether or not a series has a
+    value there, so every date tick and every point lies inside the plot.
+    The ticks are the first date, every step-th after it, and the last;
+    step is a fifth of the months after the first, rounded down, at least 1.
+    """
+    ys_all = [y for s in series for y in s.ys] or [0.0, 1.0]
+    x_lo, x_hi = _span([1.0, float(len(dates))])
     y_lo, y_hi = _span(ys_all)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -78,12 +77,9 @@ def render_chart(
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
+        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-        )
 
     for y in _ticks(y_lo, y_hi):
         ypix = py(y)
@@ -96,30 +92,27 @@ def render_chart(
             f'font-family="sans-serif" font-size="11">{_fmt(y)}</text>'
         )
     bottom = MARGIN_TOP + plot_h
-    if x_tick_labels is None:
-        x_tick_labels = [(x, _fmt(x)) for x in _ticks(x_lo, x_hi)]
-    for x, label in x_tick_labels:
-        xpix = px(x)
+    last = len(dates) - 1
+    for i in [*range(0, last, max(1, last // 5)), last]:
+        xpix = px(i + 1.0)
         out.append(
             f'<line x1="{xpix:.2f}" y1="{bottom}" x2="{xpix:.2f}" y2="{bottom + 4}" '
             'stroke="#333333" stroke-width="1"/>'
         )
         out.append(
             f'<text x="{xpix:.2f}" y="{bottom + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(dates[i])}</text>'
         )
-    if x_label:
-        out.append(
-            f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        ylx, yly = 18, MARGIN_TOP + plot_h // 2
-        out.append(
-            f'<text x="{ylx}" y="{yly}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 {ylx} {yly})">{_escape(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="12">month</text>'
+    )
+    ylx, yly = 18, MARGIN_TOP + plot_h // 2
+    out.append(
+        f'<text x="{ylx}" y="{yly}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 {ylx} {yly})">{_escape(y_label)}</text>'
+    )
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -132,17 +125,16 @@ def render_chart(
         if s.draw_points or len(pts) == 1:
             for x, y in pts:
                 out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>')
-        if s.label:
-            ly = MARGIN_TOP + 16 + 16 * i
-            lx = WIDTH - MARGIN_RIGHT - 150
-            out.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            out.append(
-                f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{_escape(s.label)}</text>'
-            )
+        ly = MARGIN_TOP + 16 + 16 * i
+        lx = WIDTH - MARGIN_RIGHT - 150
+        out.append(
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        out.append(
+            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
+            f'font-size="11">{_escape(s.label)}</text>'
+        )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

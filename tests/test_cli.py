@@ -4,15 +4,16 @@ import io
 import json
 import math
 import random
+import re
 import warnings
 from dataclasses import fields
 
 import pytest
 
-from astopo import AS_MAX
+from astopo import AS_MAX, svgplot
 from astopo import store as store_module
 from astopo.cli import build_parser, main
-from astopo.generators import GeneratorParams
+from astopo.generators import GeneratorParams, generate_with_trajectory
 from astopo.ingest import REJECT_REASONS, FilterReport
 from astopo.metrics import METRIC_COLUMNS, MetricRow
 from astopo.phasefit import PHASE_COLUMNS
@@ -145,15 +146,28 @@ def test_metrics_sampled_mode(tmp_path):
     assert run("metrics", "--input", store, "--out", out_b, "--aspl-mode", "sampled:2", "--seed", "9") == 0
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
     assert run("metrics", "--input", store, "--out", tmp_path / "c", "--aspl-mode", "bogus") == 1
+    # 'sampled' is 1000 sources, past every component here: the cap makes it exact.
+    assert run("metrics", "--input", store, "--out", tmp_path / "s", "--aspl-mode", "sampled") == 0
+    assert run("metrics", "--input", store, "--out", tmp_path / "e") == 0
+    assert (tmp_path / "s" / "metrics.csv").read_bytes() == (tmp_path / "e" / "metrics.csv").read_bytes()
 
 
-def test_metrics_checks_aspl_mode_before_reading_the_store(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("bogus", "bad --aspl-mode 'bogus'"),
+        ("sampled:x", "bad --aspl-mode 'sampled:x'"),
+        ("sampled:0", "ASPL n_sources must be >= 1, got 0"),
+    ],
+)
+def test_metrics_checks_aspl_mode_before_reading_the_store(tmp_path, monkeypatch, capsys, mode, message):
     def read_store(*args):
         raise AssertionError("the store was read before --aspl-mode was checked")
 
     monkeypatch.setattr(store_module, "read_store", read_store)
-    assert run("metrics", "--input", tmp_path / "store", "--out", tmp_path / "out", "--aspl-mode", "bogus") == 1
-    assert "bad --aspl-mode 'bogus'" in capsys.readouterr().err
+    assert run("metrics", "--input", tmp_path / "store", "--out", tmp_path / "out", "--aspl-mode", mode) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def write_metrics_csv(path, dates, column, name="N"):
@@ -263,6 +277,10 @@ def test_generate_deterministic_and_validated(tmp_path, capsys):
     assert lines[0] == "N,k_max"
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 7
+    # The command writes the library's default trajectory.
+    _, trajectory = generate_with_trajectory(GeneratorParams(model="ba", n_target=1000, seed=7))
+    assert (out_a / "trajectory.csv").read_text() == trajectory.to_csv()
+    assert manifest["config"]["checkpoints"] == [3, 10, 100, 1000]
 
     assert run("generate", "--model", "ba", "--n", "100", "--m", "5", "--m0", "3",
                "--seed", "1", "--out", tmp_path / "bad") == 1
@@ -440,6 +458,103 @@ def test_report_notes_squared_error_past_float_range(tmp_path):
     assert {"metric": "L", "skipped": rows["L"][-1]} in report
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_exponential_scale_past_float_range(tmp_path, capsys, command):
+    """Every value is finite and positive, but the log-line of L = 1e300 e^(-60 (x - 1))
+    meets x = 0 at e^750.8, so no exponential fit has a float scale."""
+    values = [1e300 * math.exp(-60 * i) for i in range(12)]
+    write_metrics_csv(tmp_path / "m.csv", month_labels(12), values, "L")
+    argv = [command, "--input", tmp_path / "m.csv", "--out", tmp_path / "out"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(*argv, *(["--metric", "L"] if command == "fit" else []))
+    note = re.compile(r"column L has scale e\^750\.7\d* of the exponential fit, past float range")
+    if command == "fit":
+        assert code == 1 and note.fullmatch(capsys.readouterr().err.removeprefix("error: ").rstrip())
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code == 0
+        summary = (tmp_path / "out" / "phase_summary.csv").read_text()
+        rows = {row[0]: row for row in csv.reader(io.StringIO(summary))}
+        assert rows["L"][1:-1] == [""] * 6 and note.fullmatch(rows["L"][-1])
+
+
+def chart_xs(svg):
+    """The x of every date tick and of every point of a month chart."""
+    bottom = svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
+    ticks = [float(x) for x in re.findall(rf'<line x1="(-?[0-9.]+)" y1="{bottom}" ', svg)]
+    points = [float(x) for x in re.findall(r'<circle cx="(-?[0-9.]+)"', svg)]
+    return ticks, points
+
+
+def _charts_of_gappy_metrics(tmp_path):
+    """rho is undefined on the triangles of the first and last month, defined between."""
+    corpus = tmp_path / "corpus"
+    for date, lines in [("2001-01", ["1 2 3", "3 1"]), ("2001-02", ["1 2 3 4"]),
+                        ("2001-03", ["1 2 3 4 5", "2 6"]), ("2001-04", ["1 2 3", "3 1"])]:
+        write_path_file(corpus, date, "m", "ipv4", lines)
+    assert run("ingest", "--input", corpus, "--out", tmp_path / "store") == 0
+    assert run("metrics", "--input", tmp_path / "store", "--out", tmp_path / "out", "--plots") == 0
+    assert [row.split(",")[7] != "" for row in read_lines(tmp_path / "out" / "metrics.csv")[1:]] == [
+        False, True, True, False
+    ]
+    return sorted((tmp_path / "out").glob("*.svg"))
+
+
+def _chart_of_unmeasured_tunnel(tmp_path):
+    """No IPv6 endpoint is in the IPv4 graph, so no month has an ASPL."""
+    months = ("2003-01", "2003-02")
+    argv = _tunnel_argv(tmp_path, dict.fromkeys(months, "1 2"), dict.fromkeys(months, "7 8"))
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 0
+    assert read_lines(out / "tunnel_summary.csv")[1].split(",")[1] == ""
+    return [out / "tunnel_aspl.svg"]
+
+
+def _chart_of_fit_with_excluded_end(tmp_path):
+    dates = month_labels(30)
+    write_metrics_csv(tmp_path / "m.csv", dates, [float(i + 1) for i in range(30)])
+    (tmp_path / "x.txt").write_text("".join(f"{d}\n" for d in dates[-6:]))
+    assert run("fit", "--input", tmp_path / "m.csv", "--out", tmp_path / "out", "--metric", "N",
+               "--exclude-dates", tmp_path / "x.txt") == 0
+    return [tmp_path / "out" / "fit_N.svg"]
+
+
+@pytest.mark.parametrize(
+    "charts", [_charts_of_gappy_metrics, _chart_of_unmeasured_tunnel, _chart_of_fit_with_excluded_end]
+)
+def test_every_tick_and_point_lies_inside_the_plot(tmp_path, charts):
+    paths = charts(tmp_path)
+    assert paths
+    for path in paths:
+        ticks, points = chart_xs(path.read_text())
+        assert ticks, path.name
+        for x in ticks + points:
+            assert svgplot.MARGIN_LEFT <= x <= svgplot.WIDTH - svgplot.MARGIN_RIGHT, path.name
+
+
+def test_manifests_hash_exactly_the_files_read(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_path_file(corpus, "2003-01", "a", "ipv4", ["1 2 3"])
+    write_path_file(corpus, "2003-01", "b", "ipv4", ["3 4"])  # not in the monitor set
+    write_path_file(corpus, "notes", "x", "ipv4", ["1 2"])  # not a month directory
+    write_path_file(corpus / "2003-01", "sub", "x", "ipv4", ["1 2"])  # below a month directory
+    monitors = write_monitor_set(tmp_path / "set.txt", "A", ["a"])
+    store = tmp_path / "store"
+    assert run("ingest", "--input", corpus, "--out", store, "--monitors", monitors) == 0
+    (store / "old").mkdir()
+    (store / "old" / "1999-01.edges").write_text("# date: 1999-01\n1 2\n")
+
+    def inputs(out):
+        return sorted(json.loads((out / "manifest.json").read_text())["inputs"])
+
+    assert inputs(store) == ["corpus/2003-01/a.paths", "monitors/set.txt"]
+    assert run("metrics", "--input", store, "--out", tmp_path / "m") == 0
+    assert inputs(tmp_path / "m") == ["store/2003-01.edges"]
+    assert run("tunnel", "--input6", store, "--input4", store, "--out", tmp_path / "t") == 0
+    assert inputs(tmp_path / "t") == ["ipv4/2003-01.edges", "ipv6/2003-01.edges"]
+
+
 def test_unknown_metric_column(tmp_path, capsys):
     csv_path = tmp_path / "m.csv"
     csv_path.write_text("date,weird\n2001-01,1\n")
@@ -465,6 +580,11 @@ def _bad_store(tmp_path):
     return ["metrics", "--input", tmp_path / "store"]
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
 def _short_csv(tmp_path):
     write_metrics_csv(tmp_path / "m.csv", month_labels(8), [float(i + 1) for i in range(8)])
     return tmp_path / "m.csv"
@@ -480,12 +600,21 @@ def _bad_cell_csv(tmp_path):
     return tmp_path / "m.csv"
 
 
-def _disjoint_stores(tmp_path):
-    write_path_file(tmp_path / "c6", "2003-01", "m", "ipv6", ["1 2"])
-    write_path_file(tmp_path / "c4", "2004-01", "m", "ipv4", ["1 2"])
-    for family in ("c6", "c4"):
+def _tunnel_argv(tmp_path, paths6, paths4):
+    """tunnel over the stores ingested from one path line per month of each family."""
+    for family, paths in (("ipv6", paths6), ("ipv4", paths4)):
+        for month, line in paths.items():
+            write_path_file(tmp_path / family, month, "m", family, [line])
         assert run("ingest", "--input", tmp_path / family, "--out", tmp_path / f"s{family}") == 0
-    return ["tunnel", "--input6", tmp_path / "sc6", "--input4", tmp_path / "sc4"]
+    return ["tunnel", "--input6", tmp_path / "sipv6", "--input4", tmp_path / "sipv4"]
+
+
+def _non_ascii_date_corpus(tmp_path, directory):
+    """A path file dated with Arabic-Indic digits, in a directory named the same or 2003-01."""
+    date = "\u0662\u0660\u0660\u0663-01"
+    path = write_path_file(tmp_path / "corpus", date, "a", "ipv4", ["1 2"])
+    path.parent.rename(tmp_path / "corpus" / directory)
+    return ["ingest", "--input", tmp_path / "corpus"]
 
 
 def _generate(model, n, *flags):
@@ -502,6 +631,25 @@ REJECTED_COMMANDS = {
     "metrics-bad-aspl-mode": lambda tmp: [
         "metrics", "--input", _valid_store(tmp), "--aspl-mode", "bogus"
     ],
+    "metrics-store-is-a-file": lambda tmp: ["metrics", "--input", _short_csv(tmp)],
+    "ingest-non-ascii-month-directory": lambda tmp: _non_ascii_date_corpus(
+        tmp, "\u0662\u0660\u0660\u0663-01"
+    ),
+    "ingest-non-ascii-header-date": lambda tmp: _non_ascii_date_corpus(tmp, "2003-01"),
+    "fit-no-date-column": lambda tmp: [
+        "fit", "--input", _write(tmp / "m.csv", "N,L\n3,2\n"), "--metric", "N"
+    ],
+    "fit-unreadable-exclude-file": lambda tmp: [
+        "fit", "--input", _short_csv(tmp), "--metric", "N", "--exclude-dates", tmp / "none.txt"
+    ],
+    # 2003-02's one IPv6 path has one hop: its graph has a node but no edge.
+    "tunnel-edgeless-ipv6-month": lambda tmp: _tunnel_argv(
+        tmp, {"2003-01": "1 2", "2003-02": "5"}, dict.fromkeys(("2003-01", "2003-02"), "1 2")
+    ),
+    "generate-bad-checkpoints": lambda tmp: _generate("ba", 100, "--checkpoints=10,x"),
+    "generate-m-0": lambda tmp: _generate("ba", 100, "--m", "0"),
+    "generate-m0-1": lambda tmp: _generate("ba", 100, "--m", "1", "--m0", "1"),
+    "generate-ab-q-past-1": lambda tmp: _generate("ab", 100, "--q", "1.5"),
     "fit-short-column": lambda tmp: ["fit", "--input", _short_csv(tmp), "--metric", "N"],
     "fit-missing-column": lambda tmp: ["fit", "--input", _bad_cell_csv(tmp), "--metric", "k_max"],
     "fit-min-segment-2": lambda tmp: [
@@ -516,7 +664,7 @@ REJECTED_COMMANDS = {
     "generate-bad-m0": lambda tmp: [
         "generate", "--model", "ba", "--n", "100", "--m", "5", "--m0", "3", "--seed", "1"
     ],
-    "tunnel-disjoint-dates": _disjoint_stores,
+    "tunnel-disjoint-dates": lambda tmp: _tunnel_argv(tmp, {"2003-01": "1 2"}, {"2004-01": "1 2"}),
     "generate-glp-beta-nan": lambda tmp: _generate("glp", 200, "--beta", "nan"),
     "generate-glp-beta-minus-inf": lambda tmp: _generate("glp", 200, "--beta=-inf"),
     "generate-glp-beta-overflow": lambda tmp: _generate("glp", 200, "--beta=-1e307"),
@@ -534,8 +682,18 @@ REJECTED_COMMANDS = {
     "generate-pfp-n-past-as-range": lambda tmp: _generate("pfp", AS_MAX + 2),
 }
 
-# The parameter a rejected command's error message must name.
+# What a rejected command's error message must name: the parameter, file or month at fault.
 REJECTED_PARAMETER = {
+    "metrics-store-is-a-file": "m.csv is not a directory",
+    "ingest-non-ascii-month-directory": "no admitted path files under",
+    "ingest-non-ascii-header-date": "a.paths: bad date",
+    "fit-no-date-column": "m.csv: not a metrics CSV (missing 'date' column)",
+    "fit-unreadable-exclude-file": "none.txt",
+    "tunnel-edgeless-ipv6-month": "2003-02: IPv6 graph has no edges",
+    "generate-bad-checkpoints": "bad --checkpoints '10,x'",
+    "generate-m-0": "m must be >= 1",
+    "generate-m0-1": "m0 must be >= 2",
+    "generate-ab-q-past-1": "q must be in [0, 1]",
     "fit-min-segment-2": "min_segment",
     "report-min-segment-2": "min_segment",
     "report-parsimony-0": "parsimony",

@@ -107,7 +107,7 @@ GOLDEN = {
     "metrics/metric_k_max.svg":
         "07fba33abcea3230661c01032f4d2927fa75d82b2c02fe859a424f99a62791f1",
     "metrics/metric_r.svg":
-        "6df7f602f878a3a89fb1e4eb15cc1c158af67f36ef382778f7ece02127c4bc9a",
+        "01b2cf9f96069728a682d2fcef4c35d3365378a091dcf739ec84e3a370abd658",
     "metrics/metric_rho.svg":
         "a64b286f76493c41880add205328e097aed1941f85e14fe0e5f2c78dbf38e4f3",
     "metrics/metrics.csv":

@@ -222,8 +222,10 @@ def test_load_series_all_months(tmp_path):
 
 def test_load_series_monitor_restriction(tmp_path):
     fixture = build_filter_corpus(tmp_path)
+    write_path_file(tmp_path, "2001-02", "mon2", "ipv4", ["2 5"])  # no admitted file: no month
     all_series = load_series(tmp_path)
     only1 = load_series(tmp_path, MonitorSet("ONE", frozenset({"mon1"})))
+    assert all_series.dates() == ["2001-01", "2001-02"] and only1.dates() == ["2001-01"]
     edges_all = set(edge_list(all_series.snapshots[0].graph))
     edges_one = set(edge_list(only1.snapshots[0].graph))
     assert edges_all == fixture["edges_all"]
@@ -269,6 +271,15 @@ def test_load_series_empty_root(tmp_path):
         load_series(tmp_path)
 
 
+def test_month_directory_name_is_ascii_digits(tmp_path):
+    """A directory named with other digits is no month: like notes/, it is not read."""
+    write_path_file(tmp_path, "\u0662\u0660\u0660\u0663-01", "m", "ipv4", ["1 2"])
+    with pytest.raises(CorpusError, match="no admitted path files"):
+        load_series(tmp_path)
+    write_path_file(tmp_path, "2003-02", "m", "ipv4", ["1 2"])
+    assert load_series(tmp_path).dates() == ["2003-02"]
+
+
 def test_load_series_order_independence(tmp_path):
     lines = ["1 2 3", "3 4", "5 6 7", "2 8"]
     write_path_file(tmp_path, "2001-01", "m", "ipv4", lines)
@@ -295,6 +306,9 @@ def test_monitor_set_load_errors(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("mon1\n")
     with pytest.raises(CorpusError, match="set"):
+        MonitorSet.load(f)
+    f.write_text("# set:  \nmon1\n")
+    with pytest.raises(CorpusError, match=r"bad\.txt: empty set name"):
         MonitorSet.load(f)
 
 
@@ -440,6 +454,12 @@ def test_header_straddling_chunks(tmp_path, monkeypatch, name, block):
         (b"# date: 2001-01\n# monitor: m\n", r"m\.paths: line 3 must be '# family: "),
         (b"# date: 2001-01\n\n# family: ipv4\n", r"m\.paths: line 2 must be '# monitor: "),
         (b"# date: 2001-13\n# monitor: m\n# family: ipv4\n", r"m\.paths: bad date '2001-13'"),
+        # Arabic-Indic digits are digits to str.isdigit, but not to a date.
+        (
+            "# date: \u0662\u0660\u0660\u0663-01\n# monitor: m\n# family: ipv4\n".encode(),
+            r"m\.paths: bad date '\u0662\u0660\u0660\u0663-01'",
+        ),
+        (b"# date: 2001-01\n# monitor:   \n# family: ipv4\n1 2\n", r"m\.paths: line 2 has an empty monitor"),
         (b"", r"m\.paths: line 1 must be '# date: "),
     ],
 )

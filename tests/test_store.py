@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from astopo import CorpusError, CsrGraph, Snapshot
+from astopo import CorpusError, CsrGraph, Snapshot, SnapshotSeries
 from astopo.store import read_snapshot, read_store, write_snapshot, write_store
 from corpus_utils import edge_list, write_path_file
 from astopo.ingest import load_series
@@ -74,3 +76,19 @@ def test_read_store_provenance_mismatch_names_file(tmp_path, header, message):
     write_edges_file(tmp_path, "2001-02", "2001-02", **header)
     with pytest.raises(CorpusError, match=rf"2001-02\.edges: {message}"):
         read_store(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ({"family": "ipv6"}, "snapshot 2001-02 is ipv6, series is ipv4"),
+        ({"monitor_set": "Set2"}, "snapshot 2001-02 has monitor set 'Set2', series is 'ALL'"),
+        ({"date": "2001-01"}, "snapshot dates not strictly increasing at 2001-01"),
+    ],
+    ids=["family", "monitor_set", "date_order"],
+)
+def test_snapshot_series_rejects_a_snapshot_that_does_not_fit(second, message):
+    fields = {"graph": CsrGraph([(1, 2)]), "monitor_set": "ALL", "family": "ipv4"}
+    snapshots = [Snapshot(date="2001-01", **fields), Snapshot(**{**fields, "date": "2001-02", **second})]
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        SnapshotSeries(snapshots=snapshots, family="ipv4", monitor_set="ALL")
