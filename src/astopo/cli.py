@@ -1,15 +1,18 @@
 """Command-line pipeline driver.
 
 Every command writes its outputs plus a manifest.json echoing the resolved
-configuration and the SHA-256 of exactly the input files it reads (as
-listed by ingest.corpus_files and store.store_files, plus the files its
-flags name). Nothing here is time-stamped or randomized outside the seeds
-named in the config. Dates are YYYY-MM in ASCII digits.
+configuration and the SHA-256 of exactly the input files it reads: the
+.files of each series it loads (ingest.load_series, store.read_store),
+plus the files its flags name. Nothing here is time-stamped or randomized
+outside the seeds named in the config. Dates are YYYY-MM in ASCII digits.
 
 The commands only name files; each policy is kept by the module that owns
 it. Each table is declared and written by the module that owns its record.
 --aspl-mode 'sampled' means 1000 sources, checked with the N of
 'sampled:N' by metrics.check_aspl_sources before the store is read.
+tunnel's stores must be ipv6 (--input6) and ipv4 (--input4), as
+crossnet.tunnel_series checks before --out is made. fit and report share
+one parent parser for the flags they both take.
 generate writes generators.generate_with_trajectory(params), whose default
 checkpoints are m0, the powers of ten between, and n_target. Every chart
 is svgplot.render_chart, whose x axis covers every month.
@@ -27,7 +30,7 @@ from pathlib import Path
 from . import crossnet, generators, metrics, phasefit, store, svgplot
 from .errors import AsTopoError, CorpusError, ParameterError
 from .graph import read_input_text, validate_date, write_edgelist
-from .ingest import ALL_MONITORS, MonitorSet, corpus_files, filter_summary_to_csv, load_series
+from .ingest import ALL_MONITORS, MonitorSet, filter_summary_to_csv, load_series
 
 
 def main(argv=None) -> int:
@@ -46,6 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="astopo", description="AS-level Internet topology analysis pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags of fit and report, which both phase-fit a metrics CSV.
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--input", required=True, help="metrics CSV")
+    fitting.add_argument("--out", required=True)
+    fitting.add_argument("--min-segment", type=int, default=phasefit.DEFAULT_MIN_SEGMENT)
+    fitting.add_argument("--parsimony", type=float, default=phasefit.DEFAULT_PARSIMONY)
+    fitting.add_argument("--exclude-dates", help="file with one YYYY-MM per line to drop")
 
     p = sub.add_parser("ingest", help="parse a path corpus into a snapshot store")
     p.add_argument("--input", required=True, help="corpus root: <root>/<YYYY-MM>/<monitor>.paths")
@@ -62,13 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plots", action="store_true", help="also write one SVG per metric")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("fit", help="fit growth phases to one metric column")
-    p.add_argument("--input", required=True, help="metrics CSV")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("fit", parents=[fitting], help="fit growth phases to one metric column")
     p.add_argument("--metric", required=True, choices=metrics.METRIC_COLUMNS)
-    p.add_argument("--min-segment", type=int, default=phasefit.DEFAULT_MIN_SEGMENT)
-    p.add_argument("--parsimony", type=float, default=phasefit.DEFAULT_PARSIMONY)
-    p.add_argument("--exclude-dates", help="file with one YYYY-MM per line to drop")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("generate", help="grow a model topology")
@@ -93,12 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tunnel)
 
-    p = sub.add_parser("report", help="phase-fit every metric column into a summary table")
-    p.add_argument("--input", required=True, help="metrics CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-segment", type=int, default=phasefit.DEFAULT_MIN_SEGMENT)
-    p.add_argument("--parsimony", type=float, default=phasefit.DEFAULT_PARSIMONY)
-    p.add_argument("--exclude-dates", help="file with one YYYY-MM per line to drop")
+    p = sub.add_parser(
+        "report", parents=[fitting], help="phase-fit every metric column into a summary table"
+    )
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -178,8 +180,7 @@ def cmd_ingest(args) -> None:
     store.write_store(out, series)
     (out / "filter_summary.csv").write_text(filter_summary_to_csv(series.filter_reports))
 
-    files = [f for month in corpus_files(root, config).values() for f in month]
-    inputs = {**_hash_files(root, files, "corpus"), **_hash_file(args.monitors, "monitors")}
+    inputs = {**_hash_files(root, series.files, "corpus"), **_hash_file(args.monitors, "monitors")}
     _write_manifest(
         out, args, inputs, input=str(root), monitor_set=config.label,
         monitors_file=args.monitors, months=series.dates(), family=series.family,
@@ -214,7 +215,7 @@ def cmd_metrics(args) -> None:
             )
             (out / f"metric_{col}.svg").write_text(svg)
 
-    inputs = _hash_files(store_dir, store.store_files(store_dir), "store")
+    inputs = _hash_files(store_dir, series.files, "store")
     _write_manifest(
         out, args, inputs, input=str(store_dir),
         aspl_mode=args.aspl_mode, seed=args.seed, k_min=args.kmin, plots=bool(args.plots),
@@ -322,8 +323,8 @@ def cmd_tunnel(args) -> None:
     (out / "tunnel_aspl.svg").write_text(svg)
 
     inputs = {
-        **_hash_files(dir6, store.store_files(dir6), "ipv6"),
-        **_hash_files(dir4, store.store_files(dir4), "ipv4"),
+        **_hash_files(dir6, series6.files, "ipv6"),
+        **_hash_files(dir4, series4.files, "ipv4"),
     }
     _write_manifest(out, args, inputs, input6=str(dir6), input4=str(dir4))
 

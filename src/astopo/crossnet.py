@@ -6,6 +6,7 @@ native; larger distances suggest the IPv6 session is tunnelled across IPv4
 infrastructure. Edges whose endpoints are absent from the IPv4 graph, or
 present but unreachable, are excluded from the average and reported apart.
 
+tunnel_series checks that its IPv6 and IPv4 series are of those families.
 Both snapshots arrive as CsrGraphs and nothing is rebuilt. The IPv6 edges
 are classified against the IPv4 graph by binary searches of arrays it holds
 sorted: its labels (CsrGraph.has_nodes: an endpoint missing) and its arc
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, NoOverlapError
+from .errors import CorpusError, DegenerateInputError, NoOverlapError
 from .graph import UNREACHABLE, CsrGraph, SnapshotSeries
 
 DISTRIBUTION_CSV_HEADER = "d,count,probability"
@@ -101,7 +102,15 @@ def tunnel_path_lengths(g6: CsrGraph, g4: CsrGraph, date: str | None = None) -> 
 
 
 def tunnel_series(series6: SnapshotSeries, series4: SnapshotSeries) -> list[TunnelDistribution]:
-    """One distribution per date present in both series, ascending."""
+    """One distribution per date present in both series, ascending.
+
+    A series6 that is not ipv6, or a series4 that is not ipv4, is a
+    CorpusError naming its family and the directory it was read from.
+    """
+    for series, family in ((series6, "ipv6"), (series4, "ipv4")):
+        if series.family != family:
+            source = f" read from {series.files[0].parent}" if series.files else ""
+            raise CorpusError(f"the series{source} is {series.family}, not {family}")
     by_date6 = {s.date: s for s in series6.snapshots}
     by_date4 = {s.date: s for s in series4.snapshots}
     common = sorted(set(by_date6) & set(by_date4))

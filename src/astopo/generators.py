@@ -328,23 +328,8 @@ class _Growth:
 
     def _reweight(self, u: int, v: int) -> None:
         """Set the picker weights of u, then v, to the kernel of their degrees."""
-        picker = self.picker
-        tree = picker._tree
-        weights = picker._weights
-        cap = picker._cap
-        adj = self.adj
-        kernel_of = self.kernel_of
-        for x in (u, v):
-            weight = kernel_of[len(adj[x])]
-            delta = weight - weights[x]
-            if delta == 0.0:
-                continue
-            weights[x] = weight
-            j = x + 1
-            while j <= cap:
-                tree[j] += delta
-                j += j & (-j)
-        picker._total = None
+        self.picker.set_weight(u, self.kernel_of[len(self.adj[u])])
+        self.picker.set_weight(v, self.kernel_of[len(self.adj[v])])
 
     def max_degree(self) -> int:
         return max(map(len, self.adj))

@@ -15,6 +15,10 @@ and every endpoint's row; AS-number and edge lookups are binary searches
 AsGraph, a dict of neighbour sets, has no caller in the package; it is the
 reference graph of the test oracles.
 
+A Snapshot is one month's CsrGraph and date. Its provenance is held once,
+by its SnapshotSeries: the address family, the monitor set, and the input
+files the series was read from.
+
 Every hop distance (ASPL, tunnel paths) comes from one bit-parallel
 multi-source BFS loop, CsrGraph._levels. Each batch of MSBFS_BATCH sources
 allocates its buffers once and reuses them level by level, so a frontier it
@@ -540,45 +544,36 @@ class CsrGraph:
 
 @dataclass
 class Snapshot:
-    """One month's merged AS graph plus provenance."""
+    """One month's merged AS graph; its provenance is that of its series."""
 
     graph: CsrGraph
     date: str
-    monitor_set: str
-    family: str
 
     def __post_init__(self) -> None:
         validate_date(self.date)
-        validate_family(self.family)
 
 
 @dataclass
 class SnapshotSeries:
-    """Date-ordered snapshots sharing one family and one monitor set.
+    """Date-ordered snapshots of one family, seen by one monitor set.
 
-    filter_reports maps date -> per-month FilterReport when the series came
-    from a path corpus; it stays empty for series reloaded from edge lists.
+    files lists the input files the series was read from, in read order; it
+    is empty for a series built in memory. filter_reports maps date ->
+    per-month FilterReport when the series came from a path corpus; it stays
+    empty for series reloaded from edge lists.
     """
 
     snapshots: list[Snapshot]
     family: str
     monitor_set: str
     filter_reports: dict = field(default_factory=dict)
+    files: list[Path] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         validate_family(self.family)
-        prev = None
-        for snap in self.snapshots:
-            if snap.family != self.family:
-                raise CorpusError(f"snapshot {snap.date} is {snap.family}, series is {self.family}")
-            if snap.monitor_set != self.monitor_set:
-                raise CorpusError(
-                    f"snapshot {snap.date} has monitor set {snap.monitor_set!r}, "
-                    f"series is {self.monitor_set!r}"
-                )
-            if prev is not None and snap.date <= prev:
+        for prev, snap in zip(self.snapshots, self.snapshots[1:]):
+            if snap.date <= prev.date:
                 raise CorpusError(f"snapshot dates not strictly increasing at {snap.date}")
-            prev = snap.date
 
     def __len__(self) -> int:
         return len(self.snapshots)

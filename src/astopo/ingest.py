@@ -424,7 +424,7 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
     A month is read one file at a time: each file's PathHops are held, and
     the month's CsrGraph is built once from all of them. Per-month
     FilterReports (merged across monitors) ride on the returned series as
-    .filter_reports.
+    .filter_reports, and the files read, in read order, as .files.
     """
     snapshots: list[Snapshot] = []
     reports: dict[str, FilterReport] = {}
@@ -451,13 +451,15 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
             report.merge(rep)
             yield hops
 
+    read: list[Path] = []
     for month, files in corpus_files(root, config).items():
         reports[month] = FilterReport()
         pairs, bare = zip(*file_hops(month, files, reports[month]))
-        graph = CsrGraph(np.concatenate(pairs), np.concatenate(bare))
-        snapshots.append(Snapshot(graph=graph, date=month, monitor_set=config.label, family=family))
+        snapshots.append(Snapshot(CsrGraph(np.concatenate(pairs), np.concatenate(bare)), month))
+        read.extend(files)
     if family is None:
         raise CorpusError(f"no admitted path files under {root}")
     return SnapshotSeries(
-        snapshots=snapshots, family=family, monitor_set=config.label, filter_reports=reports
+        snapshots=snapshots, family=family, monitor_set=config.label, filter_reports=reports,
+        files=read,
     )

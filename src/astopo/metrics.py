@@ -124,21 +124,29 @@ def _cell(value) -> str:
 def read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | None]]]:
     """The dates and columns of a metrics CSV: date first, then any columns.
 
-    An empty or missing cell is None. A bad or out-of-order date, a cell that
-    is not a finite number, or a column name given twice in the header is a
-    CorpusError naming the file.
+    An empty or missing cell is None, so a short row reads as its cells and
+    then Nones. A bad or out-of-order date, a cell that is not a finite
+    number, a row with more cells than the header, or a column name that is
+    empty or given twice in the header is a CorpusError naming the file.
     """
     reader = csv.DictReader(io.StringIO(read_input_text(Path(path))))
-    if reader.fieldnames is None or reader.fieldnames[0] != "date":
+    header = reader.fieldnames
+    if header is None or header[0] != "date":
         raise CorpusError(f"{path}: not a metrics CSV (missing 'date' column)")
-    for i, name in enumerate(reader.fieldnames):
-        if name in reader.fieldnames[:i]:
+    for i, name in enumerate(header):
+        if not name:
+            raise CorpusError(f"{path}: column {i + 1} of the header has no name")
+        if name in header[:i]:
             # A row maps each name to one cell, so all but one column would be lost.
             raise CorpusError(f"{path}: column {name!r} appears twice in the header")
-    columns: dict[str, list[float | None]] = {c: [] for c in reader.fieldnames if c != "date"}
+    columns: dict[str, list[float | None]] = {c: [] for c in header if c != "date"}
     dates: list[str] = []
     for row in reader:
         date, where = row["date"], f"{path}:{reader.line_num}"
+        extra = row.get(None, [])  # DictReader keys the cells past the header by None
+        if extra:
+            n = len(header)
+            raise CorpusError(f"{where}: {n + len(extra)} cells, but the header names {n} columns")
         try:
             validate_date(date)
         except CorpusError as exc:

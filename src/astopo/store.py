@@ -1,9 +1,10 @@
 """On-disk snapshot store: one edge-list file per month, provenance in headers.
 
 Files are named <YYYY-MM>.edges and carry '# date:', '# monitor_set:' and
-'# family:' directives, so a store round-trips a SnapshotSeries exactly
-(isolated nodes included, via '# node:' lines). Each file is read straight
-into its month's CsrGraph.
+'# family:' directives, the last two written from the series, so a store
+round-trips a SnapshotSeries exactly (isolated nodes included, via '# node:'
+lines). Each file is read straight into its month's CsrGraph, and the
+series read back lists the files as its .files.
 """
 
 from __future__ import annotations
@@ -11,48 +12,18 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import CorpusError
-from .graph import Snapshot, SnapshotSeries, read_edgelist, write_edgelist
-
-
-def snapshot_path(out_dir: Path | str, date: str) -> Path:
-    return Path(out_dir) / f"{date}.edges"
-
-
-def write_snapshot(path: Path | str, snapshot: Snapshot) -> None:
-    write_edgelist(
-        snapshot.graph,
-        path,
-        directives={
-            "date": snapshot.date,
-            "monitor_set": snapshot.monitor_set,
-            "family": snapshot.family,
-        },
-    )
-
-
-def read_snapshot(path: Path | str) -> Snapshot:
-    graph, directives = read_edgelist(path)
-    for key in ("date", "monitor_set", "family"):
-        if key not in directives:
-            raise CorpusError(f"{path}: missing '# {key}:' directive")
-    try:
-        return Snapshot(
-            graph=graph,
-            date=directives["date"],
-            monitor_set=directives["monitor_set"],
-            family=directives["family"],
-        )
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+from .graph import Snapshot, SnapshotSeries, read_edgelist, validate_family, write_edgelist
 
 
 def write_store(out_dir: Path | str, series: SnapshotSeries) -> list[Path]:
+    """One <date>.edges file per snapshot; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for snap in series.snapshots:
-        path = snapshot_path(out_dir, snap.date)
-        write_snapshot(path, snap)
+        path = out_dir / f"{snap.date}.edges"
+        directives = {"date": snap.date, "monitor_set": series.monitor_set, "family": series.family}
+        write_edgelist(snap.graph, path, directives)
         written.append(path)
     return written
 
@@ -71,27 +42,34 @@ def store_files(store_dir: Path | str) -> list[Path]:
 
 
 def read_store(store_dir: Path | str) -> SnapshotSeries:
-    """Every <YYYY-MM>.edges file of store_files(store_dir), in date order.
+    """Every <YYYY-MM>.edges file of store_files(store_dir), in date order,
+    as a series whose .files are those files.
 
-    A file whose '# date:' is not its stem, or whose family or monitor set
-    differs from the first file's, is a CorpusError naming that file.
+    A file missing one of the three directives, whose '# date:' is not its
+    stem, or whose family or monitor set differs from the first file's, is a
+    CorpusError naming that file; so is a first file of no valid family.
     """
     files = store_files(store_dir)
     snapshots = []
+    first: dict[str, str] = {}
     for f in files:
-        snap = read_snapshot(f)
-        if snap.date != f.stem:
-            raise CorpusError(f"{f}: header date {snap.date} does not match file name")
-        first = snapshots[0] if snapshots else snap
+        graph, directives = read_edgelist(f)
+        for key in ("date", "monitor_set", "family"):
+            if key not in directives:
+                raise CorpusError(f"{f}: missing '# {key}:' directive")
+        first = first or directives
+        try:
+            snapshots.append(Snapshot(graph, directives["date"]))
+            validate_family(first["family"])
+        except CorpusError as exc:
+            raise CorpusError(f"{f}: {exc}") from None
+        if directives["date"] != f.stem:
+            raise CorpusError(f"{f}: header date {directives['date']} does not match file name")
         for key in ("family", "monitor_set"):
-            if getattr(snap, key) != getattr(first, key):
+            if directives[key] != first[key]:
                 raise CorpusError(
-                    f"{f}: {key} {getattr(snap, key)!r} differs from "
-                    f"{getattr(first, key)!r} in {files[0].name}"
+                    f"{f}: {key} {directives[key]!r} differs from {first[key]!r} in {files[0].name}"
                 )
-        snapshots.append(snap)
     return SnapshotSeries(
-        snapshots=snapshots,
-        family=snapshots[0].family,
-        monitor_set=snapshots[0].monitor_set,
+        snapshots=snapshots, family=first["family"], monitor_set=first["monitor_set"], files=files
     )

@@ -290,13 +290,8 @@ def test_criterion_7_tunnelling():
     path6 = CsrGraph([(i, i + 1) for i in range(1, 6)])
     snaps4, snaps6 = [], []
     for i, date in enumerate(TUNNEL_MONTHS):
-        snaps4.append(Snapshot(graph=path6, date=date, monitor_set="ALL", family="ipv4"))
-        snaps6.append(
-            Snapshot(
-                graph=CsrGraph(tunnel_month_edges(i)),
-                date=date, monitor_set="ALL", family="ipv6",
-            )
-        )
+        snaps4.append(Snapshot(path6, date))
+        snaps6.append(Snapshot(CsrGraph(tunnel_month_edges(i)), date))
     series4 = SnapshotSeries(snapshots=snaps4, family="ipv4", monitor_set="ALL")
     series6 = SnapshotSeries(snapshots=snaps6, family="ipv6", monitor_set="ALL")
     dists = tunnel_series(series6, series4)

@@ -318,13 +318,10 @@ def test_tunnel_pipeline(tmp_path):
 
 
 def test_tunnel_identical_stores(tmp_path):
-    corpus = tmp_path / "corpus"
-    write_path_file(corpus, "2003-01", "m", "ipv4", ["1 2 3"])
-    write_path_file(corpus, "2003-02", "m", "ipv4", ["1 2 3"])
-    store = tmp_path / "store"
-    assert run("ingest", "--input", corpus, "--out", store) == 0
+    """The same graphs, one store per family."""
+    argv = _tunnel_argv(tmp_path, *[dict.fromkeys(("2003-01", "2003-02"), "1 2 3")] * 2)
     out = tmp_path / "t"
-    assert run("tunnel", "--input6", store, "--input4", store, "--out", out) == 0
+    assert run(*argv, "--out", out) == 0
     for line in read_lines(out / "tunnel_summary.csv")[1:]:
         assert line.split(",")[1] == "1.0"
 
@@ -419,6 +416,28 @@ def test_repeated_column_name_fails_naming_it(tmp_path, capsys, command):
     argv = [command, "--input", csv_path, "--out", tmp_path / "out"]
     assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
     assert capsys.readouterr().err == f"error: {csv_path}: column 'N' appears twice in the header\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+@pytest.mark.parametrize(
+    "header, long_row, message",
+    [
+        ("date,N,", None, "{path}: column 3 of the header has no name"),
+        ("date,N,L", "2001-04,4,4,99", "{path}:5: 4 cells, but the header names 3 columns"),
+    ],
+    ids=["empty-column-name", "long-row"],
+)
+def test_metrics_csv_shape_fails_naming_it(tmp_path, capsys, command, header, long_row, message):
+    """No cell is dropped unread: a row longer than the header, or a column
+    with no name, is an error rather than a value that silently vanishes."""
+    csv_path = tmp_path / "metrics.csv"
+    rows = [f"{d},{i},{i}" for i, d in enumerate(month_labels(30, start_year=2001), 1)]
+    rows[3] = long_row or rows[3]
+    csv_path.write_text("\n".join([header, *rows]) + "\n")
+    argv = [command, "--input", csv_path, "--out", tmp_path / "out"]
+    assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=csv_path)}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -551,7 +570,9 @@ def test_manifests_hash_exactly_the_files_read(tmp_path):
     assert inputs(store) == ["corpus/2003-01/a.paths", "monitors/set.txt"]
     assert run("metrics", "--input", store, "--out", tmp_path / "m") == 0
     assert inputs(tmp_path / "m") == ["store/2003-01.edges"]
-    assert run("tunnel", "--input6", store, "--input4", store, "--out", tmp_path / "t") == 0
+    write_path_file(tmp_path / "corpus6", "2003-01", "a", "ipv6", ["1 2"])
+    assert run("ingest", "--input", tmp_path / "corpus6", "--out", tmp_path / "store6") == 0
+    assert run("tunnel", "--input6", tmp_path / "store6", "--input4", store, "--out", tmp_path / "t") == 0
     assert inputs(tmp_path / "t") == ["ipv4/2003-01.edges", "ipv6/2003-01.edges"]
 
 
@@ -607,6 +628,14 @@ def _tunnel_argv(tmp_path, paths6, paths4):
             write_path_file(tmp_path / family, month, "m", family, [line])
         assert run("ingest", "--input", tmp_path / family, "--out", tmp_path / f"s{family}") == 0
     return ["tunnel", "--input6", tmp_path / "sipv6", "--input4", tmp_path / "sipv4"]
+
+
+def _ipv4_stores_to_tunnel(tmp_path):
+    """tunnel over two IPv4 stores, the first given as --input6."""
+    for name in ("a", "b"):
+        write_path_file(tmp_path / name, "2003-01", "m", "ipv4", ["1 2"])
+        assert run("ingest", "--input", tmp_path / name, "--out", tmp_path / f"s{name}") == 0
+    return ["tunnel", "--input6", tmp_path / "sa", "--input4", tmp_path / "sb"]
 
 
 def _non_ascii_date_corpus(tmp_path, directory):
@@ -665,6 +694,7 @@ REJECTED_COMMANDS = {
         "generate", "--model", "ba", "--n", "100", "--m", "5", "--m0", "3", "--seed", "1"
     ],
     "tunnel-disjoint-dates": lambda tmp: _tunnel_argv(tmp, {"2003-01": "1 2"}, {"2004-01": "1 2"}),
+    "tunnel-ipv4-store-as-input6": _ipv4_stores_to_tunnel,
     "generate-glp-beta-nan": lambda tmp: _generate("glp", 200, "--beta", "nan"),
     "generate-glp-beta-minus-inf": lambda tmp: _generate("glp", 200, "--beta=-inf"),
     "generate-glp-beta-overflow": lambda tmp: _generate("glp", 200, "--beta=-1e307"),
@@ -690,6 +720,7 @@ REJECTED_PARAMETER = {
     "fit-no-date-column": "m.csv: not a metrics CSV (missing 'date' column)",
     "fit-unreadable-exclude-file": "none.txt",
     "tunnel-edgeless-ipv6-month": "2003-02: IPv6 graph has no edges",
+    "tunnel-ipv4-store-as-input6": "sa is ipv4, not ipv6",
     "generate-bad-checkpoints": "bad --checkpoints '10,x'",
     "generate-m-0": "m must be >= 1",
     "generate-m0-1": "m0 must be >= 2",

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from astopo import (
     AsGraph,
+    CorpusError,
     CsrGraph,
     DegenerateInputError,
     NoOverlapError,
@@ -24,7 +25,7 @@ def path_graph(n):
 
 def series_from(graphs, family, dates=None):
     dates = dates or [f"2003-{m:02d}" for m in range(1, len(graphs) + 1)]
-    snaps = [Snapshot(graph=g, date=d, monitor_set="ALL", family=family) for g, d in zip(graphs, dates)]
+    snaps = [Snapshot(g, d) for g, d in zip(graphs, dates)]
     return SnapshotSeries(snapshots=snaps, family=family, monitor_set="ALL")
 
 
@@ -278,6 +279,16 @@ def test_tunnel_series_no_overlap():
     s4 = series_from([path_graph(3)], "ipv4", dates=["2003-01"])
     s6 = series_from([CsrGraph([(1, 2)])], "ipv6", dates=["2004-01"])
     with pytest.raises(NoOverlapError, match="2003-01"):
+        tunnel_series(s6, s4)
+
+
+@pytest.mark.parametrize("families, message", [
+    (("ipv4", "ipv4"), "the series is ipv4, not ipv6"),
+    (("ipv6", "ipv6"), "the series is ipv6, not ipv4"),
+])
+def test_tunnel_series_checks_both_families(families, message):
+    s6, s4 = (series_from([path_graph(3)], family) for family in families)
+    with pytest.raises(CorpusError, match=message):
         tunnel_series(s6, s4)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ import oracles
 from astopo import (
     AsGraph,
     CcdfPoint,
+    CorpusError,
     CsrGraph,
     DegenerateInputError,
     EmptyGraphError,
@@ -324,7 +326,7 @@ def test_label_invariance():
 
 
 def snapshot(graph, date="2001-01"):
-    return Snapshot(graph=graph, date=date, monitor_set="ALL", family="ipv4")
+    return Snapshot(graph, date)
 
 
 def test_metric_row_triangle():
@@ -380,7 +382,7 @@ def test_metric_row_kavg_identity_random():
 
 def series_of(graphs):
     dates = [f"2001-{m:02d}" for m in range(1, len(graphs) + 1)]
-    snaps = [Snapshot(graph=g, date=d, monitor_set="ALL", family="ipv4") for g, d in zip(graphs, dates)]
+    snaps = [Snapshot(g, d) for g, d in zip(graphs, dates)]
     return SnapshotSeries(snapshots=snaps, family="ipv4", monitor_set="ALL")
 
 
@@ -454,3 +456,13 @@ def test_metrics_csv_round_trip(tmp_path):
     assert dates == ["2001-01", "2001-02", "2001-03"]
     assert columns == {col: [getattr(row, col) for row in rows] for col in METRIC_COLUMNS}
     assert columns["rho"][0] is None and columns["aspl"][2] is None
+
+
+def test_metrics_csv_short_row_reads_as_none_and_long_row_fails(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("date,N,L\n2001-01,5,4\n2001-02,6\n")
+    dates, columns = metrics.read_metrics_csv(path)
+    assert dates == ["2001-01", "2001-02"] and columns == {"N": [5.0, 6.0], "L": [4.0, None]}
+    path.write_text("date,N,L\n2001-01,5,4,99\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:2: 4 cells, but the header names 3 columns")):
+        metrics.read_metrics_csv(path)

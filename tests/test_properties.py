@@ -13,10 +13,10 @@ from astopo import AS_MAX, CorpusError, CsrGraph, DegenerateInputError, EmptyGra
 from astopo import graph as graph_module  # noqa: E402
 from astopo import ingest as ingest_module  # noqa: E402
 from astopo.generators import MODELS, GeneratorParams, generate_with_trajectory  # noqa: E402
-from astopo.graph import read_edgelist  # noqa: E402
+from astopo.graph import SnapshotSeries, read_edgelist  # noqa: E402
 from astopo.ingest import parse_path_file, parse_path_line  # noqa: E402
 from astopo.metrics import average_shortest_path_length, metric_row  # noqa: E402
-from astopo.store import read_snapshot, write_snapshot  # noqa: E402
+from astopo.store import read_store, write_store  # noqa: E402
 from corpus_utils import (  # noqa: E402
     REPEAT_POOL,
     SOUP_ENDINGS,
@@ -81,7 +81,7 @@ def as_graph(graph, label):
 def row_fields(graph):
     """Every metric_row field, CCDF included, or the error it raises."""
     try:
-        row = metric_row(Snapshot(graph=graph, date="2001-01", monitor_set="ALL", family="ipv4"))
+        row = metric_row(Snapshot(graph, "2001-01"))
     except EmptyGraphError:
         return EmptyGraphError
     return row.to_dict(), row.ccdf
@@ -121,13 +121,18 @@ def test_metric_row_invariant_under_relabeling(graph, label):
 def test_snapshot_store_round_trip(tmp_path, graph, label):
     """Same CSR arrays back, and the same bytes when written again."""
     g = as_graph(graph, label)
-    first, second = tmp_path / "a.edges", tmp_path / "b.edges"
-    write_snapshot(first, Snapshot(graph=g, date="2001-01", monitor_set="ALL", family="ipv4"))
-    back = read_snapshot(first).graph
+
+    def store(graph, name):
+        series = SnapshotSeries([Snapshot(graph, "2001-01")], family="ipv4", monitor_set="ALL")
+        [path] = write_store(tmp_path / name, series)
+        return path
+
+    first = store(g, "a")
+    back = read_store(first.parent).snapshots[0].graph
     for name in ("labels", "indptr", "indices"):
         assert np.array_equal(getattr(back, name), getattr(g, name))
         assert getattr(back, name).dtype == getattr(g, name).dtype
-    write_snapshot(second, Snapshot(graph=back, date="2001-01", monitor_set="ALL", family="ipv4"))
+    second = store(back, "b")
     assert second.read_bytes() == first.read_bytes()
 
 
