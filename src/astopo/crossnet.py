@@ -62,15 +62,6 @@ class TunnelDistribution:
             return None
         return self.counts.get(1, 0) / total
 
-    def to_dict(self) -> dict:
-        return {
-            "date": self.date,
-            "counts": dict(self.counts),
-            "missing": self.missing,
-            "disconnected": self.disconnected,
-            "aspl": self.aspl,
-        }
-
 
 def tunnel_path_lengths(g6: CsrGraph, g4: CsrGraph, date: str | None = None) -> TunnelDistribution:
     """IPv4 shortest-path distribution over the IPv6 edge set.
@@ -140,10 +131,8 @@ def _fmt(value: float | None) -> str:
 
 def distribution_to_csv(dist: TunnelDistribution) -> str:
     """Per-month CSV: one row per distance, then accounting trailer comments."""
-    measured = dist.measured
     lines = [DISTRIBUTION_CSV_HEADER]
-    for d, c in dist.counts.items():
-        lines.append(f"{d},{c},{repr(c / measured)}")
+    lines += (f"{d},{dist.counts[d]},{p!r}" for d, p in dist.probabilities().items())
     lines.append(f"# missing: {dist.missing}")
     lines.append(f"# disconnected: {dist.disconnected}")
     lines.append(f"# aspl: {_fmt(dist.aspl)}")

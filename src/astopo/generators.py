@@ -280,7 +280,9 @@ class _KernelTable(dict):
 class _Growth:
     """One growth run: adjacency, kernel-weighted picker, and RNG in lockstep.
 
-    Node i's neighbours are adj[i]. The kernel is tabulated per degree.
+    Node i's neighbours are adj[i]; their insertion order is the order the
+    picker's masked fallback reads them in. The kernel is tabulated per
+    degree, and connect and disconnect reweight u, then v.
     """
 
     def __init__(self, params: GeneratorParams, kernel: Callable[[int], float]) -> None:
@@ -288,9 +290,10 @@ class _Growth:
         self.kernel_of = _KernelTable(kernel)
         m0 = params.seed_size()
         self.adj: list[set[int]] = [set() for _ in range(m0)]
-        self.edge_count = 0
-        for i in range(m0):
-            self._link(i, (i + 1) % m0)  # for m0 = 2 the closing edge (1, 0) is a duplicate
+        for i in range(m0):  # for m0 = 2 the closing edge (1, 0) is a duplicate
+            self.adj[i].add((i + 1) % m0)
+            self.adj[(i + 1) % m0].add(i)
+        self.edge_count = sum(map(len, self.adj)) // 2
         self.picker = WeightedPicker(params.n_target)
         for nbrs in self.adj:
             self.picker.append(self.kernel_of[len(nbrs)])
@@ -305,29 +308,21 @@ class _Growth:
         self.adj.append(set())
         return self.picker.append(0.0)
 
-    def _link(self, u: int, v: int) -> bool:
+    def connect(self, u: int, v: int) -> bool:
         nbrs = self.adj[u]
         if u == v or v in nbrs:
             return False
         nbrs.add(v)
         self.adj[v].add(u)
         self.edge_count += 1
-        return True
-
-    def connect(self, u: int, v: int) -> bool:
-        if not self._link(u, v):
-            return False
-        self._reweight(u, v)
+        self.picker.set_weight(u, self.kernel_of[len(nbrs)])
+        self.picker.set_weight(v, self.kernel_of[len(self.adj[v])])
         return True
 
     def disconnect(self, u: int, v: int) -> None:
         self.adj[u].remove(v)
         self.adj[v].remove(u)
         self.edge_count -= 1
-        self._reweight(u, v)
-
-    def _reweight(self, u: int, v: int) -> None:
-        """Set the picker weights of u, then v, to the kernel of their degrees."""
         self.picker.set_weight(u, self.kernel_of[len(self.adj[u])])
         self.picker.set_weight(v, self.kernel_of[len(self.adj[v])])
 

@@ -56,8 +56,6 @@ from .graph import (
     _word_values,
 )
 
-AsPath = list
-
 REJECT_AS_SET = "as_set"
 REJECT_PRIVATE_ASN = "private_asn"
 REJECT_LOOP = "loop"
@@ -109,12 +107,8 @@ class FilterReport:
         return self.accepted + self.rejected
 
     def record(self, reason: str | None, count: int = 1) -> None:
-        if reason is None:
-            self.accepted += count
-        elif reason in REJECT_REASONS:
-            setattr(self, reason, getattr(self, reason) + count)
-        else:
-            raise ValueError(f"unknown rejection reason {reason!r}")
+        name = "accepted" if reason is None else reason
+        setattr(self, name, getattr(self, name) + count)
 
     def merge(self, other: "FilterReport") -> None:
         for name in FILTER_COLUMNS[1:]:
@@ -132,7 +126,7 @@ def filter_summary_to_csv(reports: dict[str, FilterReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_path_line(line: str) -> tuple[AsPath | None, str | None]:
+def parse_path_line(line: str) -> tuple[list[int] | None, str | None]:
     """Parse one AS-path data line into (hops, None) or (None, reason).
 
     Prepending (consecutive repeats) is collapsed before the loop check.
@@ -421,17 +415,19 @@ def corpus_files(root: Path | str, config: MonitorSet = ALL_MONITORS) -> dict[st
 def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> SnapshotSeries:
     """Load the files of corpus_files(root, config) into a date-ordered series.
 
-    A month is read one file at a time: each file's PathHops are held, and
-    the month's CsrGraph is built once from all of them. Per-month
-    FilterReports (merged across monitors) ride on the returned series as
-    .filter_reports, and the files read, in read order, as .files.
+    A month is read one file at a time, each header checked against the
+    month, the file's stem and the first file's family; the month's CsrGraph
+    is built once from the files' PathHops. Per-month FilterReports (merged
+    across monitors) ride on the series as .filter_reports, and the files
+    read, in read order, as .files.
     """
     snapshots: list[Snapshot] = []
     reports: dict[str, FilterReport] = {}
+    read: list[Path] = []
     family: str | None = None
-
-    def file_hops(month: str, files: list[Path], report: FilterReport) -> Iterator[PathHops]:
-        nonlocal family
+    for month, files in corpus_files(root, config).items():
+        report = reports[month] = FilterReport()
+        pairs, bare = [], []
         for f in files:
             meta, hops, rep = parse_path_file(f)
             if meta.date != month:
@@ -442,19 +438,14 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
                 raise CorpusError(
                     f"{f}: header monitor {meta.monitor_id!r} does not match filename"
                 )
-            if family is None:
-                family = meta.family
-            elif meta.family != family:
+            family = family or meta.family
+            if meta.family != family:
                 raise CorpusError(
                     f"{f}: header family {meta.family} does not match series family {family}"
                 )
             report.merge(rep)
-            yield hops
-
-    read: list[Path] = []
-    for month, files in corpus_files(root, config).items():
-        reports[month] = FilterReport()
-        pairs, bare = zip(*file_hops(month, files, reports[month]))
+            pairs.append(hops.pairs)
+            bare.append(hops.bare)
         snapshots.append(Snapshot(CsrGraph(np.concatenate(pairs), np.concatenate(bare)), month))
         read.extend(files)
     if family is None:

@@ -183,8 +183,8 @@ def bfs_aspl(g, n_sources=None, seed=0):
 
 
 def bfs_tunnel_distribution(g6, g4, date=None):
-    """TunnelDistribution.to_dict() of tunnel_path_lengths, the way astopo
-    computed it before its native check and multi-source BFS: one dict BFS
+    """dataclasses.asdict of tunnel_path_lengths' TunnelDistribution, the way
+    astopo computed it before its native check and multi-source BFS: one dict BFS
     over g4 from every distinct lower endpoint of the IPv6 edges present on
     both sides, native edges included.
     """

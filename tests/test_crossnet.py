@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -190,7 +191,7 @@ def test_matches_dict_bfs_reference(seed, n, n_edges, native_share, batches):
     assert len(sources) > (batches - 1) * MSBFS_BATCH
     expected = oracles.bfs_tunnel_distribution(g6, g4, "2003-01")
     dist = tunnel_path_lengths(g6.freeze(), g4.freeze(), "2003-01")
-    assert dist.to_dict() == expected
+    assert asdict(dist) == expected
     assert expected["missing"] and expected["disconnected"]
     assert all(type(k) is int and type(c) is int for k, c in dist.counts.items())
     assert type(dist.missing) is type(dist.disconnected) is int and type(dist.aspl) is float
@@ -209,7 +210,7 @@ def test_ipv6_endpoints_outside_the_ipv4_labels():
     while g6.edge_count < 150:
         g6.add_edge(*(rng.choice(g6_edges) if rng.random() < 0.4 else rng.sample(labels, 2)))
     expected = oracles.bfs_tunnel_distribution(g6, g4, "2003-01")
-    assert tunnel_path_lengths(g6.freeze(), g4.freeze(), "2003-01").to_dict() == expected
+    assert asdict(tunnel_path_lengths(g6.freeze(), g4.freeze(), "2003-01")) == expected
     assert expected["missing"] >= 6 and expected["counts"][1] and len(expected["counts"]) > 2
 
 
@@ -224,7 +225,7 @@ def test_all_native_month_needs_no_traversal(monkeypatch):
         raise AssertionError("an all-native month must not traverse")
 
     monkeypatch.setattr(CsrGraph, "pair_distances", no_traversal)
-    assert tunnel_path_lengths(csr6, csr4).to_dict() == expected
+    assert asdict(tunnel_path_lengths(csr6, csr4)) == expected
     assert expected["counts"] == {1: 300}
 
 
@@ -237,7 +238,7 @@ def test_tunnel_series_matches_dict_bfs_reference():
     dists = tunnel_series(
         series_from([g.freeze() for g in g6s], "ipv6"), series_from([g.freeze() for g in g4s], "ipv4")
     )
-    assert [d.to_dict() for d in dists] == [
+    assert [asdict(d) for d in dists] == [
         oracles.bfs_tunnel_distribution(g6, g4, d.date) for g6, g4, d in zip(g6s, g4s, dists)
     ]
 
