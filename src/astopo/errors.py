@@ -36,7 +36,7 @@ class DomainError(AsTopoError):
 
 
 class ParameterError(AsTopoError):
-    """A generator or fit parameter violates its documented bound."""
+    """A generator, fit or graph parameter violates its documented bound."""
 
 
 class CorpusError(AsTopoError):

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CorpusError, EmptyGraphError, UnknownNodeError
+from .errors import CorpusError, EmptyGraphError, ParameterError, UnknownNodeError
 
 AS_MAX = 2**32 - 1
 
@@ -326,7 +326,11 @@ class CsrGraph:
 
         A pair given more than once, in either orientation, is one edge. A
         self-loop is refused the way AsGraph.add_edge refuses it: it adds
-        neither an edge nor a node.
+        neither an edge nor a node. Every other AS number must lie in
+        0..AS_MAX, the range the edge-list format reads back; the first one
+        outside it, in input order, is named by a ParameterError. The check
+        reads the two ends of the sorted labels, so a graph in range pays
+        nothing for it.
         """
         ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         loops = ends[:, 0] == ends[:, 1]
@@ -338,6 +342,10 @@ class CsrGraph:
         # One argsort gives the labels and turns every AS number into its row.
         labels, rows = _distinct_inverse(rows)
         n = len(labels)
+        if n and (labels[0] < 0 or labels[-1] > AS_MAX):
+            given = labels[rows]
+            bad = given[(given < 0) | (given > AS_MAX)][0]
+            raise ParameterError(f"AS number {bad} is outside 0..{AS_MAX}")
         ends = rows[:size].reshape(-1, 2)
         keys = np.minimum(ends[:, 0], ends[:, 1])
         keys *= n
@@ -557,7 +565,9 @@ class Snapshot:
 class SnapshotSeries:
     """Date-ordered snapshots of one family, seen by one monitor set.
 
-    files lists the input files the series was read from, in read order; it
+    monitor_set must read back as itself from the '# monitor_set:' directive
+    of a store: ASCII, on one line, with no whitespace at either end. files
+    lists the input files the series was read from, in read order; it
     is empty for a series built in memory. filter_reports maps date ->
     per-month FilterReport when the series came from a path corpus; it stays
     empty for series reloaded from edge lists.
@@ -571,6 +581,12 @@ class SnapshotSeries:
 
     def __post_init__(self) -> None:
         validate_family(self.family)
+        label = self.monitor_set
+        if not label.isascii() or label != label.strip() or len(label.splitlines()) > 1:
+            raise CorpusError(
+                f"monitor set {label!r} must be ASCII and one line, with no surrounding "
+                "whitespace, to be written to a store"
+            )
         for prev, snap in zip(self.snapshots, self.snapshots[1:]):
             if snap.date <= prev.date:
                 raise CorpusError(f"snapshot dates not strictly increasing at {snap.date}")
@@ -757,9 +773,10 @@ def _scan_words(block: np.ndarray) -> _Words:
 def _word_values(block: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """int64 value of each word block[starts[i]:ends[i]] of at most
     _ASN_DIGITS ASCII digits, by one fixed-width accumulate over the words'
-    last digits."""
+    last digits: one pass per digit of the longest word, since a pass past
+    it would only multiply zeros."""
     value = np.zeros(len(ends), dtype=np.int64)
-    for k in range(_ASN_DIGITS, 0, -1):
+    for k in range(int((ends - starts).max(initial=0)), 0, -1):
         at = ends - k
         digit = np.take(block, at, mode="clip").astype(np.int64)
         digit -= 48

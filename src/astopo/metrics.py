@@ -49,6 +49,7 @@ from .graph import (
     CsrGraph,
     Snapshot,
     SnapshotSeries,
+    _distinct,
     _sorted_search,
     read_input_text,
     validate_date,
@@ -257,7 +258,7 @@ def _triangles(g: CsrGraph) -> int:
     out_degree = np.bincount(tail, minlength=n)
     first = np.searchsorted(tail, np.arange(n))
     found = 0
-    for d in np.unique(out_degree[out_degree >= 2]).tolist():
+    for d in _distinct(out_degree[out_degree >= 2]).tolist():
         i, j = np.triu_indices(d, 1)
         starts = first[out_degree == d][:, None]
         step = max(1, WEDGE_BLOCK // len(i))

@@ -3,13 +3,18 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import astopo
 from astopo import AS_MAX, svgplot
 from astopo import store as store_module
 from astopo.cli import build_parser, main
@@ -773,3 +778,46 @@ def test_each_table_is_declared_once(tmp_path):
     assert all(len(row) == 1 + len(PHASE_COLUMNS) for row in rows)
     assert rows[1][1] == "exp_then_linear"
     assert rows[2][-1] == "0 usable points, need >= 12"
+
+
+# Runs each command in one fresh interpreter and prints, per command, its exit
+# code and the numpy.ma modules it loaded that importing astopo.cli had not.
+_MASKED_IMPORT_PROBE = """
+import json, sys
+import astopo.cli
+
+def masked():
+    return {name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")}
+
+before = masked()
+for argv in json.loads(sys.argv[1]):
+    code = astopo.cli.main(argv)
+    print(json.dumps([argv[0], code, sorted(masked() - before)]))
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs a cold command over 10 ms to import; np.unique without
+    a return_* flag pulls it in on numpy 2."""
+    for date in month_labels(3, 2001):
+        write_path_file(tmp_path / "corpus", date, "m", "ipv4", ["1 2 3", "3 1", "3 4 5"])
+    build_tunnel_corpora(tmp_path / "c6", tmp_path / "c4")
+    fits = tmp_path / "fits.csv"
+    write_metrics_csv(fits, month_labels(120), planted_exp_then_linear())
+    commands = [
+        ["ingest", "--input", tmp_path / "corpus", "--out", tmp_path / "store"],
+        ["metrics", "--input", tmp_path / "store", "--out", tmp_path / "metrics"],
+        ["report", "--input", fits, "--out", tmp_path / "report"],
+        ["ingest", "--input", tmp_path / "c6", "--out", tmp_path / "s6"],
+        ["ingest", "--input", tmp_path / "c4", "--out", tmp_path / "s4"],
+        ["tunnel", "--input6", tmp_path / "s6", "--input4", tmp_path / "s4", "--out", tmp_path / "t"],
+        ["generate", "--model", "glp", "--n", "200", "--p", "0.4", "--seed", "3", "--out", tmp_path / "g"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(astopo.__file__).resolve().parent.parent)}
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    done = subprocess.run(
+        [sys.executable, "-c", _MASKED_IMPORT_PROBE, argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert results == [[command[0], 0, []] for command in commands]

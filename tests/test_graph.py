@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,12 +9,14 @@ import pytest
 
 import oracles
 from astopo import graph as graph_module
-from astopo import AsGraph, CorpusError, EmptyGraphError, UnknownNodeError
+from astopo import AsGraph, CorpusError, EmptyGraphError, ParameterError, UnknownNodeError
 from astopo.graph import (
+    _ASN_DIGITS,
     AS_MAX,
     MSBFS_BATCH,
     UNREACHABLE,
     CsrGraph,
+    _word_values,
     read_edgelist,
     write_edgelist,
 )
@@ -214,6 +217,30 @@ def test_csr_constructor_drops_repeats_and_self_loops():
     assert csr.indices.tolist() == [1, 0, 2, 1]
     empty = CsrGraph([(4, 4)])
     assert (empty.node_count, empty.edge_count, empty.edges().shape) == (0, 0, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "pairs, nodes, bad",
+    [
+        ([(-1, 5), (5, 2**40)], (), -1),
+        ([(5, 2**40), (-1, 5)], (), 2**40),
+        ([(1, 2)], [7, AS_MAX + 1, -3], AS_MAX + 1),
+        ([(3, -7)], [-2], -7),
+    ],
+)
+def test_csr_refuses_as_numbers_the_edge_list_cannot_hold(pairs, nodes, bad):
+    """The first AS number outside 0..AS_MAX, in input order, is named."""
+    with pytest.raises(ParameterError, match=re.escape(f"AS number {bad} is outside 0..{AS_MAX}")):
+        CsrGraph(pairs, nodes)
+
+
+def test_csr_range_ends_roundtrip_and_self_loops_add_nothing(tmp_path):
+    """AS 0 and AS_MAX round-trip; a self-loop adds no node, even outside the range."""
+    g = CsrGraph([(0, AS_MAX), (-1, -1), (2**40, 2**40)], [5])
+    assert g.labels.tolist() == [0, 5, AS_MAX]
+    write_edgelist(g, tmp_path / "g.edges")
+    back, _ = read_edgelist(tmp_path / "g.edges")
+    assert back.labels.tolist() == g.labels.tolist() and edge_list(back) == [(0, AS_MAX)]
 
 
 def test_csr_has_edges():
@@ -809,3 +836,25 @@ def test_edgelist_peak_memory_not_above_reference(tmp_path):
         assert np.array_equal(back.labels, g.labels) and np.array_equal(back.indices, g.indices)
         del back
     assert peaks[0] <= peaks[1], peaks
+
+
+@pytest.mark.parametrize("longest", range(_ASN_DIGITS + 1))
+def test_word_values_match_int(longest):
+    """Words of 1 to longest digits, leading zeros included, read as int()
+    reads them, with one pass per digit of the block's longest word; longest
+    0 is the empty block."""
+    rng = random.Random(longest)
+    words = [
+        "".join(rng.choice("0123456789") for _ in range(rng.randint(1, longest)))
+        for _ in range(300 if longest else 0)
+    ]
+    if longest:
+        words += ["9" * longest, "0" * longest]
+    rng.shuffle(words)
+    lengths = np.array([len(w) for w in words], dtype=np.intp)
+    ends = np.cumsum(lengths + 1) - 1
+    starts = ends - lengths
+    block = np.frombuffer(" ".join(words).encode(), np.uint8)
+    values = _word_values(block, starts, ends)
+    assert values.dtype == np.int64
+    assert values.tolist() == [int(w) for w in words]

@@ -122,3 +122,20 @@ def test_snapshot_series_rejects_a_snapshot_that_does_not_fit(second, message):
     snapshots = [Snapshot(date="2001-01", **fields), Snapshot(**{**fields, "date": "2001-02", **second})]
     with pytest.raises(CorpusError, match=re.escape(message)):
         SnapshotSeries(snapshots=snapshots, family="ipv4", monitor_set="ALL")
+
+
+@pytest.mark.parametrize("label", ["ALL", "Set 4", "a:b # c", "t\tab", ""])
+def test_store_roundtrips_every_monitor_set_a_series_takes(tmp_path, label):
+    series = SnapshotSeries([Snapshot(CsrGraph([(1, 2)]), "2001-01")], family="ipv4", monitor_set=label)
+    write_store(tmp_path, series)
+    assert read_store(tmp_path).monitor_set == label
+
+
+@pytest.mark.parametrize(
+    "label", ["a\nb", "a\r\nb", "a\x1cb", "café", "set\u2028b", " ALL", "ALL ", "ALL\n", "\tALL"]
+)
+def test_snapshot_series_rejects_a_monitor_set_a_store_cannot_read_back(label):
+    """Non-ASCII text, a line break, or whitespace at either end would not
+    read back from the '# monitor_set:' directive as the same label."""
+    with pytest.raises(CorpusError, match=re.escape(f"monitor set {label!r} must be ASCII")):
+        SnapshotSeries([Snapshot(CsrGraph([(1, 2)]), "2001-01")], family="ipv4", monitor_set=label)
