@@ -14,8 +14,9 @@ tunnel's stores must be ipv6 (--input6) and ipv4 (--input4), as
 crossnet.tunnel_series checks before --out is made. fit and report share
 one parent parser for the flags they both take.
 generate writes generators.generate_with_trajectory(params), whose default
-checkpoints are m0, the powers of ten between, and n_target. Every chart
-is svgplot.render_chart, whose x axis covers every month.
+checkpoints are m0, the powers of ten between, and n_target. The charts come
+from metrics.MetricSeries.charts (metric_*.svg), phasefit.ColumnFit.chart
+(fit_*.svg) and crossnet.aspl_chart (tunnel_aspl.svg).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import crossnet, generators, metrics, phasefit, store, svgplot
+from . import crossnet, generators, metrics, phasefit, store
 from .errors import AsTopoError, CorpusError, ParameterError
 from .graph import read_input_text, validate_date, write_edgelist
 from .ingest import ALL_MONITORS, MonitorSet, filter_summary_to_csv, load_series
@@ -205,14 +206,7 @@ def cmd_metrics(args) -> None:
     (out / "warnings.txt").write_text("".join(f"{w}\n" for w in table.warnings))
 
     if args.plots:
-        dates = [row.date for row in table.rows]
-        for col in metrics.METRIC_COLUMNS:
-            values = [getattr(row, col) for row in table.rows]
-            if all(v is None for v in values):
-                continue
-            svg = _month_chart(
-                dates, values, col, f"{col} by month ({table.family}, {table.monitor_set})", col
-            )
+        for col, svg in table.charts().items():
             (out / f"metric_{col}.svg").write_text(svg)
 
     inputs = _hash_files(store_dir, series.files, "store")
@@ -220,15 +214,6 @@ def cmd_metrics(args) -> None:
         out, args, inputs, input=str(store_dir),
         aspl_mode=args.aspl_mode, seed=args.seed, k_min=args.kmin, plots=bool(args.plots),
     )
-
-
-def _month_chart(
-    dates: list[str], values: list[float | None], label: str, title: str, y_label: str
-) -> str:
-    """One value per month at its 1-based position; a None month is a gap."""
-    points = [(float(i + 1), float(v)) for i, v in enumerate(values) if v is not None]
-    series = svgplot.Series(label, [x for x, _ in points], [y for _, y in points], draw_points=True)
-    return svgplot.render_chart([series], title, y_label, dates)
 
 
 def _fit_metrics_csv(args, metric: str | None = None):
@@ -259,28 +244,12 @@ def _write_fit_manifest(out: Path, args, **config) -> None:
     )
 
 
-def _fit_svg(column: phasefit.ColumnFit) -> str:
-    """The column's points, and each fitted segment over the points on its side of the break."""
-    points, fit, bp = column.points, column.fit, column.fit.breakpoint
-    xs, ys = [p.x for p in points], [p.y for p in points]
-    series = [svgplot.Series("data", xs, ys, draw_line=False, draw_points=True)]
-    segments = [(fit.first_segment, [p.x for p in points if bp is None or p.x <= bp])]
-    if fit.second_segment is not None:
-        segments.append((fit.second_segment, [p.x for p in points if p.x > bp]))
-    for seg, seg_xs in segments:
-        seg_ys = [seg.predict(x) for x in seg_xs]
-        series.append(svgplot.Series(phasefit.trend_label(seg), [float(x) for x in seg_xs], seg_ys))
-    return svgplot.render_chart(
-        series, f"{column.metric}: {fit.pattern.value}", column.metric, column.dates
-    )
-
-
 def cmd_fit(args) -> None:
     [column], excluded = _fit_metrics_csv(args, args.metric)
     record = {**column.to_dict(), "points_used": len(column.points), "excluded_dates": excluded}
     out = _outdir(args)
     _write_json(out / f"fit_{args.metric}.json", record)
-    (out / f"fit_{args.metric}.svg").write_text(_fit_svg(column))
+    (out / f"fit_{args.metric}.svg").write_text(column.chart())
     _write_fit_manifest(out, args, metric=args.metric)
 
 
@@ -313,14 +282,7 @@ def cmd_tunnel(args) -> None:
     for dist in dists:
         (out / f"tunnel_{dist.date}.csv").write_text(crossnet.distribution_to_csv(dist))
     (out / "tunnel_summary.csv").write_text(crossnet.series_summary_to_csv(dists))
-    svg = _month_chart(
-        [dist.date for dist in dists],
-        [dist.aspl for dist in dists],
-        "ASPL on IPv4",
-        "IPv4 path length of IPv6 adjacencies",
-        "mean hops",
-    )
-    (out / "tunnel_aspl.svg").write_text(svg)
+    (out / "tunnel_aspl.svg").write_text(crossnet.aspl_chart(dists))
 
     inputs = {
         **_hash_files(dir6, series6.files, "ipv6"),

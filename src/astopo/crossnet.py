@@ -16,7 +16,7 @@ components, and one multi-source BFS, batched over the distinct endpoints of
 the remaining pairs, stops each batch at the level where its farthest pair
 meets. The traversal cost thus follows the tunnelled edges and how far apart
 their ends sit, not the number of IPv6 endpoints or the depth of the IPv4
-graph.
+graph. aspl_chart draws tunnel_aspl.svg.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import svgplot
 from .errors import CorpusError, DegenerateInputError, NoOverlapError
 from .graph import UNREACHABLE, CsrGraph, SnapshotSeries
 
@@ -146,3 +147,10 @@ def series_summary_to_csv(dists: list[TunnelDistribution]) -> str:
             f"{dist.date},{_fmt(dist.aspl)},{_fmt(dist.p1())},{dist.missing},{dist.disconnected}"
         )
     return "\n".join(lines) + "\n"
+
+
+def aspl_chart(dists: list[TunnelDistribution]) -> str:
+    """tunnel_aspl.svg: each month's mean IPv4 distance; a month without one is a gap."""
+    series = svgplot.Series("ASPL on IPv4", [dist.aspl for dist in dists], draw_points=True)
+    title, dates = "IPv4 path length of IPv6 adjacencies", [dist.date for dist in dists]
+    return svgplot.render_chart([series], title, "mean hops", dates)

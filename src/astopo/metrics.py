@@ -20,8 +20,8 @@ count capped equals exact ASPL bit for bit.
 
 This module owns the metric table: METRIC_COLUMNS names its columns once,
 MetricSeries.to_csv writes metrics.csv (CSV_HEADER, one row per month) and
-read_metrics_csv reads it back, to_dicts gives the rows of metrics.json, and
-ccdf_to_csv writes each month's ccdf_<date>.csv.
+read_metrics_csv reads it back, to_dicts gives the rows of metrics.json, charts
+draws metric_<column>.svg, and ccdf_to_csv writes each month's ccdf_<date>.csv.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import svgplot
 from .errors import (
     AsTopoError,
     CorpusError,
@@ -114,6 +115,16 @@ class MetricSeries:
 
     def to_dicts(self) -> list[dict]:
         return [row.to_dict() for row in self.rows]
+
+    def charts(self) -> dict[str, str]:
+        """metric_<column>.svg of each column with a value in any month, keyed by column."""
+        dates, charts = [row.date for row in self.rows], {}
+        for col in METRIC_COLUMNS:
+            series = svgplot.Series(col, [getattr(row, col) for row in self.rows], draw_points=True)
+            if any(v is not None for v in series.values):
+                title = f"{col} by month ({self.family}, {self.monitor_set})"
+                charts[col] = svgplot.render_chart([series], title, col, dates)
+        return charts
 
 
 def _cell(value) -> str:

@@ -12,9 +12,9 @@ is classified as a single exponential or a single line.
 detect_phase_change alone decides whether a series can be fitted: at least
 2 * min_segment points, every y finite and positive, and a finite scale and
 squared error for every fit it tries.
-fit_columns fits metrics-table columns and names the column and month at
-fault. PHASE_COLUMNS names the columns of phase_summary.csv, which
-phase_summary_to_csv writes; ColumnFit.to_dict is the JSON record.
+fit_columns fits metrics-table columns and names the column and month at fault.
+PHASE_COLUMNS names the columns of phase_summary.csv, which phase_summary_to_csv
+writes; ColumnFit.to_dict is the JSON record and ColumnFit.chart fit_<metric>.svg.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
+from . import svgplot
 from .errors import DomainError, InsufficientDataError, ParameterError
 
 DEFAULT_MIN_SEGMENT = 6
@@ -269,6 +270,19 @@ class ColumnFit:
             "breakpoint_date": _break_date(self.fit, self.dates),
             **self.fit.to_dict(),
         }
+
+    def chart(self) -> str:
+        """fit_<metric>.svg: the points, and each segment at the points on its side of the break."""
+        fit, bp, xs = self.fit, self.fit.breakpoint, range(1, len(self.dates) + 1)
+        ys = {p.x: p.y for p in self.points}
+        side = {x: int(bp is not None and x > bp) for x in ys}  # 0: first segment, 1: second
+        series = [svgplot.Series("data", [ys.get(x) for x in xs], draw_line=False, draw_points=True)]
+        for i, seg in enumerate((fit.first_segment, fit.second_segment)):
+            if seg is not None:
+                values = [seg.predict(x) if side.get(x) == i else None for x in xs]
+                series.append(svgplot.Series(trend_label(seg), values))
+        title = f"{self.metric}: {fit.pattern.value}"
+        return svgplot.render_chart(series, title, self.metric, self.dates)
 
     def phase_row(self) -> tuple:
         """The column's phase_summary.csv row: the metric, then PHASE_COLUMNS."""

@@ -1,11 +1,13 @@
 """Tiny deterministic SVG chart writer.
 
 Just enough for the toolkit's month charts: line and point series over a
-month axis, fixed canvas, fixed-precision coordinates, no dependencies. The
-x axis of every chart covers every month of its dates, so a month without
-a value still has its place. The same data always renders to the same
-bytes, which is what the reproducible-output contract needs (matplotlib
-SVGs embed volatile ids and dates).
+month axis, fixed canvas, fixed-precision coordinates, no dependencies. A
+series has one value per month, and the x axis covers every month, so a
+month without a value still has its place. The same data always renders to
+the same bytes, which is what the reproducible-output contract needs
+(matplotlib SVGs embed volatile ids and dates). Each chart is drawn by the
+module that owns its table: metric_<column>.svg by metrics.MetricSeries.charts,
+fit_<metric>.svg by phasefit.ColumnFit.chart, tunnel_aspl.svg by crossnet.aspl_chart.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ MARGIN_BOTTOM = 56
 @dataclass
 class Series:
     label: str
-    xs: Sequence[float]
-    ys: Sequence[float]
+    values: Sequence[float | None]  # one per date of the chart; None is a gap
     draw_line: bool = True
     draw_points: bool = False
 
@@ -53,13 +54,15 @@ def _fmt(value: float) -> str:
 def render_chart(series: Sequence[Series], title: str, y_label: str, dates: Sequence[str]) -> str:
     """Render the series into a standalone SVG document string.
 
-    A series' xs are 1-based positions into dates, which must not be empty.
-    The x axis spans every entry of dates, whether or not a series has a
-    value there, so every date tick and every point lies inside the plot.
-    The ticks are the first date, every step-th after it, and the last;
-    step is a fifth of the months after the first, rounded down, at least 1.
+    Each series has one value per entry of dates (not empty), drawn at its
+    1-based position. The x axis spans every date, so every date tick and
+    every point lies inside the plot. The ticks are the first date, every
+    step-th after it, and the last; step is a fifth of the months after the
+    first, rounded down, at least 1.
     """
-    ys_all = [y for s in series for y in s.ys] or [0.0, 1.0]
+    if any(len(s.values) != len(dates) for s in series):
+        raise ValueError("every series needs one value per date")
+    ys_all = [float(v) for s in series for v in s.values if v is not None] or [0.0, 1.0]
     x_lo, x_hi = _span([1.0, float(len(dates))])
     y_lo, y_hi = _span(ys_all)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -116,7 +119,7 @@ def render_chart(series: Sequence[Series], title: str, y_label: str, dates: Sequ
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = [(px(x), py(y)) for x, y in zip(s.xs, s.ys)]
+        pts = [(px(x + 1.0), py(float(v))) for x, v in enumerate(s.values) if v is not None]
         if s.draw_line and len(pts) > 1:
             coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
             out.append(
