@@ -257,12 +257,14 @@ def cmd_generate(args) -> None:
     params = generators.GeneratorParams(
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(generators.GeneratorParams)}
     )
-    checkpoints = None
-    if args.checkpoints:
-        try:
-            checkpoints = [int(tok) for tok in args.checkpoints.split(",") if tok.strip()]
+    checkpoints, text = None, args.checkpoints
+    if text:
+        try:  # int() alone would also read '1_0' as 10 and the Arabic-Indic '٣' as 3
+            if not text.isascii() or "_" in text:
+                raise ValueError
+            checkpoints = [int(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            raise ParameterError(f"bad --checkpoints {args.checkpoints!r}") from None
+            raise ParameterError(f"bad --checkpoints {text!r}") from None
     graph, trajectory = generators.generate_with_trajectory(params, checkpoints)
     out = _outdir(args)
     write_edgelist(graph, out / "graph.edges", directives={"model": params.model})

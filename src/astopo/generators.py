@@ -265,15 +265,25 @@ class WeightedPicker:
                 self.set_weight(i, w)
 
 
-class _KernelTable(dict):
-    """kernel(k) per degree k, each computed once, when a node first reaches k."""
+# The kernel w(k) of each model at degree k, reading its parameters from params.
+_KERNELS: dict[str, Callable[[int, GeneratorParams], float]] = {
+    "ba": lambda k, params: float(k),
+    "ab": lambda k, params: float(k + 1),
+    "glp": lambda k, params: k - params.beta if k > 0 else 0.0,
+    "pfp": lambda k, params: k ** (1.0 + params.delta * math.log10(k)) if k > 0 else 0.0,
+}
 
-    def __init__(self, kernel: Callable[[int], float]) -> None:
+
+class _KernelTable(dict):
+    """The model's kernel w(k) per degree k, each computed once, when a node first reaches k."""
+
+    def __init__(self, params: GeneratorParams) -> None:
         super().__init__()
-        self.kernel = kernel
+        self.params = params
+        self.kernel = _KERNELS[params.model]
 
     def __missing__(self, k: int) -> float:
-        weight = self[k] = self.kernel(k)
+        weight = self[k] = self.kernel(k, self.params)
         return weight
 
 
@@ -285,9 +295,9 @@ class _Growth:
     degree, and connect and disconnect reweight u, then v.
     """
 
-    def __init__(self, params: GeneratorParams, kernel: Callable[[int], float]) -> None:
+    def __init__(self, params: GeneratorParams) -> None:
         self.rng = random.Random(params.seed)
-        self.kernel_of = _KernelTable(kernel)
+        self.kernel_of = _KernelTable(params)
         m0 = params.seed_size()
         self.adj: list[set[int]] = [set() for _ in range(m0)]
         for i in range(m0):  # for m0 = 2 the closing edge (1, 0) is a duplicate
@@ -369,32 +379,8 @@ class _Recorder:
             self.rows.append((n, recorded))
 
 
-def _kernel_ba(k: int) -> float:
-    return float(k)
-
-
-def _kernel_ab(k: int) -> float:
-    return float(k + 1)
-
-
-def _make_kernel_glp(beta: float) -> Callable[[int], float]:
-    def kernel(k: int) -> float:
-        return k - beta if k > 0 else 0.0
-
-    return kernel
-
-
-def _make_kernel_pfp(delta: float) -> Callable[[int], float]:
-    def kernel(k: int) -> float:
-        if k <= 0:
-            return 0.0
-        return k ** (1.0 + delta * math.log10(k))
-
-    return kernel
-
-
 def _grow_ba(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params, _kernel_ba)
+    growth = _Growth(params)
     record(growth)
     for _ in range(params.n_target - params.seed_size()):
         targets = growth.pick_distinct(params.m)
@@ -406,7 +392,7 @@ def _grow_ba(params: GeneratorParams, record: _Recorder) -> _Growth:
 
 
 def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params, _kernel_ab)
+    growth = _Growth(params)
     record(growth)
     rng = growth.rng
     adj = growth.adj
@@ -470,7 +456,7 @@ def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
 
 
 def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params, _make_kernel_glp(params.beta))
+    growth = _Growth(params)
     record(growth)
     rng = growth.rng
     adj = growth.adj
@@ -502,7 +488,7 @@ def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
 
 
 def _grow_pfp(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params, _make_kernel_pfp(params.delta))
+    growth = _Growth(params)
     record(growth)
     rng = growth.rng
     for _ in range(params.n_target - params.seed_size()):

@@ -138,8 +138,9 @@ def read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | None
 
     An empty or missing cell is None, so a short row reads as its cells and
     then Nones. A bad or out-of-order date, a cell that is not a finite
-    number, a row with more cells than the header, or a column name that is
-    empty or given twice in the header is a CorpusError naming the file.
+    number in ASCII without '_', a row with more cells than the header, or a
+    column name that is empty or given twice in the header is a CorpusError
+    naming the file.
     """
     reader = csv.DictReader(io.StringIO(read_input_text(Path(path))))
     header = reader.fieldnames
@@ -172,8 +173,9 @@ def read_metrics_csv(path: Path) -> tuple[list[str], dict[str, list[float | None
                 value = float(cell) if cell else None
             except ValueError:
                 value = math.nan
-            if value is not None and not math.isfinite(value):
-                raise CorpusError(f"{path}: {date}: column {col}: {cell!r} is not a finite number")
+            # float() alone would also read '1_0' as 10.0 and the Arabic-Indic '٣' as 3.0.
+            if value is not None and not (math.isfinite(value) and cell.isascii() and "_" not in cell):
+                raise CorpusError(f"{where}: {date}: column {col}: {cell!r} is not a finite number")
             columns[col].append(value)
     return dates, columns
 

@@ -1,5 +1,7 @@
 """Builders for the tiny path-file corpora and random graphs the tests run against."""
 
+import math
+import random
 import re
 from pathlib import Path
 
@@ -222,3 +224,60 @@ def sparse_graph(rng, n, avg_degree=2.5):
 def edge_list(g):
     """A CsrGraph's edges as sorted (u, v) tuples with u < v."""
     return [tuple(e) for e in g.edges().tolist()]
+
+
+# The reduced phase-change rehearsal: 36 months of path files per family, each
+# month's AS set the first N of a fixed AS order, with N planted per month.
+PHASE_MONTHS = [f"{2001 + i // 12}-{i % 12 + 1:02d}" for i in range(36)]
+PHASE_BREAK = 18  # 1-based month of the last point before the planted break
+
+
+def planted_sizes(family: str) -> list:
+    """N per month: ipv4 grows exponentially and then linearly, ipv6 linearly
+    and then exponentially, each with a kink after month PHASE_BREAK; both
+    end near 2k ASes."""
+    b, months = PHASE_BREAK, range(1, len(PHASE_MONTHS) + 1)
+    if family == "ipv4":
+        growth = (150 * math.exp(0.105 * (min(t, b) - 1)) + 60 * max(t - b, 0) for t in months)
+    else:
+        growth = ((300 + 20 * (min(t, b) - 1)) * math.exp(0.065 * max(t - b, 0)) for t in months)
+    return [round(n) for n in growth]
+
+
+def build_phase_corpus(root: Path, family: str, seed: int) -> list:
+    """Path files for two monitors per month, whose union has exactly the
+    planted N ASes; returns the planted sizes.
+
+    AS k (numbered from 1000) joins under a provider drawn preferentially
+    from the ASes before it, and every fourth AS after the first ten also
+    buys from a second one, so the graph has leaves and multihomed stubs.
+    Each AS is announced along its provider chain from AS 1000, by one
+    monitor or both; a few lines per file are filtered out (an AS set, a
+    private ASN). The graphs are nested: a month keeps every earlier AS and
+    link.
+    """
+    rng = random.Random(seed)
+    sizes = planted_sizes(family)
+    ends = [0]  # one entry per link end, so a draw from it is preferential
+    chains = [[1000]]
+    extra = {}
+    for k in range(1, sizes[-1]):
+        provider = rng.choice(ends)
+        chains.append(chains[provider] + [1000 + k])
+        ends += [provider, k]
+        if k > 10 and k % 4 == 0:
+            second = rng.choice(ends)
+            if second not in (provider, k):
+                extra[k] = second
+                ends += [second, k]
+    for date, n in zip(PHASE_MONTHS, sizes):
+        files = {"m1": ["701 {1,2} 3", "701 64512 3"], "m2": ["1000 65000"]}
+        for k in range(1, n):
+            lines = [" ".join(map(str, chains[k]))]
+            if k in extra:
+                lines.append(f"{1000 + extra[k]} {1000 + k}")
+            for monitor in rng.choice((["m1"], ["m2"], ["m1", "m2"])):
+                files[monitor] += lines
+        for monitor, lines in files.items():
+            write_path_file(root, date, monitor, family, lines)
+    return sizes

@@ -15,13 +15,13 @@ from pathlib import Path
 import pytest
 
 import astopo
-from astopo import AS_MAX, svgplot
+from astopo import AS_MAX, crossnet, metrics_series, svgplot, tunnel_series
 from astopo import store as store_module
 from astopo.cli import build_parser, main
 from astopo.generators import GeneratorParams, generate_with_trajectory
 from astopo.ingest import REJECT_REASONS, FilterReport
-from astopo.metrics import METRIC_COLUMNS, MetricRow
-from astopo.phasefit import PHASE_COLUMNS
+from astopo.metrics import METRIC_COLUMNS, MetricRow, read_metrics_csv
+from astopo.phasefit import PHASE_COLUMNS, fit_columns
 from corpus_utils import (
     build_filter_corpus,
     build_growing_corpus,
@@ -302,6 +302,15 @@ def test_generate_rejects_checkpoint_below_seed_size(tmp_path, capsys, checkpoin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("checkpoints", ["3,1_0,\u0663\u0660", "3,1_0", "3,\u0663\u0660", "3,\uff11\uff10"])
+def test_generate_rejects_checkpoints_not_in_ascii_digits(tmp_path, capsys, checkpoints):
+    """int() reads '1_0' as 10 and the Arabic-Indic or fullwidth '30' and '10' as numbers."""
+    assert run("generate", "--model", "ba", "--n", "100", "--seed", "1",
+               f"--checkpoints={checkpoints}", "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: bad --checkpoints {checkpoints!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_tunnel_pipeline(tmp_path):
     build_tunnel_corpora(tmp_path / "c6", tmp_path / "c4")
     s6 = tmp_path / "s6"
@@ -406,7 +415,24 @@ def test_non_finite_cell_fails_naming_it(tmp_path, capsys, command, bad):
     argv = [command, "--input", csv_path, "--out", tmp_path / "out"]
     assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
     assert capsys.readouterr().err == (
-        f"error: {csv_path}: {dates[13]}: column N: {repr(bad)!r} is not a finite number\n"
+        f"error: {csv_path}:15: {dates[13]}: column N: {repr(bad)!r} is not a finite number\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+@pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff13", "3.\u0665"])
+def test_cell_not_in_ascii_digits_fails_naming_it(tmp_path, capsys, command, cell):
+    """float() reads '1_0' as 10.0 and the Arabic-Indic or fullwidth '3' as 3.0."""
+    csv_path = tmp_path / "metrics.csv"
+    dates = month_labels(30)
+    lines = [f"{d},{i}" for i, d in enumerate(dates, 1)]
+    lines[13] = f"{dates[13]},{cell}"  # line 15: the header, then 14 rows
+    csv_path.write_text("date,N\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--input", csv_path, "--out", tmp_path / "out"]
+    assert run(*argv, *(["--metric", "N"] if command == "fit" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv_path}:15: {dates[13]}: column N: {cell!r} is not a finite number\n"
     )
     assert not (tmp_path / "out").exists()
 
@@ -555,6 +581,36 @@ def test_every_tick_and_point_lies_inside_the_plot(tmp_path, charts):
         assert ticks, path.name
         for x in ticks + points:
             assert svgplot.MARGIN_LEFT <= x <= svgplot.WIDTH - svgplot.MARGIN_RIGHT, path.name
+
+
+def test_library_charts_are_the_cli_bytes(tmp_path):
+    """Each chart is one library call, and the command writes that call's text."""
+    build_tunnel_corpora(tmp_path / "c6", tmp_path / "c4")
+    for family in ("6", "4"):
+        assert run("ingest", "--input", tmp_path / f"c{family}", "--out", tmp_path / f"s{family}") == 0
+    assert run("metrics", "--input", tmp_path / "s4", "--out", tmp_path / "m", "--plots") == 0
+    assert run("tunnel", "--input6", tmp_path / "s6", "--input4", tmp_path / "s4",
+               "--out", tmp_path / "t") == 0
+    write_metrics_csv(tmp_path / "m.csv", month_labels(120), planted_exp_then_linear())
+    assert run("fit", "--input", tmp_path / "m.csv", "--metric", "N", "--out", tmp_path / "f") == 0
+
+    series4 = store_module.read_store(tmp_path / "s4")
+    charts = metrics_series(series4).charts()
+    assert {p.name for p in tmp_path.glob("m/*.svg")} == {f"metric_{col}.svg" for col in charts}
+    for col, svg in charts.items():
+        assert (tmp_path / "m" / f"metric_{col}.svg").read_text() == svg
+    dists = tunnel_series(store_module.read_store(tmp_path / "s6"), series4)
+    assert (tmp_path / "t" / "tunnel_aspl.svg").read_text() == crossnet.aspl_chart(dists)
+    dates, columns = read_metrics_csv(tmp_path / "m.csv")
+    [column] = fit_columns(dates, {"N": columns["N"]})
+    assert (tmp_path / "f" / "fit_N.svg").read_text() == column.chart()
+
+
+def test_chart_series_needs_one_value_per_date():
+    series = svgplot.Series("N", [1.0, None, 3.0])
+    assert svgplot.render_chart([series], "t", "N", ["2001-01", "2001-02", "2001-03"])
+    with pytest.raises(ValueError, match="one value per date"):
+        svgplot.render_chart([series], "t", "N", ["2001-01", "2001-02"])
 
 
 def test_manifests_hash_exactly_the_files_read(tmp_path):

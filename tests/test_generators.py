@@ -16,14 +16,7 @@ from astopo import (
     powerlaw_exponent,
 )
 from astopo import generators
-from astopo.generators import (
-    WeightedPicker,
-    _Growth,
-    _kernel_ab,
-    _kernel_ba,
-    _make_kernel_glp,
-    _make_kernel_pfp,
-)
+from astopo.generators import WeightedPicker, _Growth, _KernelTable
 
 
 def kmax(g):
@@ -143,7 +136,7 @@ def test_weighted_picker_tracks_weights():
 def test_preferential_frequencies_match_kernel():
     # star-plus-path built through the growth state: degrees 4,1,1,1,2 then 2,1 on the tail
     params = ba(7, seed=9, m0=7)
-    growth = _Growth(params, _kernel_ba)
+    growth = _Growth(params)
     for i in range(7):  # drop the seed ring ...
         growth.disconnect(i, (i + 1) % 7)
     for u, v in [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)]:  # ... then star 0-(1..4), path 4-5-6
@@ -196,9 +189,13 @@ def test_glp_pure_growth_bookkeeping():
     assert_simple(g)
 
 
+def kernel(model, **params):
+    return _KernelTable(GeneratorParams(model=model, n_target=100, seed=0, **params))
+
+
 def test_glp_beta_zero_kernel_matches_ba():
-    kernel = _make_kernel_glp(0.0)
-    assert all(kernel(k) == _kernel_ba(k) for k in range(1, 20))
+    glp, ba_ = kernel("glp", beta=0.0), kernel("ba")
+    assert all(glp[k] == ba_[k] for k in range(1, 20))
 
 
 def test_glp_reference_params_beat_ba_max_degree():
@@ -213,8 +210,8 @@ def test_glp_reference_params_beat_ba_max_degree():
 
 
 def test_pfp_delta_zero_kernel_is_linear():
-    kernel = _make_kernel_pfp(0.0)
-    assert all(kernel(k) == float(k) for k in range(1, 20))
+    pfp = kernel("pfp", delta=0.0)
+    assert all(pfp[k] == float(k) for k in range(1, 20))
 
 
 def test_pfp_stays_simple_and_connected():
@@ -225,7 +222,8 @@ def test_pfp_stays_simple_and_connected():
 
 
 def test_ab_kernel_shift():
-    assert _kernel_ab(0) == 1.0 and _kernel_ab(3) == 4.0
+    ab = kernel("ab")
+    assert ab[0] == 1.0 and ab[3] == 4.0
 
 
 def test_trajectory_deterministic():
