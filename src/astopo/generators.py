@@ -12,9 +12,10 @@ kernel values tabulated per degree, and the sampler's prefix total cached
 between weight changes. The rejection loop runs inside the sampler. Every
 tree cell still receives the same float additions in the same order, and
 the RNG is called in the same order, so these shortcuts change no output
-bit. The run ends by building the CsrGraph that the metrics read and the
-generate command writes, straight from the neighbour sets; a node that AB
-rewiring left without edges is still one of its nodes.
+bit. Each edge is also kept once in a packed record, which AB's rewiring
+draws from by index. The run ends by building the CsrGraph that the
+metrics read and the generate command writes, straight from that record; a
+node that AB rewiring left without edges is still one of its nodes.
 
 generate_with_trajectory(params) also records k_max at m0, at each power of
 ten between m0 and n_target, and at n_target, unless given other checkpoints.
@@ -31,8 +32,8 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
@@ -288,69 +289,80 @@ class _KernelTable(dict):
 
 
 class _Growth:
-    """One growth run: adjacency, kernel-weighted picker, and RNG in lockstep.
+    """One growth run: adjacency, edge record, kernel-weighted picker, and RNG in lockstep.
 
     Node i's neighbours are adj[i]; their insertion order is the order the
-    picker's masked fallback reads them in. The kernel is tabulated per
-    degree, and connect and disconnect reweight u, then v.
+    picker's masked fallback reads them in. The edge record holds each edge
+    once, packed as u * n_target + v with u < v: the sorted seed ring, then
+    every link in the order it was made, a rewired edge swap-removed. The
+    kernel is tabulated per degree, and each link or unlink reweights u, then v.
     """
 
     def __init__(self, params: GeneratorParams) -> None:
         self.rng = random.Random(params.seed)
         self.kernel_of = _KernelTable(params)
+        self.n_target = params.n_target
         m0 = params.seed_size()
         self.adj: list[set[int]] = [set() for _ in range(m0)]
         for i in range(m0):  # for m0 = 2 the closing edge (1, 0) is a duplicate
             self.adj[i].add((i + 1) % m0)
             self.adj[(i + 1) % m0].add(i)
-        self.edge_count = sum(map(len, self.adj)) // 2
+        # n_target <= 2**32, so every key fits in 64 bits.
+        ring = (u * self.n_target + v for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
+        self.edges = array("Q", sorted(ring))
         self.picker = WeightedPicker(params.n_target)
         for nbrs in self.adj:
             self.picker.append(self.kernel_of[len(nbrs)])
 
     def graph(self) -> CsrGraph:
         """The grown graph over nodes 0..n-1, every node kept, edges or not."""
-        edges = ((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
-        pairs = np.fromiter(chain.from_iterable(edges), np.int64, 2 * self.edge_count)
-        return CsrGraph(pairs.reshape(-1, 2), np.arange(len(self.adj)))
+        pairs = np.empty((len(self.edges), 2), np.int64)
+        # Both operands uint64, so the quotient and remainder never pass through float.
+        keys = np.frombuffer(self.edges, np.uint64)
+        np.divmod(keys, np.uint64(self.n_target), out=(pairs[:, 0], pairs[:, 1]))
+        return CsrGraph(pairs, np.arange(len(self.adj)))
 
-    def add_node(self) -> int:
-        self.adj.append(set())
-        return self.picker.append(0.0)
+    def connect(self, u: int, v: int) -> None:
+        """Link u and v, which the caller knows to be distinct and not yet linked."""
+        adj = self.adj
+        adj[u].add(v)
+        adj[v].add(u)
+        self.edges.append(u * self.n_target + v if u < v else v * self.n_target + u)
+        self.picker.set_weight(u, self.kernel_of[len(adj[u])])
+        self.picker.set_weight(v, self.kernel_of[len(adj[v])])
 
-    def connect(self, u: int, v: int) -> bool:
-        nbrs = self.adj[u]
-        if u == v or v in nbrs:
-            return False
-        nbrs.add(v)
-        self.adj[v].add(u)
-        self.edge_count += 1
-        self.picker.set_weight(u, self.kernel_of[len(nbrs)])
-        self.picker.set_weight(v, self.kernel_of[len(self.adj[v])])
-        return True
+    def rewire(self, pos: int, kept: int, detached: int, b: int) -> None:
+        """Move edge pos of the record, kept-detached, to kept-b."""
+        adj = self.adj
+        adj[kept].remove(detached)
+        adj[detached].remove(kept)
+        self.picker.set_weight(kept, self.kernel_of[len(adj[kept])])
+        self.picker.set_weight(detached, self.kernel_of[len(adj[detached])])
+        last = self.edges.pop()
+        if pos < len(self.edges):
+            self.edges[pos] = last
+        self.connect(kept, b)
 
-    def disconnect(self, u: int, v: int) -> None:
-        self.adj[u].remove(v)
-        self.adj[v].remove(u)
-        self.edge_count -= 1
-        self.picker.set_weight(u, self.kernel_of[len(self.adj[u])])
-        self.picker.set_weight(v, self.kernel_of[len(self.adj[v])])
-
-    def max_degree(self) -> int:
-        return max(map(len, self.adj))
-
-    def pick_distinct(self, count: int) -> list[int]:
+    def attach(self, count: int) -> list[int]:
+        """A new node linked to up to count distinct preferential draws; the draws."""
         draw = self.picker.draw
         rng = self.rng
         chosen: set[int] = set()
-        out: list[int] = []
+        targets: list[int] = []
         for _ in range(count):
             idx = draw(rng, chosen)
             if idx is None:
                 break
             chosen.add(idx)
-            out.append(idx)
-        return out
+            targets.append(idx)
+        self.adj.append(set())
+        node = self.picker.append(0.0)
+        for t in targets:
+            self.connect(node, t)
+        return targets
+
+    def max_degree(self) -> int:
+        return max(map(len, self.adj))
 
     def pick_peer(self, anchor: int) -> int | None:
         """Preferential partner for anchor: not anchor, not already linked."""
@@ -383,10 +395,7 @@ def _grow_ba(params: GeneratorParams, record: _Recorder) -> _Growth:
     growth = _Growth(params)
     record(growth)
     for _ in range(params.n_target - params.seed_size()):
-        targets = growth.pick_distinct(params.m)
-        node = growth.add_node()
-        for t in targets:
-            growth.connect(node, t)
+        growth.attach(params.m)
         record(growth)
     return growth
 
@@ -396,61 +405,33 @@ def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
     record(growth)
     rng = growth.rng
     adj = growth.adj
-
-    # Uniform edge picks for rewiring need an indexable edge list.
-    edge_list: list[tuple[int, int]] = []
-    edge_pos: dict[tuple[int, int], int] = {}
-
-    def connect(u: int, v: int) -> None:
-        if growth.connect(u, v):
-            key = (u, v) if u < v else (v, u)
-            edge_pos[key] = len(edge_list)
-            edge_list.append(key)
-
-    def disconnect(u: int, v: int) -> None:
-        growth.disconnect(u, v)
-        key = (u, v) if u < v else (v, u)
-        pos = edge_pos.pop(key)
-        last = edge_list.pop()
-        if pos < len(edge_list):
-            edge_list[pos] = last
-            edge_pos[last] = pos
-
-    for key in sorted((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v):
-        edge_pos[key] = len(edge_list)
-        edge_list.append(key)
-
+    edges = growth.edges
     while len(adj) < params.n_target:
         roll = rng.random()
         if roll < params.p:
             # m new internal links: one uniform end, one preferential end.
             for _ in range(params.m):
                 n = len(adj)
-                if growth.edge_count >= n * (n - 1) // 2:
+                if len(edges) >= n * (n - 1) // 2:
                     break
                 a = rng.randrange(n)
                 while len(adj[a]) >= n - 1:
                     a = rng.randrange(n)
                 b = growth.pick_peer(a)
                 if b is not None:
-                    connect(a, b)
+                    growth.connect(a, b)
         elif roll < params.p + params.q:
             # m rewires: detach one end of a uniform edge, reattach preferentially.
+            # Links and rewires never shrink the record, so it is never empty.
             for _ in range(params.m):
-                if not edge_list:
-                    break
-                u, v = edge_list[rng.randrange(len(edge_list))]
+                pos = rng.randrange(len(edges))
+                u, v = divmod(edges[pos], params.n_target)
                 kept, detached = (u, v) if rng.random() < 0.5 else (v, u)
                 b = growth.pick_peer(kept)
-                if b is None:
-                    continue
-                disconnect(kept, detached)
-                connect(kept, b)
+                if b is not None:
+                    growth.rewire(pos, kept, detached, b)
         else:
-            targets = growth.pick_distinct(params.m)
-            node = growth.add_node()
-            for t in targets:
-                connect(node, t)
+            growth.attach(params.m)
             record(growth)
     return growth
 
@@ -466,7 +447,7 @@ def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
             # m new internal links, both endpoints preferential.
             for _ in range(params.m):
                 n = len(adj)
-                if growth.edge_count >= n * (n - 1) // 2:
+                if len(growth.edges) >= n * (n - 1) // 2:
                     break
                 tried: set[int] = set()
                 while True:
@@ -479,10 +460,7 @@ def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
                         break
                     tried.add(a)
         else:
-            targets = growth.pick_distinct(params.m)
-            node = growth.add_node()
-            for t in targets:
-                growth.connect(node, t)
+            growth.attach(params.m)
             record(growth)
     return growth
 
@@ -494,23 +472,18 @@ def _grow_pfp(params: GeneratorParams, record: _Recorder) -> _Growth:
     for _ in range(params.n_target - params.seed_size()):
         if rng.random() < params.p:
             # New node joins one host; the host gains two links to peers.
-            hosts = growth.pick_distinct(1)
-            node = growth.add_node()
-            growth.connect(node, hosts[0])
+            host = growth.attach(1)[0]
             for _ in range(2):
-                peer = growth.pick_peer(hosts[0])
+                peer = growth.pick_peer(host)
                 if peer is None:
                     break
-                growth.connect(hosts[0], peer)
+                growth.connect(host, peer)
         else:
             # New node joins two hosts; the first host gains one peer link.
-            hosts = growth.pick_distinct(2)
-            node = growth.add_node()
-            for h in hosts:
-                growth.connect(node, h)
-            peer = growth.pick_peer(hosts[0])
+            host = growth.attach(2)[0]
+            peer = growth.pick_peer(host)
             if peer is not None:
-                growth.connect(hosts[0], peer)
+                growth.connect(host, peer)
         record(growth)
     return growth
 

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from array import array
 
 import oracles
 import pytest
@@ -134,15 +135,17 @@ def test_weighted_picker_tracks_weights():
 
 
 def test_preferential_frequencies_match_kernel():
-    # star-plus-path built through the growth state: degrees 4,1,1,1,2 then 2,1 on the tail
+    # A hub with two short tails, rewired out of the seed ring 0-1-2-3-4-5-6-0.
     params = ba(7, seed=9, m0=7)
     growth = _Growth(params)
-    for i in range(7):  # drop the seed ring ...
-        growth.disconnect(i, (i + 1) % 7)
-    for u, v in [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)]:  # ... then star 0-(1..4), path 4-5-6
-        assert growth.connect(u, v)
+    for kept, detached, b in [(3, 2, 0), (4, 5, 0), (2, 1, 0)]:
+        key = min(kept, detached) * 7 + max(kept, detached)
+        growth.rewire(growth.edges.index(key), kept, detached, b)
+    assert sorted(divmod(packed, 7) for packed in growth.edges) == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (3, 4), (5, 6)
+    ]
     degs = {u: len(nbrs) for u, nbrs in enumerate(growth.adj)}
-    assert degs == {0: 4, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 1}
+    assert degs == {0: 5, 1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: 2}
     assert all(growth.picker.weight(u) == d for u, d in degs.items())
     total = sum(degs.values())
     assert growth.picker.total() == total
@@ -155,6 +158,18 @@ def test_preferential_frequencies_match_kernel():
         expected = d / total
         freq = counts[u] / n_draws
         assert abs(freq - expected) < 4 * math.sqrt(expected * (1 - expected) / n_draws)
+
+
+def test_edge_record_decodes_the_top_key():
+    # At n_target = 2**32 the last pair packs into a key past 2**63: a decode
+    # that stepped through int64 or float64 would move or lose its ends.
+    growth = _Growth(ba(3, seed=0))
+    top = AS_MAX
+    growth.n_target = top + 1
+    growth.edges = array("Q", [(top - 1) * (top + 1) + top])
+    graph = growth.graph()
+    assert graph.edges().tolist() == [[top - 1, top]]
+    assert graph.labels.tolist() == [0, 1, 2, top - 1, top]
 
 
 def test_ab_reduces_to_ba_bookkeeping():
@@ -310,6 +325,8 @@ def assert_matches_reference(params, checkpoints):
     assert trajectory.checkpoints == ref_rows
     # Float drift from masking shows in the tree cells long before it moves an edge.
     growth = generators._GROWERS[params.model](params, generators._Recorder(None))
+    # The record holds each edge once: linking a linked pair would add a key the graph drops.
+    assert len(growth.edges) == graph.edge_count
     assert picker_cells(growth.picker) == picker_cells(reference.picker)
 
 
@@ -359,6 +376,39 @@ def test_picker_draws_none_when_only_residue_is_left(picker_class):
     assert picker.sample(rng) is None
     if picker_class is WeightedPicker:
         assert picker.draw(rng, {0}, 1) is None
+
+
+class _FixedRandom:
+    """A stand-in RNG whose every draw is the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("picker_class", [WeightedPicker, oracles.WeightedPicker])
+def test_picker_moves_down_from_masked_last_slot(picker_class):
+    # Tree cell 2 holds 0.1 + 0.2 - 0.2 = 0.10000000000000003 once slot 1 is
+    # zeroed, so a draw near the top of the total passes cell 1's 0.1 and
+    # lands on slot 1. No live slot lies above it; the search turns down.
+    picker = picker_class(2)
+    picker.append(0.1)
+    picker.append(0.2)
+    picker.set_weight(1, 0.0)
+    assert picker._tree[2] == 0.10000000000000003
+    assert picker.sample(_FixedRandom(0.9999999999999999)) == 0
+
+
+@pytest.mark.parametrize("picker_class", [WeightedPicker, oracles.WeightedPicker])
+def test_picker_append_past_capacity_raises(picker_class):
+    picker = picker_class(2)
+    picker.append(1.0)
+    picker.append(1.0)
+    with pytest.raises(ParameterError, match="capacity"):
+        picker.append(1.0)
+    assert picker.size == 2
 
 
 def outcome(call, *args):
