@@ -9,13 +9,15 @@ edge.
 
 The growth loop keeps its state flat: one neighbour set per node in a list,
 kernel values tabulated per degree, and the sampler's prefix total cached
-between weight changes. The rejection loop runs inside the sampler. Every
-tree cell still receives the same float additions in the same order, and
-the RNG is called in the same order, so these shortcuts change no output
-bit. Each edge is also kept once in a packed record, which AB's rewiring
-draws from by index. The run ends by building the CsrGraph that the
-metrics read and the generate command writes, straight from that record; a
-node that AB rewiring left without edges is still one of its nodes.
+between weight changes. The rejection loop runs inside the sampler, and
+every walk over its tree follows link tables cached per capacity, so a
+step is a list lookup. Every tree cell still receives the same float
+additions in the same order, each draw makes the same comparisons, and the
+RNG is called in the same order, so these shortcuts change no output bit.
+Each edge is also kept once in a packed record, which AB's rewiring draws
+from by index. The run ends by building the CsrGraph that the metrics read
+and the generate command writes, straight from that record; a node that AB
+rewiring left without edges is still one of its nodes.
 
 generate_with_trajectory(params) also records k_max at m0, at each power of
 ten between m0 and n_target, and at n_target, unless given other checkpoints.
@@ -29,6 +31,7 @@ Kernels:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -137,23 +140,62 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+# One growth run needs the tables of one capacity; keep a few.
+@functools.lru_cache(maxsize=4)
+def _links(cap: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The next cell of each Fenwick walk over cells 1..cap, as four lists.
+
+    up[j] is the next cell an update adds to (j + lowbit(j)), down[j] the
+    next cell a prefix sum reads (j - lowbit(j)). A draw that takes cell c
+    compares c + lowbit(c)/2 next, hi[c], and one that passes it compares
+    c - lowbit(c)/2, lo[c]; hi skips the cells past cap, which the stride
+    descent passes without a compare. 0 ends every walk. Every entry is one
+    of the same cap + 1 int objects, which the four lists share rather than
+    each holding ints of its own.
+    """
+    cells = list(range(cap + 1))
+    up, down, hi, lo = ([0] * (cap + 1) for _ in range(4))
+    for j in cells[1:]:
+        low = j & -j
+        half = low >> 1
+        if j + low <= cap:
+            up[j] = cells[j + low]
+        down[j] = cells[j - low]
+        if half:
+            lo[j] = cells[j - half]
+            c = j + half
+            while c > cap:
+                step = (c & -c) >> 1
+                c = c - step if step else 0
+            hi[j] = cells[c]
+    return up, down, hi, lo
+
+
 class WeightedPicker:
     """Fenwick tree over per-node weights: O(log n) update and draw.
 
-    The prefix total is cached. Every weight change drops it, and so does
-    every append, since a larger size moves the prefix path even when the
-    new weight is 0.
+    Every walk over the tree follows the link lists that _links caches for
+    its capacity, so a step is a list lookup rather than int arithmetic.
+    A walk visits the cells that the stride loops j += j & -j, j -= j & -j
+    and the halving descent visit, in the same order, with the same float
+    operations, so every cell, total and draw is as they make it (the
+    reference picker in tests/oracles.py keeps those loops). The prefix
+    total is cached. Every weight change drops it, and so does every append, since
+    a larger size moves the prefix path even when the new weight is 0.
     """
 
-    __slots__ = ("_cap", "_tree", "_weights", "_size", "_steps", "_total")
+    __slots__ = (
+        "_cap", "_tree", "_weights", "_size", "_top", "_up", "_down", "_hi", "_lo", "_total"
+    )
 
     def __init__(self, capacity: int) -> None:
         self._cap = max(capacity, 1)
         self._tree = [0.0] * (self._cap + 1)
         self._weights = [0.0] * self._cap
         self._size = 0
-        # The descent's strides: the top power of two <= capacity, halved down to 1.
-        self._steps = tuple(1 << b for b in reversed(range(self._cap.bit_length())))
+        # The descent's first cell: the top power of two <= capacity.
+        self._top = 1 << (self._cap.bit_length() - 1)
+        self._up, self._down, self._hi, self._lo = _links(self._cap)
         self._total: float | None = 0.0
 
     @property
@@ -179,21 +221,22 @@ class WeightedPicker:
         self._weights[index] = weight
         self._total = None
         tree = self._tree
-        cap = self._cap
+        up = self._up
         j = index + 1
-        while j <= cap:
+        while j:
             tree[j] += delta
-            j += j & (-j)
+            j = up[j]
 
     def total(self) -> float:
         s = self._total
         if s is None:
             s = 0.0
             tree = self._tree
+            down = self._down
             j = self._size
-            while j > 0:
+            while j:
                 s += tree[j]
-                j -= j & (-j)
+                j = down[j]
             self._total = s
         return s
 
@@ -215,17 +258,22 @@ class WeightedPicker:
         random_ = rng.random
         tree = self._tree
         weights = self._weights
-        cap = self._cap
-        steps = self._steps
+        top = self._top
+        hi = self._hi
+        lo = self._lo
         last = self._size - 1
         for _ in range(_REJECTION_TRIES):
             remaining = random_() * total
             pos = 0
-            for step in steps:
-                nxt = pos + step
-                if nxt <= cap and tree[nxt] < remaining:
-                    remaining -= tree[nxt]
-                    pos = nxt
+            c = top
+            while c:
+                cell = tree[c]
+                if cell < remaining:
+                    remaining -= cell
+                    pos = c
+                    c = hi[c]
+                else:
+                    c = lo[c]
             index = pos if pos < last else last
             if weights[index] == 0.0:
                 # Float roundoff can land on a masked slot; take the nearest live one.

@@ -238,13 +238,14 @@ class AsGraph:
         return sub
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Ascending distinct entries of values, which is sorted in place.
+def _distinct(values: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """Ascending distinct entries of values, which is sorted in place by
+    the given sort kind.
 
     Unlike numpy's unique, it makes no sorted copy and needs no masked-array
     import.
     """
-    values.sort()
+    values.sort(kind=kind)
     first = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return values[first]

@@ -280,6 +280,16 @@ def _header_value(path: Path, lines: list[str], index: int, key: str) -> str:
     return decoded_value(value, f"{path}:{index + 1}")
 
 
+def _merge_distinct(running: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The ascending distinct union of running, ascending and distinct
+    already, and new, which is sorted in place.
+
+    new is made distinct first, so the two form two ascending runs, which
+    a stable sort (timsort) merges in one pass rather than sorting afresh.
+    """
+    return _distinct(np.concatenate((running, _distinct(new))), kind="stable")
+
+
 def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterReport]:
     """Parse one path file into (meta, hops, filter report).
 
@@ -330,8 +340,8 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterRep
             for line in _data_lines(_text_lines(raw)):
                 opened[line] += n
         block_keys, block_bare = _plain_paths(block, words, plain, mult, report)
-        keys = _distinct(np.concatenate((keys, block_keys)))
-        bare = _distinct(np.concatenate((bare, block_bare)))
+        keys = _merge_distinct(keys, block_keys)
+        bare = _merge_distinct(bare, block_bare)
     if meta is None:
         meta = _read_header(path, header)  # raises: the file has under three lines
     tails: list[int] = []
@@ -346,9 +356,9 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterRep
             tails.extend(hops[:-1])
             heads.extend(hops[1:])
     opened_keys = _pair_keys(np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64))
-    keys = _distinct(np.concatenate((keys, opened_keys)))
+    keys = _merge_distinct(keys, opened_keys)
     pairs = np.column_stack((keys >> np.uint64(32), keys & np.uint64(AS_MAX))).astype(np.int64)
-    bare = _distinct(np.concatenate((bare, np.array(solo, dtype=np.int64))))
+    bare = _merge_distinct(bare, np.array(solo, dtype=np.int64))
     return meta, PathHops(pairs, bare), report
 
 

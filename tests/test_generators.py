@@ -17,7 +17,7 @@ from astopo import (
     powerlaw_exponent,
 )
 from astopo import generators
-from astopo.generators import WeightedPicker, _Growth, _KernelTable
+from astopo.generators import WeightedPicker, _Growth, _KernelTable, _links
 
 
 def kmax(g):
@@ -308,6 +308,10 @@ REFERENCE_CASES = {
     "pfp_bench": dict(model="pfp", n_target=1500, p=0.4, delta=0.021),
     "pfp_delta0": dict(model="pfp", n_target=400, p=0.4, delta=0.0),
     "pfp_p0": dict(model="pfp", n_target=400, p=0.0, delta=0.05),
+    # The picker's capacity is n_target: a power of two, then one past it,
+    # where the draw's descent starts at cell 512 and skips cells past 513.
+    "ba_n512": dict(model="ba", n_target=512, m=2),
+    "ba_n513": dict(model="ba", n_target=513, m=2),
 }
 
 
@@ -409,6 +413,85 @@ def test_picker_append_past_capacity_raises(picker_class):
     with pytest.raises(ParameterError, match="capacity"):
         picker.append(1.0)
     assert picker.size == 2
+
+
+LINK_CAPACITIES = [*range(1, 258), 1023, 1024, 1025, 20000]
+
+
+def stride_chain(j, cap, sign):
+    """The cells after j on a stride loop: j += j & -j up to cap, or j -= j & -j down to 0."""
+    chain = []
+    while True:
+        j += sign * (j & -j)
+        if not 0 < j <= cap:
+            return chain
+        chain.append(j)
+
+
+def link_chain(j, links):
+    """The cells after j on a walk of links, cut after len(links).bit_length()
+    of them, so that a cycle fails the comparison rather than hanging."""
+    chain = []
+    while links[j] and len(chain) < len(links).bit_length():
+        j = links[j]
+        chain.append(j)
+    return chain
+
+
+def stride_descent(cap, take):
+    """The cells the stride descent compares, and where it ends, taking cell c when take(c)."""
+    compared, pos = [], 0
+    step = 1 << (cap.bit_length() - 1)
+    while step:
+        nxt = pos + step
+        if nxt <= cap:
+            compared.append(nxt)
+            if take(nxt):
+                pos = nxt
+        step >>= 1
+    return compared, pos
+
+
+def link_descent(cap, take):
+    _, _, hi, lo = _links(cap)
+    compared, pos = [], 0
+    c = 1 << (cap.bit_length() - 1)
+    while c and len(compared) <= cap.bit_length():
+        compared.append(c)
+        if take(c):
+            pos, c = c, hi[c]
+        else:
+            c = lo[c]
+    return compared, pos
+
+
+@pytest.mark.parametrize("cap", LINK_CAPACITIES)
+def test_links_follow_the_stride_loops(cap):
+    up, down, hi, lo = _links(cap)
+    assert len(up) == len(down) == len(hi) == len(lo) == cap + 1
+    for j in range(1, cap + 1):
+        assert link_chain(j, up) == stride_chain(j, cap, 1)
+        assert link_chain(j, down) == stride_chain(j, cap, -1)
+    # Taking every cell up to target steers the descent to target, so each
+    # cell is both taken and passed on some walk.
+    for target in range(cap + 1):
+        take = target.__ge__
+        assert link_descent(cap, take) == stride_descent(cap, take)
+
+
+@pytest.mark.parametrize("cap", LINK_CAPACITIES)
+def test_picker_draws_match_reference_at_every_capacity(cap):
+    ops = random.Random(cap)
+    for size in sorted({cap // 2 + 1, cap}):
+        picker, reference = WeightedPicker(cap), oracles.WeightedPicker(cap)
+        for _ in range(size):
+            weight = ops.choice([0.0, ops.random(), float(ops.randrange(1, 9))])
+            picker.append(weight)
+            reference.append(weight)
+        assert picker_cells(picker) == picker_cells(reference)
+        assert picker.total() == reference.total()
+        for value in (0.0, 0.5, 0.9999999999999999):
+            assert picker.sample(_FixedRandom(value)) == reference.sample(_FixedRandom(value))
 
 
 def outcome(call, *args):
