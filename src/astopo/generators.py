@@ -10,14 +10,15 @@ edge.
 The growth loop keeps its state flat: one neighbour set per node in a list,
 kernel values tabulated per degree, and the sampler's prefix total cached
 between weight changes. The rejection loop runs inside the sampler, and
-every walk over its tree follows link tables cached per capacity, so a
-step is a list lookup. Every tree cell still receives the same float
-additions in the same order, each draw makes the same comparisons, and the
-RNG is called in the same order, so these shortcuts change no output bit.
-Each edge is also kept once in a packed record, which AB's rewiring draws
-from by index. The run ends by building the CsrGraph that the metrics read
-and the generate command writes, straight from that record; a node that AB
-rewiring left without edges is still one of its nodes.
+every walk over its tree follows link tables cached for the last capacity
+used, so a step is a list lookup. Every tree cell still receives the same
+float additions in the same order, each draw makes the same comparisons,
+and the RNG is called in the same order, so these shortcuts change no
+output bit. Each edge is also kept once in a packed record, which AB's
+rewiring draws from by index. The run ends by dropping its neighbour sets
+and sampler, then building the CsrGraph that the metrics read and the
+generate command writes, straight from that record (_decode); a node that
+AB rewiring left without edges is still one of its nodes.
 
 generate_with_trajectory(params) also records k_max at m0, at each power of
 ten between m0 and n_target, and at n_target, unless given other checkpoints.
@@ -140,8 +141,9 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-# One growth run needs the tables of one capacity; keep a few.
-@functools.lru_cache(maxsize=4)
+# One growth run needs the tables of one capacity, and at 10**6 cells they
+# take about 61 MB: keep only the last capacity's.
+@functools.lru_cache(maxsize=1)
 def _links(cap: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """The next cell of each Fenwick walk over cells 1..cap, as four lists.
 
@@ -362,14 +364,6 @@ class _Growth:
         for nbrs in self.adj:
             self.picker.append(self.kernel_of[len(nbrs)])
 
-    def graph(self) -> CsrGraph:
-        """The grown graph over nodes 0..n-1, every node kept, edges or not."""
-        pairs = np.empty((len(self.edges), 2), np.int64)
-        # Both operands uint64, so the quotient and remainder never pass through float.
-        keys = np.frombuffer(self.edges, np.uint64)
-        np.divmod(keys, np.uint64(self.n_target), out=(pairs[:, 0], pairs[:, 1]))
-        return CsrGraph(pairs, np.arange(len(self.adj)))
-
     def connect(self, u: int, v: int) -> None:
         """Link u and v, which the caller knows to be distinct and not yet linked."""
         adj = self.adj
@@ -418,6 +412,16 @@ class _Growth:
         if len(nbrs) >= len(self.adj) - 1:
             return None
         return self.picker.draw(self.rng, nbrs, anchor)
+
+
+def _decode(edges: array, n_target: int, n: int) -> CsrGraph:
+    """The graph over nodes 0..n-1 of an edge record packed as u * n_target + v,
+    every node kept, edges or not."""
+    pairs = np.empty((len(edges), 2), np.int64)
+    # Both operands uint64, so the quotient and remainder never pass through float.
+    keys = np.frombuffer(edges, np.uint64)
+    np.divmod(keys, np.uint64(n_target), out=(pairs[:, 0], pairs[:, 1]))
+    return CsrGraph(pairs, np.arange(n))
 
 
 class _Recorder:
@@ -567,4 +571,7 @@ def generate_with_trajectory(
         raise ParameterError(f"last checkpoint {checkpoints[-1]} exceeds n_target {n_target}")
     recorder = _Recorder(checkpoints)
     growth = _GROWERS[params.model](params, recorder)
-    return growth.graph(), Trajectory(checkpoints=recorder.rows)
+    edges, n = growth.edges, len(growth.adj)
+    # Freed here, so the neighbour sets and sampler are not held through the CSR build.
+    del growth
+    return _decode(edges, n_target, n), Trajectory(checkpoints=recorder.rows)

@@ -23,8 +23,7 @@ Every hop distance (ASPL, tunnel paths) comes from one bit-parallel
 multi-source BFS loop, CsrGraph._levels. Each batch of MSBFS_BATCH sources
 allocates its buffers once and reuses them level by level, so a frontier it
 yields is valid only until the next level. Frontier bits are counted by
-np.bitwise_count where numpy has it (2.0 and later) and by a byte table
-otherwise, chosen once at import.
+np.bitwise_count, which numpy has from 2.0, the package's declared floor.
 
 read_edgelist reads a month's edge list a block of bytes at a time
 (_read_blocks), in one vectorized pass per block: byte masks find the line
@@ -90,9 +89,6 @@ _LINE_BREAK_RE = re.compile(b"\r\n|[" + re.escape(_BREAK_BYTES) + b"]")
 
 # Digits of AS_MAX: the longest word read by the byte masks.
 _ASN_DIGITS = len(str(AS_MAX))
-
-# Set bits per byte value; numpy gained bitwise_count only in 2.0.
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 IPV4 = "ipv4"
 IPV6 = "ipv6"
@@ -295,21 +291,6 @@ def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, n
         return at, np.zeros(at.shape, dtype=bool)
     np.minimum(at, len(keys) - 1, out=at)
     return at, keys[at] == queries
-
-
-def _popcount_table(words: np.ndarray) -> int:
-    """Number of set bits in a C-contiguous array of unsigned integers, by byte table."""
-    return int(_POPCOUNT8[words.view(np.uint8)].sum())
-
-
-def _popcount_native(words: np.ndarray) -> int:
-    """Number of set bits in an array of unsigned integers, by np.bitwise_count (numpy >= 2.0)."""
-    return int(np.bitwise_count(words).sum())
-
-
-# Chosen once, at import: np.bitwise_count reads each word once, where the
-# byte table gathers eight table entries per word; numpy < 2.0 has only the table.
-_popcount = _popcount_native if hasattr(np, "bitwise_count") else _popcount_table
 
 
 class CsrGraph:
@@ -516,7 +497,7 @@ class CsrGraph:
         total = 0
         for lo in range(0, len(pos), MSBFS_BATCH):
             for level, frontier in enumerate(self._levels(pos[lo:lo + MSBFS_BATCH]), 1):
-                total += level * _popcount(frontier)
+                total += level * int(np.bitwise_count(frontier).sum())
         return total
 
     def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:

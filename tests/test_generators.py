@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import weakref
 from array import array
 
 import oracles
@@ -17,7 +18,7 @@ from astopo import (
     powerlaw_exponent,
 )
 from astopo import generators
-from astopo.generators import WeightedPicker, _Growth, _KernelTable, _links
+from astopo.generators import WeightedPicker, _decode, _Growth, _KernelTable, _links
 
 
 def kmax(g):
@@ -163,13 +164,45 @@ def test_preferential_frequencies_match_kernel():
 def test_edge_record_decodes_the_top_key():
     # At n_target = 2**32 the last pair packs into a key past 2**63: a decode
     # that stepped through int64 or float64 would move or lose its ends.
-    growth = _Growth(ba(3, seed=0))
     top = AS_MAX
-    growth.n_target = top + 1
-    growth.edges = array("Q", [(top - 1) * (top + 1) + top])
-    graph = growth.graph()
+    graph = _decode(array("Q", [(top - 1) * (top + 1) + top]), top + 1, 3)
     assert graph.edges().tolist() == [[top - 1, top]]
     assert graph.labels.tolist() == [0, 1, 2, top - 1, top]
+
+
+@pytest.mark.parametrize("model", generators.MODELS)
+def test_growth_state_is_freed_before_the_csr_build(monkeypatch, model):
+    # The neighbour sets and the sampler would otherwise stay alive while the
+    # CSR build allocates, raising the run's peak memory.
+    runs = []
+    init = _Growth.__init__
+
+    def tracked(self, params):
+        init(self, params)
+        runs.append(weakref.ref(self))
+
+    built = []
+    build = generators.CsrGraph
+
+    def checked(*args):
+        built.append([run() is None for run in runs])
+        return build(*args)
+
+    monkeypatch.setattr(_Growth, "__init__", tracked)
+    monkeypatch.setattr(generators, "CsrGraph", checked)
+    g = generate(GeneratorParams(model=model, n_target=60, seed=2, p=0.2, q=0.2))
+    assert g.node_count == 60
+    assert built == [[True]]
+
+
+def test_link_tables_are_kept_for_the_last_capacity_only():
+    _links.cache_clear()
+    for n in (50, 60):
+        generate(ba(n, seed=1))
+    info = _links.cache_info()
+    assert info.currsize == 1
+    _links(60)
+    assert _links.cache_info().hits == info.hits + 1
 
 
 def test_ab_reduces_to_ba_bookkeeping():

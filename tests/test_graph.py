@@ -396,41 +396,8 @@ def test_empty_graph_component_calls_raise():
     assert CsrGraph().component_roots().tolist() == []
 
 
-HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-@pytest.fixture(
-    params=[
-        pytest.param(graph_module._popcount_table, id="table"),
-        pytest.param(
-            graph_module._popcount_native,
-            id="bitwise_count",
-            marks=pytest.mark.skipif(not HAS_BITWISE_COUNT, reason="numpy < 2.0"),
-        ),
-    ]
-)
-def popcount(request, monkeypatch):
-    """Each bit counter in turn, installed as the one distance_total calls,
-    so the numpy >= 2.0 run also checks the byte table."""
-    monkeypatch.setattr(graph_module, "_popcount", request.param)
-    return request.param
-
-
-def test_popcount_is_chosen_by_numpy_version():
-    expected = graph_module._popcount_native if HAS_BITWISE_COUNT else graph_module._popcount_table
-    assert graph_module._popcount is expected
-
-
-def test_popcount_edge_values(popcount):
-    values = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 2**63 - 1]
-    for x in values:
-        assert graph_module._popcount(np.array([x], dtype=np.uint64)) == bin(x).count("1")
-    words = np.array(values, dtype=np.uint64).reshape(2, 3)
-    assert graph_module._popcount(words) == sum(bin(x).count("1") for x in values)
-
-
 @pytest.mark.parametrize("n, k", [(5, 5), (150, 70), (150, 151), (600, MSBFS_BATCH + 1)])
-def test_distance_total_matches_dict_bfs(popcount, n, k):
+def test_distance_total_matches_dict_bfs(n, k):
     """Sources from every component, isolated ones and a repeat included."""
     rng = random.Random(n + k)
     g = sparse_graph(rng, n)
@@ -509,12 +476,14 @@ KERNEL_GRAPHS = {
     "no-edges": ([], [7, 9]),
     "two-node-giant": ([(3, 8)], []),
     "path": ([(i, i + 1) for i in range(70)], []),
+    # 64 leaves ahead of their hub: the hub's first frontier word is all ones
+    "star": ([(leaf, 100) for leaf in range(1, 65)], []),
 }
 
 
 @pytest.mark.parametrize("name", [*KERNEL_GRAPHS, "sparse"])
 @pytest.mark.parametrize("batch", [1, 63, 64, 65, MSBFS_BATCH])
-def test_kernel_matches_dict_bfs_at_its_edges(popcount, monkeypatch, name, batch):
+def test_kernel_matches_dict_bfs_at_its_edges(monkeypatch, name, batch):
     """Every node a source and every ordered pair asked: batches that end
     inside a word, on a word boundary and just past one, and many batches
     in a row, each making its buffers afresh."""
