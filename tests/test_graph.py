@@ -396,8 +396,39 @@ def test_empty_graph_component_calls_raise():
     assert CsrGraph().component_roots().tolist() == []
 
 
+# Set bits per byte value: a count of frontier bits that shares no code with
+# np.bitwise_count, the one counter distance_total calls.
+BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def byte_table_count(words):
+    """Set bits of each byte of words, by table; sums to np.bitwise_count's total."""
+    return BYTE_BITS[np.ascontiguousarray(words).view(np.uint8)]
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(byte_table_count, id="table"),
+        pytest.param(np.bitwise_count, id="bitwise_count"),
+    ]
+)
+def bit_counter(request, monkeypatch):
+    """np.bitwise_count, and in turn the byte table in its place, so that the
+    kernel's totals are also checked on a count independent of numpy's."""
+    monkeypatch.setattr(np, "bitwise_count", request.param)
+    return request.param
+
+
+def test_popcount_edge_values(bit_counter):
+    values = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 2**63 - 1]
+    for x in values:
+        assert int(bit_counter(np.array([x], dtype=np.uint64)).sum()) == bin(x).count("1")
+    words = np.array(values, dtype=np.uint64).reshape(2, 3)
+    assert int(bit_counter(words).sum()) == sum(bin(x).count("1") for x in values)
+
+
 @pytest.mark.parametrize("n, k", [(5, 5), (150, 70), (150, 151), (600, MSBFS_BATCH + 1)])
-def test_distance_total_matches_dict_bfs(n, k):
+def test_distance_total_matches_dict_bfs(bit_counter, n, k):
     """Sources from every component, isolated ones and a repeat included."""
     rng = random.Random(n + k)
     g = sparse_graph(rng, n)
@@ -483,7 +514,7 @@ KERNEL_GRAPHS = {
 
 @pytest.mark.parametrize("name", [*KERNEL_GRAPHS, "sparse"])
 @pytest.mark.parametrize("batch", [1, 63, 64, 65, MSBFS_BATCH])
-def test_kernel_matches_dict_bfs_at_its_edges(monkeypatch, name, batch):
+def test_kernel_matches_dict_bfs_at_its_edges(bit_counter, monkeypatch, name, batch):
     """Every node a source and every ordered pair asked: batches that end
     inside a word, on a word boundary and just past one, and many batches
     in a row, each making its buffers afresh."""
