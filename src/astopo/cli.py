@@ -4,7 +4,8 @@ Every command writes its outputs plus a manifest.json echoing the resolved
 configuration and the SHA-256 of exactly the input files it reads: the
 .files of each series it loads (ingest.load_series, store.read_store),
 plus the files its flags name. Nothing here is time-stamped or randomized
-outside the seeds named in the config. Dates are YYYY-MM in ASCII digits.
+outside the seeds named in the config. Dates are YYYY-MM in ASCII digits,
+and every number flag is ASCII without '_'.
 
 The commands only name files; each policy is kept by the module that owns
 it. Each table is declared and written by the module that owns its record.
@@ -54,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     fitting = argparse.ArgumentParser(add_help=False)
     fitting.add_argument("--input", required=True, help="metrics CSV")
     fitting.add_argument("--out", required=True)
-    fitting.add_argument("--min-segment", type=int, default=phasefit.DEFAULT_MIN_SEGMENT)
-    fitting.add_argument("--parsimony", type=float, default=phasefit.DEFAULT_PARSIMONY)
+    fitting.add_argument("--min-segment", type=_ascii(int), default=phasefit.DEFAULT_MIN_SEGMENT)
+    fitting.add_argument("--parsimony", type=_ascii(float), default=phasefit.DEFAULT_PARSIMONY)
     fitting.add_argument("--exclude-dates", help="file with one YYYY-MM per line to drop")
 
     p = sub.add_parser("ingest", help="parse a path corpus into a snapshot store")
@@ -68,8 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="snapshot store directory")
     p.add_argument("--out", required=True)
     p.add_argument("--aspl-mode", default="exact", help="'exact', 'sampled', or 'sampled:N'")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled ASPL")
-    p.add_argument("--kmin", type=int, default=1, help="smallest degree used in the CCDF fit")
+    p.add_argument("--seed", type=_ascii(int), default=0, help="seed for sampled ASPL")
+    p.add_argument(
+        "--kmin", type=_ascii(int), default=1, help="smallest degree used in the CCDF fit"
+    )
     p.add_argument("--plots", action="store_true", help="also write one SVG per metric")
     p.set_defaults(func=cmd_metrics)
 
@@ -81,15 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=generators.MODELS)
     p.add_argument("--out", required=True)
     p.add_argument(
-        "--n", dest="n_target", metavar="N", required=True, type=int, help="target node count"
+        "--n", dest="n_target", metavar="N", required=True, type=_ascii(int),
+        help="target node count",
     )
-    p.add_argument("--seed", required=True, type=int, help="RNG seed (mandatory: reruns must match)")
-    p.add_argument("--m", type=int, default=2, help="links per new node (ba/ab/glp)")
-    p.add_argument("--m0", type=int, help="seed ring size, default max(m, 3)")
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0, help="rewiring probability (ab)")
-    p.add_argument("--beta", type=float, default=0.0, help="kernel shift (glp)")
-    p.add_argument("--delta", type=float, default=0.0, help="feedback exponent (pfp)")
+    p.add_argument(
+        "--seed", required=True, type=_ascii(int), help="RNG seed (mandatory: reruns must match)"
+    )
+    p.add_argument("--m", type=_ascii(int), default=2, help="links per new node (ba/ab/glp)")
+    p.add_argument("--m0", type=_ascii(int), help="seed ring size, default max(m, 3)")
+    p.add_argument("--p", type=_ascii(float), default=0.0)
+    p.add_argument("--q", type=_ascii(float), default=0.0, help="rewiring probability (ab)")
+    p.add_argument("--beta", type=_ascii(float), default=0.0, help="kernel shift (glp)")
+    p.add_argument("--delta", type=_ascii(float), default=0.0, help="feedback exponent (pfp)")
     p.add_argument("--checkpoints", help="comma-separated N values for the trajectory")
     p.set_defaults(func=cmd_generate)
 
@@ -105,6 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return parser
+
+
+def _ascii(kind):
+    """kind(text) for text in ASCII without '_', as an argparse type: int() and
+    float() alone would also read '1_0' as 10 and the Arabic-Indic '٣' as 3."""
+
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names the type: "invalid int value: '1_0'"
+    return parse
 
 
 def _sha256(path: Path) -> str:
@@ -151,7 +170,7 @@ def _parse_aspl_mode(text: str) -> int | None:
         return 1000
     if text.startswith("sampled:"):
         try:
-            n = int(text.split(":", 1)[1])
+            n = _ascii(int)(text.split(":", 1)[1])
         except ValueError:
             raise ParameterError(f"bad --aspl-mode {text!r}") from None
         metrics.check_aspl_sources(n)
@@ -259,10 +278,8 @@ def cmd_generate(args) -> None:
     )
     checkpoints, text = None, args.checkpoints
     if text:
-        try:  # int() alone would also read '1_0' as 10 and the Arabic-Indic '٣' as 3
-            if not text.isascii() or "_" in text:
-                raise ValueError
-            checkpoints = [int(tok) for tok in text.split(",") if tok.strip()]
+        try:
+            checkpoints = [int(tok) for tok in _ascii(str)(text).split(",") if tok.strip()]
         except ValueError:
             raise ParameterError(f"bad --checkpoints {text!r}") from None
     graph, trajectory = generators.generate_with_trajectory(params, checkpoints)

@@ -20,8 +20,10 @@ and sampler, then building the CsrGraph that the metrics read and the
 generate command writes, straight from that record (_decode); a node that
 AB rewiring left without edges is still one of its nodes.
 
-generate_with_trajectory(params) also records k_max at m0, at each power of
-ten between m0 and n_target, and at n_target, unless given other checkpoints.
+generate_with_trajectory also records k_max at N for each checkpoint N, read
+after the growth step that brings the node count to N: for PFP, after the
+host's peer links too. The seed ring is the m0 row, and AB and GLP steps that
+add no node record nothing.
 
 Kernels:
   BA   w(k) = k
@@ -339,7 +341,7 @@ class _KernelTable(dict):
 
 
 class _Growth:
-    """One growth run: adjacency, edge record, kernel-weighted picker, and RNG in lockstep.
+    """One growth run: adjacency, edge record, kernel-weighted picker, RNG and trajectory.
 
     Node i's neighbours are adj[i]; their insertion order is the order the
     picker's masked fallback reads them in. The edge record holds each edge
@@ -348,7 +350,7 @@ class _Growth:
     kernel is tabulated per degree, and each link or unlink reweights u, then v.
     """
 
-    def __init__(self, params: GeneratorParams) -> None:
+    def __init__(self, params: GeneratorParams, checkpoints: Sequence[int] = ()) -> None:
         self.rng = random.Random(params.seed)
         self.kernel_of = _KernelTable(params)
         self.n_target = params.n_target
@@ -363,6 +365,18 @@ class _Growth:
         self.picker = WeightedPicker(params.n_target)
         for nbrs in self.adj:
             self.picker.append(self.kernel_of[len(nbrs)])
+        # Checkpoints not yet reached, the next one last.
+        self.pending = sorted(checkpoints, reverse=True)
+        self.trajectory = Trajectory(checkpoints=[])
+        self.record()
+
+    def record(self) -> None:
+        """Add (N, k_max) for each pending checkpoint that the node count N has reached."""
+        pending = self.pending
+        n = len(self.adj)
+        while pending and n >= pending[-1]:
+            pending.pop()
+            self.trajectory.checkpoints.append((n, max(map(len, self.adj))))
 
     def connect(self, u: int, v: int) -> None:
         """Link u and v, which the caller knows to be distinct and not yet linked."""
@@ -403,9 +417,6 @@ class _Growth:
             self.connect(node, t)
         return targets
 
-    def max_degree(self) -> int:
-        return max(map(len, self.adj))
-
     def pick_peer(self, anchor: int) -> int | None:
         """Preferential partner for anchor: not anchor, not already linked."""
         nbrs = self.adj[anchor]
@@ -424,37 +435,13 @@ def _decode(edges: array, n_target: int, n: int) -> CsrGraph:
     return CsrGraph(pairs, np.arange(n))
 
 
-class _Recorder:
-    """Collects (N, k_max) the first time node count reaches each checkpoint."""
-
-    def __init__(self, checkpoints: Sequence[int] | None) -> None:
-        self.pending = sorted(checkpoints) if checkpoints else []
-        self.rows: list[tuple[int, int]] = []
-
-    def __call__(self, growth: _Growth) -> None:
-        if not self.pending:
-            return
-        n = len(growth.adj)
-        recorded = None
-        while self.pending and n >= self.pending[0]:
-            self.pending.pop(0)
-            if recorded is None:
-                recorded = growth.max_degree()
-            self.rows.append((n, recorded))
-
-
-def _grow_ba(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params)
-    record(growth)
+def _grow_ba(growth: _Growth, params: GeneratorParams) -> None:
     for _ in range(params.n_target - params.seed_size()):
         growth.attach(params.m)
-        record(growth)
-    return growth
+        growth.record()
 
 
-def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params)
-    record(growth)
+def _grow_ab(growth: _Growth, params: GeneratorParams) -> None:
     rng = growth.rng
     adj = growth.adj
     edges = growth.edges
@@ -484,13 +471,10 @@ def _grow_ab(params: GeneratorParams, record: _Recorder) -> _Growth:
                     growth.rewire(pos, kept, detached, b)
         else:
             growth.attach(params.m)
-            record(growth)
-    return growth
+            growth.record()
 
 
-def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params)
-    record(growth)
+def _grow_glp(growth: _Growth, params: GeneratorParams) -> None:
     rng = growth.rng
     adj = growth.adj
     draw = growth.picker.draw
@@ -513,13 +497,10 @@ def _grow_glp(params: GeneratorParams, record: _Recorder) -> _Growth:
                     tried.add(a)
         else:
             growth.attach(params.m)
-            record(growth)
-    return growth
+            growth.record()
 
 
-def _grow_pfp(params: GeneratorParams, record: _Recorder) -> _Growth:
-    growth = _Growth(params)
-    record(growth)
+def _grow_pfp(growth: _Growth, params: GeneratorParams) -> None:
     rng = growth.rng
     for _ in range(params.n_target - params.seed_size()):
         if rng.random() < params.p:
@@ -536,8 +517,7 @@ def _grow_pfp(params: GeneratorParams, record: _Recorder) -> _Growth:
             peer = growth.pick_peer(host)
             if peer is not None:
                 growth.connect(host, peer)
-        record(growth)
-    return growth
+        growth.record()
 
 
 _GROWERS = {"ba": _grow_ba, "ab": _grow_ab, "glp": _grow_glp, "pfp": _grow_pfp}
@@ -569,9 +549,9 @@ def generate_with_trajectory(
         raise ParameterError(f"checkpoint {checkpoints[0]} is below the seed size m0={m0}")
     if checkpoints and checkpoints[-1] > n_target:
         raise ParameterError(f"last checkpoint {checkpoints[-1]} exceeds n_target {n_target}")
-    recorder = _Recorder(checkpoints)
-    growth = _GROWERS[params.model](params, recorder)
-    edges, n = growth.edges, len(growth.adj)
+    growth = _Growth(params, checkpoints)
+    _GROWERS[params.model](growth, params)
+    edges, n, trajectory = growth.edges, len(growth.adj), growth.trajectory
     # Freed here, so the neighbour sets and sampler are not held through the CSR build.
     del growth
-    return _decode(edges, n_target, n), Trajectory(checkpoints=recorder.rows)
+    return _decode(edges, n_target, n), trajectory

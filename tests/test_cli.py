@@ -311,6 +311,41 @@ def test_generate_rejects_checkpoints_not_in_ascii_digits(tmp_path, capsys, chec
     assert not (tmp_path / "out").exists()
 
 
+# Each number flag, after a command line that is valid without it.
+NUMBER_FLAGS = {
+    "generate": (
+        ["--model", "ba", "--n", "100", "--seed", "1"],
+        ["--n", "--seed", "--m", "--m0", "--p", "--q", "--beta", "--delta"],
+    ),
+    "metrics": (["--input", "store"], ["--seed", "--kmin"]),
+    "fit": (["--input", "m.csv", "--metric", "N"], ["--min-segment", "--parsimony"]),
+    "report": (["--input", "m.csv"], ["--min-segment", "--parsimony"]),
+}
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, flags) in NUMBER_FLAGS.items() for flag in flags]
+    + [("metrics", "--aspl-mode")],
+)
+def test_number_flags_take_only_ascii_without_underscores(
+    tmp_path, monkeypatch, capsys, command, flag, value
+):
+    """int() and float() read '1_0' as 10 and the Arabic-Indic '٣' as 3."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *NUMBER_FLAGS[command][0], "--out", "out"]
+    if flag == "--aspl-mode":
+        assert run(*argv, f"--aspl-mode=sampled:{value}") == 1
+        assert capsys.readouterr().err == f"error: bad --aspl-mode 'sampled:{value}'\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tunnel_pipeline(tmp_path):
     build_tunnel_corpora(tmp_path / "c6", tmp_path / "c4")
     s6 = tmp_path / "s6"

@@ -283,6 +283,12 @@ def test_tunnel_series_no_overlap():
         tunnel_series(s6, s4)
 
 
+def test_tunnel_series_empty_series_has_no_overlap():
+    s4 = series_from([path_graph(3)], "ipv4", dates=["2003-01"])
+    with pytest.raises(NoOverlapError, match=r"IPv6 covers \(empty\), IPv4 covers 2003-01"):
+        tunnel_series(SnapshotSeries([], "ipv6", "ALL"), s4)
+
+
 @pytest.mark.parametrize("families, message", [
     (("ipv4", "ipv4"), "the series is ipv4, not ipv6"),
     (("ipv6", "ipv6"), "the series is ipv6, not ipv4"),

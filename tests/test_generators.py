@@ -177,8 +177,8 @@ def test_growth_state_is_freed_before_the_csr_build(monkeypatch, model):
     runs = []
     init = _Growth.__init__
 
-    def tracked(self, params):
-        init(self, params)
+    def tracked(self, *args):
+        init(self, *args)
         runs.append(weakref.ref(self))
 
     built = []
@@ -361,7 +361,8 @@ def assert_matches_reference(params, checkpoints):
     assert graph.edge_count == reference.g.edge_count
     assert trajectory.checkpoints == ref_rows
     # Float drift from masking shows in the tree cells long before it moves an edge.
-    growth = generators._GROWERS[params.model](params, generators._Recorder(None))
+    growth = _Growth(params)
+    generators._GROWERS[params.model](growth, params)
     # The record holds each edge once: linking a linked pair would add a key the graph drops.
     assert len(growth.edges) == graph.edge_count
     assert picker_cells(growth.picker) == picker_cells(reference.picker)
@@ -375,6 +376,19 @@ def test_growth_matches_reference(name, seed):
     params = GeneratorParams(seed=seed, **REFERENCE_CASES[name])
     m0 = params.seed_size()
     assert_matches_reference(params, [m0, (m0 + params.n_target) // 2, params.n_target])
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, case in REFERENCE_CASES.items() if case["n_target"] <= 600)
+)
+@pytest.mark.parametrize("seed", [3, 8])
+def test_trajectory_matches_reference_at_every_n(name, seed):
+    # A row at every node count pins where each step records: after the
+    # growth step that reaches N, PFP's peer links included.
+    params = GeneratorParams(seed=seed, **REFERENCE_CASES[name])
+    checkpoints = range(params.seed_size(), params.n_target + 1)
+    _, trajectory = generate_with_trajectory(params, checkpoints)
+    assert trajectory.checkpoints == oracles.grow_reference(params, checkpoints)[1]
 
 
 def test_reference_case_strands_nodes():
