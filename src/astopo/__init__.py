@@ -30,7 +30,6 @@ from .graph import (
     AS_MAX,
     IPV4,
     IPV6,
-    AsGraph,
     CsrGraph,
     Snapshot,
     SnapshotSeries,

@@ -277,9 +277,11 @@ def cmd_generate(args) -> None:
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(generators.GeneratorParams)}
     )
     checkpoints, text = None, args.checkpoints
-    if text:
+    if text is not None:
         try:
             checkpoints = [int(tok) for tok in _ascii(str)(text).split(",") if tok.strip()]
+            if not checkpoints:
+                raise ValueError(text)
         except ValueError:
             raise ParameterError(f"bad --checkpoints {text!r}") from None
     graph, trajectory = generators.generate_with_trajectory(params, checkpoints)

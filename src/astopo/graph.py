@@ -12,18 +12,20 @@ AS numbers at its boundary. Its one constructor takes one argsort of the
 endpoint AS numbers (_distinct_inverse), which gives both the sorted labels
 and every endpoint's row; AS-number and edge lookups are binary searches
 (_sorted_search) of the labels and of the arc keys, which already ascend.
-AsGraph, a dict of neighbour sets, has no caller in the package; it is the
-reference graph of the test oracles.
+AsGraph, a dict of neighbour sets, is a builder with no caller in the
+package: the test oracles build reference graphs with it, and its BFS and
+giant component come from its CsrGraph.
 
 A Snapshot is one month's CsrGraph and date. Its provenance is held once,
 by its SnapshotSeries: the address family, the monitor set, and the input
 files the series was read from.
 
-Every hop distance (ASPL, tunnel paths) comes from one bit-parallel
-multi-source BFS loop, CsrGraph._levels. Each batch of MSBFS_BATCH sources
-allocates its buffers once and reuses them level by level, so a frontier it
-yields is valid only until the next level. Frontier bits are counted by
-np.bitwise_count, which numpy has from 2.0, the package's declared floor.
+Every hop distance (ASPL, tunnel paths, AsGraph.bfs_distances) comes from
+one bit-parallel multi-source BFS loop, CsrGraph._levels. Each batch of
+MSBFS_BATCH sources allocates its buffers once and reuses them level by
+level, so a frontier it yields is valid only until the next level. Frontier
+bits are counted by np.bitwise_count, which numpy has from 2.0, the
+package's declared floor.
 
 read_edgelist reads a month's edge list a block of bytes at a time
 (_read_blocks), in one vectorized pass per block: byte masks find the line
@@ -41,7 +43,6 @@ line's filter counts by how often its '\n' line occurs.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -68,10 +69,9 @@ _RANK_BLOCK = 1 << 13
 _WRITE_BLOCK = 1 << 14
 
 # Bytes read per chunk by _read_blocks, for read_edgelist and
-# ingest.parse_path_file; a block ends just past a '\n', so the file is never
-# held whole and every per-byte work array stays about this small in a file
-# whose lines end in '\n'. A file that breaks its lines only at other bytes
-# is scanned as one block.
+# ingest.parse_path_file; a block ends just past a line break, so the file is
+# never held whole and every per-byte work array stays about this small,
+# whatever ASCII line breaks the file uses.
 _READ_BLOCK = 1 << 18
 
 # Kind of each byte value, for _scan_words: the ASCII bytes that
@@ -114,18 +114,17 @@ def validate_family(family: str) -> str:
 class AsGraph:
     """Mutable undirected simple graph over AS numbers, a dict of neighbour sets.
 
-    No module of the package uses it. It is the plain reference graph that
-    the test oracles build and check CsrGraph against, and the benchmark
-    tracer imports it to wrap giant_component and bfs_distances by name.
-    Self-loops and duplicate edges are silently refused by add_edge;
-    freeze returns the CsrGraph of the same nodes and edges.
+    A builder, used by no module of the package: the test oracles build
+    reference graphs with it, and freeze returns the CsrGraph of the same
+    nodes and edges. bfs_distances and giant_component, which the benchmark
+    tracer wraps by name, come from that CsrGraph. add_edge silently refuses
+    self-loops and duplicate edges.
     """
 
-    __slots__ = ("_adj", "_edge_count")
+    __slots__ = ("_adj",)
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
-        self._edge_count = 0
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "AsGraph":
@@ -140,7 +139,7 @@ class AsGraph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(map(len, self._adj.values())) // 2
 
     def add_node(self, u: int) -> bool:
         """Add an isolated node; True iff it was new."""
@@ -162,7 +161,6 @@ class AsGraph:
             return False
         self._adj.setdefault(u, set()).add(v)
         self._adj.setdefault(v, set()).add(u)
-        self._edge_count += 1
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -172,7 +170,6 @@ class AsGraph:
             return False
         nbrs.remove(v)
         self._adj[v].remove(u)
-        self._edge_count -= 1
         return True
 
     def nodes(self) -> Iterator[int]:
@@ -187,7 +184,7 @@ class AsGraph:
 
     def freeze(self) -> "CsrGraph":
         """This graph as a CsrGraph, for analysis and writing."""
-        pairs = np.fromiter(chain.from_iterable(self.edges()), np.int64, 2 * self._edge_count)
+        pairs = np.fromiter(chain.from_iterable(self.edges()), np.int64)
         return CsrGraph(pairs.reshape(-1, 2), np.fromiter(self._adj, np.int64, len(self._adj)))
 
     def neighbors(self, u: int) -> set[int]:
@@ -201,36 +198,24 @@ class AsGraph:
         return len(self.neighbors(u))
 
     def bfs_distances(self, src: int) -> dict[int, int]:
-        """Minimal hop counts from src to every reachable node (src at 0)."""
-        if src not in self._adj:
-            raise UnknownNodeError(f"AS {src} is not in the graph")
+        """Minimal hop counts from src to every reachable node (src at 0):
+        bit 0 of each frontier of a CsrGraph._levels batch of src alone."""
+        csr = self.freeze()
         dist = {src: 0}
-        queue = deque((src,))
-        adj = self._adj
-        while queue:
-            u = queue.popleft()
-            nxt = dist[u] + 1
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = nxt
-                    queue.append(v)
+        for level, frontier in enumerate(csr._levels(csr._positions([src])), 1):
+            dist.update(dict.fromkeys(csr.labels[frontier[:, 0] & 1 == 1].tolist(), level))
         return dist
 
     def giant_component(self) -> "AsGraph":
-        """Induced subgraph of the largest component.
+        """Induced subgraph of the largest component, CsrGraph.giant's.
 
         Size ties go to the component containing the smallest AS number,
         making the result deterministic.
         """
-        if not self._adj:
-            raise EmptyGraphError("graph has no nodes")
         csr = self.freeze()
         sub = AsGraph()
         # A component is closed under adjacency, so whole neighbour sets carry over.
-        for u in csr.labels[csr.giant()].tolist():
-            sub._adj[u] = set(self._adj[u])
-            sub._edge_count += len(self._adj[u])
-        sub._edge_count //= 2
+        sub._adj = {u: set(self._adj[u]) for u in csr.labels[csr.giant()].tolist()}
         return sub
 
 
@@ -673,32 +658,40 @@ def _read_lines(
     return len(lines)
 
 
+def _block_end(chunk: bytes) -> int:
+    """How many bytes of chunk end a block: up to its last '\n', else up to
+    its last other ASCII line break, but not up to a '\r' that ends chunk,
+    which may be the first half of a '\r\n'. 0 if no break qualifies."""
+    end = chunk.rfind(b"\n") + 1
+    if not end:
+        stop = len(chunk) - chunk.endswith(b"\r")
+        end = max(chunk.rfind(brk, 0, stop) for brk in _BREAK_BYTES) + 1
+    return end
+
+
 def _read_blocks(path: Path) -> Iterator[bytes]:
     """The bytes of path, read _READ_BLOCK bytes at a time from the open file.
 
-    Each block ends just past its last '\n' and the bytes after it start the
-    next block, so no line, and no '\r\n', is split between two blocks. A
-    stretch with no '\n' joins the block it is in (a file with none is one
-    block). A last line with no '\n' ends the block before it, so it costs
-    no scan of its own; for that, each block is held back until a later '\n'
-    is read. An unreadable file is a CorpusError naming it.
+    Each chunk is cut where _block_end says, and a block is yielded as soon
+    as it is cut: the bytes read since the last cut, up to this one. So no
+    line, and no '\r\n', is split between two blocks, and a block is at
+    most two chunks long unless a whole chunk holds no line break. The bytes
+    after the last cut, such as an unterminated last line, are the last
+    block. An unreadable file is a CorpusError naming it.
     """
     try:
         with open(path, "rb") as f:
-            block = b""
             parts: list[bytes] = []
             while chunk := f.read(_READ_BLOCK):
-                cut = chunk.rfind(b"\n") + 1
-                if cut:
-                    if block:
-                        yield block
-                    parts.append(chunk[:cut])
+                end = _block_end(chunk)
+                if end:
+                    parts.append(chunk[:end])
                     block = b"".join(parts)
-                    parts = [chunk[cut:]]
+                    parts = [chunk[end:]]
+                    yield block
                 else:
                     parts.append(chunk)
-            tail = block + b"".join(parts)
-            if tail:
+            if tail := b"".join(parts):
                 yield tail
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc

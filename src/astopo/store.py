@@ -16,8 +16,17 @@ from .graph import Snapshot, SnapshotSeries, read_edgelist, validate_family, wri
 
 
 def write_store(out_dir: Path | str, series: SnapshotSeries) -> list[Path]:
-    """One <date>.edges file per snapshot; returns the paths written."""
+    """One <date>.edges file per snapshot; returns the paths written.
+
+    A *.edges file already in out_dir that is not a month of series would
+    be read back with the series, so the first one is a CorpusError naming
+    it, raised before anything is written.
+    """
     out_dir = Path(out_dir)
+    months = {f"{date}.edges" for date in series.dates()}
+    for path in sorted(out_dir.glob("*.edges")):
+        if path.name not in months:
+            raise CorpusError(f"{path} is not a month of the series; a store holds one series")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for snap in series.snapshots:

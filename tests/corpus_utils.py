@@ -5,7 +5,7 @@ import random
 import re
 from pathlib import Path
 
-from astopo import AsGraph
+from astopo.graph import AsGraph
 
 PATH_GRAPH_LINE = "1 2 3 4 5 6"
 
@@ -167,6 +167,22 @@ def soup_line(words, gaps, lead=b"", trail=b"") -> bytes:
     if not words:
         return lead + trail
     return lead + words[0] + b"".join(g + w for g, w in zip(gaps, words[1:])) + trail
+
+
+def break_twins(lines, ending: bytes, block: int) -> tuple[bytes, bytes]:
+    """The byte lines, each ended by ending, and their twin, each ended by '\n'.
+
+    For a '\r\n' ending, spaces before the first '\r\n' that ends past the
+    first chunk of block bytes put its '\r' last in a chunk and its '\n'
+    first in the next; the twin keeps the spaces.
+    """
+    data = b"".join(line + ending for line in lines)
+    if ending == b"\r\n":
+        at = data.index(ending, block - 1)
+        pad = -(at + 1) % block
+        data = data[:at] + b" " * pad + data[at:]
+        assert data[at + pad:at + pad + 2] == ending and (at + pad + 1) % block == 0
+    return data, data.replace(ending, b"\n")
 
 
 def open_path_lines(data: bytes) -> set:

@@ -15,7 +15,6 @@ import pytest
 
 import oracles
 from astopo import (
-    AsGraph,
     CsrGraph,
     DegenerateInputError,
     GeneratorParams,
@@ -38,7 +37,7 @@ from astopo import (
     tunnel_series,
 )
 from astopo.cli import main
-from astopo.graph import Snapshot, SnapshotSeries
+from astopo.graph import AsGraph, Snapshot, SnapshotSeries
 from astopo.ingest import MonitorSet, load_series
 from corpus_utils import (
     TUNNEL_MONTHS,

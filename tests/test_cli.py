@@ -83,6 +83,22 @@ def test_ingest_bad_corpus_fails_naming_file(tmp_path, capsys):
     assert "broken.paths" in capsys.readouterr().err
 
 
+def test_ingest_refuses_a_store_holding_another_month(tmp_path, capsys):
+    """A store holds one series: ingesting a corpus that lacks one of its
+    months fails, names that month's file and leaves the store as it was,
+    while ingesting the same corpus again succeeds."""
+    build_growing_corpus(tmp_path / "a")
+    build_growing_corpus(tmp_path / "b", months=("2001-01", "2001-02"))
+    out = tmp_path / "store"
+    assert run("ingest", "--input", tmp_path / "a", "--out", out) == 0
+    before = dir_bytes(out)
+    assert run("ingest", "--input", tmp_path / "b", "--out", out) == 1
+    assert f"error: {out / '2001-03.edges'} is not a month" in capsys.readouterr().err
+    assert dir_bytes(out) == before
+    assert run("ingest", "--input", tmp_path / "a", "--out", out) == 0
+    assert dir_bytes(out) == before
+
+
 def test_metrics_undecodable_store_line_fails_naming_line(tmp_path, capsys):
     store = tmp_path / "store"
     store.mkdir()
@@ -302,9 +318,12 @@ def test_generate_rejects_checkpoint_below_seed_size(tmp_path, capsys, checkpoin
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("checkpoints", ["3,1_0,\u0663\u0660", "3,1_0", "3,\u0663\u0660", "3,\uff11\uff10"])
+@pytest.mark.parametrize(
+    "checkpoints", ["3,1_0,\u0663\u0660", "3,1_0", "3,\u0663\u0660", "3,\uff11\uff10", ",", " , ", ""]
+)
 def test_generate_rejects_checkpoints_not_in_ascii_digits(tmp_path, capsys, checkpoints):
-    """int() reads '1_0' as 10 and the Arabic-Indic or fullwidth '30' and '10' as numbers."""
+    """int() reads '1_0' as 10 and the Arabic-Indic or fullwidth '30' and '10'
+    as numbers; a list with no number would write an empty trajectory."""
     assert run("generate", "--model", "ba", "--n", "100", "--seed", "1",
                f"--checkpoints={checkpoints}", "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: bad --checkpoints {checkpoints!r}\n"

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from astopo import (
-    AsGraph,
     CorpusError,
     CsrGraph,
     DegenerateInputError,
@@ -16,7 +15,7 @@ from astopo import (
     tunnel_series,
 )
 from astopo.crossnet import distribution_to_csv, series_summary_to_csv
-from astopo.graph import MSBFS_BATCH
+from astopo.graph import MSBFS_BATCH, AsGraph
 from corpus_utils import sparse_graph
 
 

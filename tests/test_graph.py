@@ -9,18 +9,19 @@ import pytest
 
 import oracles
 from astopo import graph as graph_module
-from astopo import AsGraph, CorpusError, EmptyGraphError, ParameterError, UnknownNodeError
+from astopo import CorpusError, EmptyGraphError, ParameterError, UnknownNodeError
 from astopo.graph import (
     _ASN_DIGITS,
     AS_MAX,
     MSBFS_BATCH,
     UNREACHABLE,
+    AsGraph,
     CsrGraph,
     _word_values,
     read_edgelist,
     write_edgelist,
 )
-from corpus_utils import edge_list, sparse_graph
+from corpus_utils import break_twins, edge_list, sparse_graph
 
 
 def triangle():
@@ -148,6 +149,27 @@ def test_bfs_distance_gap_at_most_one_across_edges():
         for u, v in g.edges():
             if u in dist and v in dist:
                 assert abs(dist[u] - dist[v]) <= 1
+
+
+def test_bfs_distances_match_oracle_random():
+    """AsGraph.bfs_distances, decoded from the frontiers of its CsrGraph's
+    multi-source BFS, is the dict BFS of the oracles from every source:
+    isolated sources included, and AS 0 and AS 2**32-1 as isolated or linked
+    nodes at both ends of the CSR rows."""
+    rng = random.Random(17)
+    isolated = 0
+    for i in range(60):
+        g = random_graph(rng, max_n=12)
+        if i % 3 == 1:
+            g.add_node(0)
+            g.add_node(AS_MAX)
+        elif i % 3 == 2:
+            g.add_edge(0, min(g.nodes()))
+            g.add_edge(AS_MAX, 0)
+        for src in g.nodes():
+            isolated += g.degree(src) == 0
+            assert g.bfs_distances(src) == oracles.bfs_distances(g, src)
+    assert isolated >= 40
 
 
 def test_giant_component_is_connected_random():
@@ -771,21 +793,23 @@ def test_edgelist_parses_only_comments_line_by_line(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "data, block, blocks",
     [
-        (b"ab\ncd\r\nef", 3, [b"ab\n", b"cd\r\nef"]),
+        (b"ab\ncd\r\nef", 3, [b"ab\n", b"cd\r\n", b"ef"]),
         (b"ab\ncd\r\nef\n", 4, [b"ab\n", b"cd\r\n", b"ef\n"]),
-        (b"1 2\r3 4\x0b5 6", 2, [b"1 2\r3 4\x0b5 6"]),
+        # a chunk with no '\n' is cut after its last other break, but not
+        # after a '\r' that ends it
+        (b"1 2\r3 4\x0b5 6", 2, [b"1 2\r3 4\x0b", b"5 6"]),
         (b"\n\n\n", 1, [b"\n", b"\n", b"\n"]),
         (b"", 4, []),
-        # an unterminated last line ends the block before it
-        (b"1 2\n3 4", 1 << 18, [b"1 2\n3 4"]),
-        (b"ab\ncd", 3, [b"ab\ncd"]),
-        (b"ab\ncd\nefgh", 3, [b"ab\n", b"cd\nefgh"]),
+        # an unterminated last line is a block of its own
+        (b"1 2\n3 4", 1 << 18, [b"1 2\n", b"3 4"]),
+        (b"ab\ncd", 3, [b"ab\n", b"cd"]),
+        (b"ab\ncd\nefgh", 3, [b"ab\n", b"cd\n", b"efgh"]),
     ],
 )
 def test_read_blocks_end_past_a_newline(tmp_path, monkeypatch, data, block, blocks):
-    """Chunks of _READ_BLOCK bytes, cut after their last '\n'; the rest is
-    carried into the next block, a file with no '\n' is one block, and an
-    unterminated last line joins the block before it."""
+    """Chunks of _READ_BLOCK bytes, cut after their last '\n', or after
+    their last other line break if they hold no '\n'; the rest is carried
+    into the next block, and an unterminated last line is the last block."""
     monkeypatch.setattr(graph_module, "_READ_BLOCK", block)
     path = tmp_path / "f"
     path.write_bytes(data)
@@ -810,6 +834,71 @@ def test_edgelist_bad_line_in_a_later_chunk_names_its_line(tmp_path, monkeypatch
     with pytest.raises(CorpusError, match=error):
         read_edgelist(path)
     assert read_both(path)[1] == read_both(path)[0]
+
+
+def read_twins(tmp_path, data, twin):
+    """read_both of data and of its twin, each written to g.edges in a
+    directory of its own; an error names g.edges without its directory."""
+    got = []
+    for name, content in (("data", data), ("twin", twin)):
+        path = tmp_path / name / "g.edges"
+        path.parent.mkdir()
+        path.write_bytes(content)
+        new, reference = read_both(path)
+        assert new == reference
+        got.append(new.replace(str(path.parent), "") if isinstance(new, str) else new)
+    return got
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad-last-line"])
+@pytest.mark.parametrize("block", [1, 16, None])
+@pytest.mark.parametrize("ending", [b"\r", b"\x0b", b"\r\n"], ids=["cr", "vt", "crlf-straddling"])
+def test_edgelist_same_as_on_its_newline_twin(tmp_path, monkeypatch, ending, block, bad):
+    """Lines that end in a lone '\r' or '\x0b', which blocks are cut after
+    when a chunk holds no '\n', or in a '\r\n' split across a chunk edge,
+    give the graph and directives, or the error and line number, of the same
+    lines ending in '\n'; at the default block the file spans more than one
+    block."""
+    if block is not None:
+        monkeypatch.setattr(graph_module, "_READ_BLOCK", block)
+    rng = random.Random(8)
+    odd = [b"# x", b"", b"  ", b"0013 14"]
+    edges = [b"%d %d" % (rng.randrange(1, 999), rng.randrange(999, 10**6)) for _ in range(300)]
+    body = rng.choices(odd + edges, weights=[3] * 4 + [1] * 300, k=300 if block else 50_000)
+    lines = [b"# date: 2001-01", b"# node: 7", *body, b"15 15" if bad else b"# node: 4294967295"]
+    data, twin = break_twins(lines, ending, block or graph_module._READ_BLOCK)
+    assert len(data) > (block or graph_module._READ_BLOCK)
+    got, expected = read_twins(tmp_path, data, twin)
+    assert got == expected
+    if bad:
+        assert expected == f"/g.edges:{len(lines)}: self-loop '15 15'"
+    else:
+        assert expected[0][-1] == AS_MAX and expected[2] == {"date": "2001-01"}
+
+
+def test_edgelist_peak_on_lone_cr_lines_is_near_its_twins(tmp_path):
+    """An edge list whose lines end in a lone '\r' is read a block at a time,
+    as its '\n' twin is, not as one block: its traced peak is at most 1.5
+    times the twin's."""
+    rng = np.random.default_rng(9)
+    ends = rng.integers(0, 2**32, size=(200_000, 2), dtype=np.int64)
+    lines = [b"# date: 2001-01"] + [b"%d %d" % (u, v) for u, v in ends.tolist()]
+    data, twin = break_twins(lines, b"\r", graph_module._READ_BLOCK)
+    assert len(data) > 12 * graph_module._READ_BLOCK
+    peaks = []
+    graphs = []
+    for name, content in (("cr", data), ("lf", twin)):
+        path = tmp_path / name / "g.edges"
+        path.parent.mkdir()
+        path.write_bytes(content)
+        tracemalloc.start()
+        try:
+            graphs.append(read_edgelist(path)[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert edge_list(graphs[0]) == edge_list(graphs[1])
+    assert peaks[0] <= 1.5 * peaks[1], peaks
 
 
 def test_edgelist_unreadable_file_names_it(tmp_path):

@@ -26,10 +26,12 @@ from corpus_utils import (
     SOUP_LINES,
     SOUP_SEPARATORS,
     SOUP_WORDS,
+    break_twins,
     build_filter_corpus,
     build_growing_corpus,
     build_repetitive_corpus,
     edge_list,
+    REPEAT_POOL,
     open_path_lines,
     soup_line,
     write_monitor_set,
@@ -489,6 +491,64 @@ def test_parse_path_file_holds_blocks_not_the_file(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert report.total == 250_000 and len(hops.pairs) > 7000
     assert peak < f.stat().st_size / 4, peak
+
+
+PATH_HEADER_LINES = [b"# date: 2001-01", b"# monitor: m", b"# family: ipv4"]
+
+
+def twin_hops(tmp_path, data, twin):
+    """file_hops of data and of its twin, each written to m.paths in a directory of its own."""
+    got = []
+    for name, content in (("data", data), ("twin", twin)):
+        f = tmp_path / name / "m.paths"
+        f.parent.mkdir()
+        f.write_bytes(content)
+        got.append(file_hops(f))
+    return got
+
+
+@pytest.mark.parametrize("block", [1, 16, None])
+@pytest.mark.parametrize("ending", [b"\r", b"\x0b", b"\r\n"], ids=["cr", "vt", "crlf-straddling"])
+def test_parse_path_file_same_as_on_its_newline_twin(tmp_path, monkeypatch, ending, block):
+    """Lines that end in a lone '\r' or '\x0b', which blocks are cut after
+    when a chunk holds no '\n', or in a '\r\n' split across a chunk edge,
+    give what the same lines ending in '\n' give; at the default block the
+    file spans more than one block."""
+    if block is not None:
+        monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    rng = random.Random(9)
+    lines = PATH_HEADER_LINES + rng.choices(REPEAT_POOL, k=300 if block else 30_000)
+    data, twin = break_twins(lines, ending, block or astopo.graph._READ_BLOCK)
+    assert len(data) > (block or astopo.graph._READ_BLOCK)
+    got, expected = twin_hops(tmp_path, data, twin)
+    assert got == expected
+    assert all(expected[3].to_dict().values())  # every reject kind is present
+
+
+def test_parse_path_file_peak_on_lone_cr_lines_is_near_its_twins(tmp_path):
+    """A file whose lines end in a lone '\r' is read a block at a time, as
+    its '\n' twin is, not as one block: its traced peak is at most 1.5 times
+    the twin's. Each path recurs about six times; a '\n' file's blocks
+    are smaller once their repeated lines are counted, which no '\n' line
+    of a lone-'\r' file repeats."""
+    rng = random.Random(10)
+    paths = [" ".join(str(rng.randrange(1, 400000)) for _ in range(5)).encode() for _ in range(20_000)]
+    data, twin = break_twins(PATH_HEADER_LINES + rng.choices(paths, k=120_000), b"\r", astopo.graph._READ_BLOCK)
+    assert len(data) > 12 * astopo.graph._READ_BLOCK
+    peaks = []
+    results = []
+    for name, content in (("cr", data), ("lf", twin)):
+        f = tmp_path / name / "m.paths"
+        f.parent.mkdir()
+        f.write_bytes(content)
+        tracemalloc.start()
+        try:
+            results.append(file_hops(f))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1]
+    assert peaks[0] <= 1.5 * peaks[1], peaks
 
 
 def test_plain_lines_match_the_reference_at_every_boundary(tmp_path, parse_calls):

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from astopo import (
-    AsGraph,
     CcdfPoint,
     CorpusError,
     CsrGraph,
@@ -28,7 +27,7 @@ from astopo import (
 )
 from astopo import metrics
 from astopo.generators import GeneratorParams, generate
-from astopo.graph import MSBFS_BATCH
+from astopo.graph import MSBFS_BATCH, AsGraph
 from astopo.metrics import CSV_HEADER, METRIC_COLUMNS, MetricRow, MetricSeries
 from corpus_utils import sparse_graph
 
