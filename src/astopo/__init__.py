@@ -31,7 +31,6 @@ from .graph import (
     IPV4,
     IPV6,
     CsrGraph,
-    Snapshot,
     SnapshotSeries,
     read_edgelist,
     write_edgelist,

@@ -9,6 +9,9 @@ and every number flag is ASCII without '_'.
 
 The commands only name files; each policy is kept by the module that owns
 it. Each table is declared and written by the module that owns its record.
+metrics and tunnel refuse an --out holding a per-month or chart file
+(ccdf_*.csv, metric_*.svg, tunnel_*.csv) that the run would not write, before
+writing anything (_outdir), as store.write_store refuses a stray month.
 --aspl-mode 'sampled' means 1000 sources, checked with the N of
 'sampled:N' by metrics.check_aspl_sources before the store is read.
 tunnel's stores must be ipv6 (--input6) and ipv4 (--input4), as
@@ -154,10 +157,18 @@ def _write_manifest(out: Path, args, inputs: dict[str, str], **config) -> None:
     _write_json(out / "manifest.json", manifest)
 
 
-def _outdir(args) -> Path:
+def _outdir(args, writes=(), *patterns: str) -> Path:
     """The --out directory, made once a command has checked its parameters
-    and inputs, so that a rejected command leaves none behind."""
+    and inputs, so that a rejected command leaves none behind.
+
+    A file in it that matches one of patterns but is not among the names in
+    writes would sit beside this run's outputs as if it were one of them:
+    the first such file is a CorpusError, raised before anything is written.
+    """
     out = Path(args.out)
+    for path in sorted(p for pattern in patterns for p in out.glob(pattern)):
+        if path.name not in writes:
+            raise CorpusError(f"{path} is not an output of this run; --out holds one run's outputs")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -203,7 +214,7 @@ def cmd_ingest(args) -> None:
     inputs = {**_hash_files(root, series.files, "corpus"), **_hash_file(args.monitors, "monitors")}
     _write_manifest(
         out, args, inputs, input=str(root), monitor_set=config.label,
-        monitors_file=args.monitors, months=series.dates(), family=series.family,
+        monitors_file=args.monitors, months=list(series.graphs), family=series.family,
     )
 
 
@@ -212,11 +223,12 @@ def cmd_metrics(args) -> None:
     store_dir = Path(args.input)
     series = store.read_store(store_dir)
     table = metrics.metrics_series(series, n_sources, args.seed, args.kmin)
+    ccdfs = {f"ccdf_{row.date}.csv": row.ccdf for row in table.rows if row.ccdf}
+    charts = {f"metric_{col}.svg": svg for col, svg in table.charts().items()} if args.plots else {}
 
-    out = _outdir(args)
-    for row in table.rows:
-        if row.ccdf:
-            (out / f"ccdf_{row.date}.csv").write_text(metrics.ccdf_to_csv(row.ccdf))
+    out = _outdir(args, ccdfs.keys() | charts.keys(), "ccdf_*.csv", "metric_*.svg")
+    for name, ccdf in ccdfs.items():
+        (out / name).write_text(metrics.ccdf_to_csv(ccdf))
     (out / "metrics.csv").write_text(table.to_csv())
     _write_json(
         out / "metrics.json",
@@ -224,9 +236,8 @@ def cmd_metrics(args) -> None:
     )
     (out / "warnings.txt").write_text("".join(f"{w}\n" for w in table.warnings))
 
-    if args.plots:
-        for col, svg in table.charts().items():
-            (out / f"metric_{col}.svg").write_text(svg)
+    for name, svg in charts.items():
+        (out / name).write_text(svg)
 
     inputs = _hash_files(store_dir, series.files, "store")
     _write_manifest(
@@ -298,10 +309,11 @@ def cmd_tunnel(args) -> None:
     series6 = store.read_store(dir6)
     series4 = store.read_store(dir4)
     dists = crossnet.tunnel_series(series6, series4)
+    months = {f"tunnel_{dist.date}.csv": dist for dist in dists}
 
-    out = _outdir(args)
-    for dist in dists:
-        (out / f"tunnel_{dist.date}.csv").write_text(crossnet.distribution_to_csv(dist))
+    out = _outdir(args, {*months, "tunnel_summary.csv"}, "tunnel_*.csv")
+    for name, dist in months.items():
+        (out / name).write_text(crossnet.distribution_to_csv(dist))
     (out / "tunnel_summary.csv").write_text(crossnet.series_summary_to_csv(dists))
     (out / "tunnel_aspl.svg").write_text(crossnet.aspl_chart(dists))
 

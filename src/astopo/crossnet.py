@@ -7,16 +7,16 @@ infrastructure. Edges whose endpoints are absent from the IPv4 graph, or
 present but unreachable, are excluded from the average and reported apart.
 
 tunnel_series checks that its IPv6 and IPv4 series are of those families.
-Both snapshots arrive as CsrGraphs and nothing is rebuilt. The IPv6 edges
-are classified against the IPv4 graph by binary searches of arrays it holds
-sorted: its labels (CsrGraph.has_nodes: an endpoint missing) and its arc
-keys (CsrGraph.has_edges: native); nothing is hashed. Only the rest are
-traversed: one component labelling settles the pairs in different
-components, and one multi-source BFS, batched over the distinct endpoints of
-the remaining pairs, stops each batch at the level where its farthest pair
-meets. The traversal cost thus follows the tunnelled edges and how far apart
-their ends sit, not the number of IPv6 endpoints or the depth of the IPv4
-graph. aspl_chart draws tunnel_aspl.svg.
+Both months' CsrGraphs come from the series' .graphs and nothing is rebuilt.
+The IPv6 edges are classified against the IPv4 graph by binary searches of
+arrays it holds sorted: its labels (CsrGraph.has_nodes: an endpoint
+missing) and its arc keys (CsrGraph.has_edges: native); nothing is hashed.
+Only the rest are traversed: one component labelling settles the pairs in
+different components, and one multi-source BFS, batched over the distinct
+endpoints of the remaining pairs, stops each batch at the level where its
+farthest pair meets. The traversal cost thus follows the tunnelled edges and
+how far apart their ends sit, not the number of IPv6 endpoints or the depth
+of the IPv4 graph. aspl_chart draws tunnel_aspl.svg.
 """
 
 from __future__ import annotations
@@ -103,9 +103,7 @@ def tunnel_series(series6: SnapshotSeries, series4: SnapshotSeries) -> list[Tunn
         if series.family != family:
             source = f" read from {series.files[0].parent}" if series.files else ""
             raise CorpusError(f"the series{source} is {series.family}, not {family}")
-    by_date6 = {s.date: s for s in series6.snapshots}
-    by_date4 = {s.date: s for s in series4.snapshots}
-    common = sorted(set(by_date6) & set(by_date4))
+    common = sorted(series6.graphs.keys() & series4.graphs.keys())
     if not common:
         raise NoOverlapError(
             f"no common dates: IPv6 covers {_span(series6)}, IPv4 covers {_span(series4)}"
@@ -113,17 +111,15 @@ def tunnel_series(series6: SnapshotSeries, series4: SnapshotSeries) -> list[Tunn
     out = []
     for date in common:
         try:
-            out.append(tunnel_path_lengths(by_date6[date].graph, by_date4[date].graph, date))
+            out.append(tunnel_path_lengths(series6.graphs[date], series4.graphs[date], date))
         except DegenerateInputError as exc:
             raise DegenerateInputError(f"{date}: {exc}") from exc
     return out
 
 
 def _span(series: SnapshotSeries) -> str:
-    dates = series.dates()
-    if not dates:
-        return "(empty)"
-    return f"{dates[0]}..{dates[-1]}"
+    dates = list(series.graphs)
+    return f"{dates[0]}..{dates[-1]}" if dates else "(empty)"
 
 
 def _fmt(value: float | None) -> str:

@@ -1,4 +1,4 @@
-"""AS graphs: the CSR graph every layer builds and reads, and monthly snapshots.
+"""AS graphs: the CSR graph every layer builds and reads, and monthly series of them.
 
 AS numbers are plain ints in the 32-bit range and are never remapped: the
 number that goes in is the number that comes back out of every traversal,
@@ -16,9 +16,9 @@ AsGraph, a dict of neighbour sets, is a builder with no caller in the
 package: the test oracles build reference graphs with it, and its BFS and
 giant component come from its CsrGraph.
 
-A Snapshot is one month's CsrGraph and date. Its provenance is held once,
-by its SnapshotSeries: the address family, the monitor set, and the input
-files the series was read from.
+A SnapshotSeries maps each month's date to its CsrGraph, in date order, and
+holds the provenance of all its months once: the address family, the
+monitor set, and the input files the series was read from.
 
 Every hop distance (ASPL, tunnel paths, AsGraph.bfs_distances) comes from
 one bit-parallel multi-source BFS loop, CsrGraph._levels. Each batch of
@@ -36,8 +36,9 @@ one at a time, in file order, so the first bad line is the error and names
 path:line. ingest.parse_path_file reads path files with the same private
 helpers; they are the package's one tokenizer, not public API. It reads a
 file's header line by line (_LINE_BREAK_RE, the same ASCII breaks) and hands
-_scan_words only the distinct '\n' lines of each block, so it weights each
-line's filter counts by how often its '\n' line occurs.
+_scan_words only the distinct bytes.splitlines lines of each block, joined
+by '\n', so it weights each line's filter counts by how often its counted
+line occurs.
 """
 
 from __future__ import annotations
@@ -518,29 +519,19 @@ class CsrGraph:
 
 
 @dataclass
-class Snapshot:
-    """One month's merged AS graph; its provenance is that of its series."""
-
-    graph: CsrGraph
-    date: str
-
-    def __post_init__(self) -> None:
-        validate_date(self.date)
-
-
-@dataclass
 class SnapshotSeries:
-    """Date-ordered snapshots of one family, seen by one monitor set.
+    """The monthly graphs of one family, seen by one monitor set.
 
-    monitor_set must read back as itself from the '# monitor_set:' directive
-    of a store: ASCII, on one line, with no whitespace at either end. files
-    lists the input files the series was read from, in read order; it
-    is empty for a series built in memory. filter_reports maps date ->
-    per-month FilterReport when the series came from a path corpus; it stays
-    empty for series reloaded from edge lists.
+    graphs maps each YYYY-MM date to its month's CsrGraph, in ascending
+    date order. monitor_set must read back as itself from the
+    '# monitor_set:' directive of a store: ASCII, on one line, with no
+    whitespace at either end. files lists the input files the series was
+    read from, in read order; it is empty for a series built in memory.
+    filter_reports maps date -> per-month FilterReport when the series came
+    from a path corpus; it stays empty for series reloaded from edge lists.
     """
 
-    snapshots: list[Snapshot]
+    graphs: dict[str, CsrGraph]
     family: str
     monitor_set: str
     filter_reports: dict = field(default_factory=dict)
@@ -554,18 +545,10 @@ class SnapshotSeries:
                 f"monitor set {label!r} must be ASCII and one line, with no surrounding "
                 "whitespace, to be written to a store"
             )
-        for prev, snap in zip(self.snapshots, self.snapshots[1:]):
-            if snap.date <= prev.date:
-                raise CorpusError(f"snapshot dates not strictly increasing at {snap.date}")
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self) -> Iterator[Snapshot]:
-        return iter(self.snapshots)
-
-    def dates(self) -> list[str]:
-        return [s.date for s in self.snapshots]
+        dates = list(map(validate_date, self.graphs))
+        for prev, date in zip(dates, dates[1:]):
+            if date <= prev:
+                raise CorpusError(f"snapshot dates not strictly increasing at {date}")
 
 
 def read_input_text(path: Path) -> str:

@@ -6,10 +6,11 @@ AS sets, private or reserved ASNs, or loops are dropped; consecutive repeats
 are collapsed as prepending. Every drop is accounted per reason.
 
 parse_path_file reads a file a block of bytes at a time. A RIB dump repeats
-a path once per prefix behind it, so each block's '\n' lines are counted
-first (collections.Counter) and only the distinct ones are split into lines
-and words, with the byte masks read_edgelist uses (graph._scan_words); each
-line found there counts as often as its '\n' line occurs. A plain line
+a path once per prefix behind it, so each block's lines are counted first
+(collections.Counter over bytes.splitlines, which ends a line at '\n',
+'\r\n' or a lone '\r') and only the distinct ones are split into lines and
+words, with the byte masks read_edgelist uses (graph._scan_words); each line
+found there counts as often as its counted line occurs. A plain line
 (ASCII digits and whitespace, no word over ten digits) is classified and
 turned into hop pairs in numpy, with no Python object per line, and its
 filter counts are weighted by its count. Every other line is decoded; each
@@ -36,7 +37,6 @@ from .errors import CorpusError
 from .graph import (
     AS_MAX,
     CsrGraph,
-    Snapshot,
     SnapshotSeries,
     decoded_value,
     read_input_text,
@@ -295,16 +295,18 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterRep
 
     The file is read a block at a time. The header is the first three
     str.splitlines lines, read from the bytes as they are (_header_lines).
-    The rest of each block is counted by '\n' line, and byte masks
-    (graph._scan_words) split only its distinct '\n' lines into lines and
-    words; each line found there carries the count of its '\n' line. Dict
-    keys compare whole byte strings, so the counts are exact. A plain data
-    line (ASCII digits and whitespace, no word over ten digits) is
-    classified in numpy, weighted by its count, and makes no Python object.
-    Every other line that holds a word is decoded and split into str lines;
-    each such stripped line that is not a comment is counted as often as
-    its '\n' line occurs, and each distinct one is parsed by parse_path_line
-    once. Every data line is recorded in the report, the file's FilterReport.
+    The rest of each block is counted by bytes.splitlines line ('\n',
+    '\r\n' and lone '\r' end one), and byte masks (graph._scan_words) split
+    only its distinct lines into lines and words, at the other ASCII breaks
+    too ('\x0b', '\x0c', '\x1c'-'\x1e'); each line found there carries the
+    count of the counted line it is in. Dict keys compare whole byte
+    strings, so the counts are exact. A plain data line (ASCII digits and
+    whitespace, no word over ten digits) is classified in numpy, weighted by
+    its count, and makes no Python object. Every other line that holds a
+    word is decoded and split into str lines; each such stripped line that
+    is not a comment is counted as often as its counted line occurs, and
+    each distinct one is parsed by parse_path_line once. Every data line is
+    recorded in the report, the file's FilterReport.
 
     hops.pairs holds the distinct adjacent hop pairs of the accepted paths,
     as (k, 2) int64 rows with u < v in ascending order; hops.bare holds the
@@ -326,11 +328,13 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterRep
             meta = _read_header(path, header)
             opened.update(_data_lines(header[3:]))
             data = data[start:]
-        repeats = Counter(data.split(b"\n"))
+            if not data:
+                continue
+        repeats = Counter(data.splitlines())
         data = b"\n".join(repeats)
         block = np.frombuffer(data, np.uint8)
         words = _scan_words(block)
-        source = np.zeros(len(words.counts), dtype=np.intp)  # '\n' line of each line
+        source = np.zeros(len(words.counts), dtype=np.intp)  # counted line of each line
         source[1:] = np.cumsum(block[words.breaks] == 10)
         mult = np.fromiter(repeats.values(), dtype=np.int64, count=len(repeats))[source]
         live = words.counts > 0
@@ -431,7 +435,7 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
     across monitors) ride on the series as .filter_reports, and the files
     read, in read order, as .files.
     """
-    snapshots: list[Snapshot] = []
+    graphs: dict[str, CsrGraph] = {}
     reports: dict[str, FilterReport] = {}
     read: list[Path] = []
     family: str | None = None
@@ -456,11 +460,11 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
             report.merge(rep)
             pairs.append(hops.pairs)
             bare.append(hops.bare)
-        snapshots.append(Snapshot(CsrGraph(np.concatenate(pairs), np.concatenate(bare)), month))
+        graphs[month] = CsrGraph(np.concatenate(pairs), np.concatenate(bare))
         read.extend(files)
     if family is None:
         raise CorpusError(f"no admitted path files under {root}")
     return SnapshotSeries(
-        snapshots=snapshots, family=family, monitor_set=config.label, filter_reports=reports,
+        graphs=graphs, family=family, monitor_set=config.label, filter_reports=reports,
         files=read,
     )

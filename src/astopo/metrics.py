@@ -1,12 +1,12 @@
-"""Per-snapshot topology metrics and their time series.
+"""Per-month topology metrics and their time series.
 
-Whole-graph counts (N, L, max and average degree) are taken on the full
-snapshot; structure metrics (ASPL, clustering, assortativity, degree-CCDF
+Whole-graph counts (N, L, max and average degree) are taken on a month's
+full graph; structure metrics (ASPL, clustering, assortativity, degree-CCDF
 exponent) on its giant component, so disconnected fixture months stay well
 defined. Counting metrics use integer arithmetic until the final division,
 which makes them exact and relabeling-invariant bit for bit.
 
-Every metric reads the snapshot's CsrGraph. Degrees, k_max and the CCDF come
+Every metric reads a month's CsrGraph. Degrees, k_max and the CCDF come
 from its row offsets, assortativity from int64 sums of degree products, and
 clustering from a triangle count over a degree-ordered orientation.
 metric_row takes the giant component once, as a CSR sub-graph
@@ -48,7 +48,6 @@ from .errors import (
 )
 from .graph import (
     CsrGraph,
-    Snapshot,
     SnapshotSeries,
     _distinct,
     _sorted_search,
@@ -320,15 +319,16 @@ def _optional(fn: Callable[[], float], *errors) -> float | None:
 
 
 def metric_row(
-    snapshot: Snapshot,
+    g: CsrGraph,
+    date: str,
     aspl_sources: int | None = None,
     seed: int = 0,
     k_min: int = 1,
 ) -> MetricRow:
-    """All metrics for one snapshot; undefined ones come back as None."""
-    g = snapshot.graph
+    """All metrics for one month's graph, undefined ones as None; a bad date is a CorpusError."""
+    validate_date(date)
     if g.node_count == 0:
-        raise EmptyGraphError(f"snapshot {snapshot.date} has no nodes")
+        raise EmptyGraphError(f"snapshot {date} has no nodes")
     gc = g.giant_graph()
     ccdf = degree_ccdf(gc)
     aspl = _optional(
@@ -338,7 +338,7 @@ def metric_row(
     rho = _optional(lambda: assortativity_coefficient(gc), UndefinedMetricError)
     r = _optional(lambda: powerlaw_exponent(ccdf, k_min), InsufficientDataError)
     return MetricRow(
-        date=snapshot.date,
+        date=date,
         N=g.node_count,
         L=g.edge_count,
         k_max=max_degree(g),
@@ -357,7 +357,7 @@ def metrics_series(
     seed: int = 0,
     k_min: int = 1,
 ) -> MetricSeries:
-    """One MetricRow per snapshot, in series order.
+    """One MetricRow per month, in series order.
 
     A month whose metric_row raises AsTopoError gets a row with only N and L
     filled and a '<date>: <error>' line on the result's .warnings. An
@@ -366,12 +366,12 @@ def metrics_series(
     check_aspl_sources(aspl_sources)
     rows = []
     warnings = []
-    for snap in series.snapshots:
+    for date, g in series.graphs.items():
         try:
-            row = metric_row(snap, aspl_sources, seed, k_min)
+            row = metric_row(g, date, aspl_sources, seed, k_min)
         except AsTopoError as exc:
-            warnings.append(f"{snap.date}: {exc}")
-            row = MetricRow(date=snap.date, N=snap.graph.node_count, L=snap.graph.edge_count)
+            warnings.append(f"{date}: {exc}")
+            row = MetricRow(date=date, N=g.node_count, L=g.edge_count)
         rows.append(row)
     return MetricSeries(
         rows=rows, family=series.family, monitor_set=series.monitor_set, warnings=warnings

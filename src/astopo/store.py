@@ -3,8 +3,8 @@
 Files are named <YYYY-MM>.edges and carry '# date:', '# monitor_set:' and
 '# family:' directives, the last two written from the series, so a store
 round-trips a SnapshotSeries exactly (isolated nodes included, via '# node:'
-lines). Each file is read straight into its month's CsrGraph, and the
-series read back lists the files as its .files.
+lines). Each file is read straight into its month's entry of the series'
+.graphs, and the series read back lists the files as its .files.
 """
 
 from __future__ import annotations
@@ -12,27 +12,27 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import CorpusError
-from .graph import Snapshot, SnapshotSeries, read_edgelist, validate_family, write_edgelist
+from .graph import SnapshotSeries, read_edgelist, validate_date, validate_family, write_edgelist
 
 
 def write_store(out_dir: Path | str, series: SnapshotSeries) -> list[Path]:
-    """One <date>.edges file per snapshot; returns the paths written.
+    """One <date>.edges file per month of series; returns the paths written.
 
     A *.edges file already in out_dir that is not a month of series would
     be read back with the series, so the first one is a CorpusError naming
     it, raised before anything is written.
     """
     out_dir = Path(out_dir)
-    months = {f"{date}.edges" for date in series.dates()}
+    months = {f"{date}.edges" for date in series.graphs}
     for path in sorted(out_dir.glob("*.edges")):
         if path.name not in months:
             raise CorpusError(f"{path} is not a month of the series; a store holds one series")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for snap in series.snapshots:
-        path = out_dir / f"{snap.date}.edges"
-        directives = {"date": snap.date, "monitor_set": series.monitor_set, "family": series.family}
-        write_edgelist(snap.graph, path, directives)
+    for date, graph in series.graphs.items():
+        path = out_dir / f"{date}.edges"
+        directives = {"date": date, "monitor_set": series.monitor_set, "family": series.family}
+        write_edgelist(graph, path, directives)
         written.append(path)
     return written
 
@@ -59,7 +59,7 @@ def read_store(store_dir: Path | str) -> SnapshotSeries:
     CorpusError naming that file; so is a first file of no valid family.
     """
     files = store_files(store_dir)
-    snapshots = []
+    graphs = {}
     first: dict[str, str] = {}
     for f in files:
         graph, directives = read_edgelist(f)
@@ -68,7 +68,7 @@ def read_store(store_dir: Path | str) -> SnapshotSeries:
                 raise CorpusError(f"{f}: missing '# {key}:' directive")
         first = first or directives
         try:
-            snapshots.append(Snapshot(graph, directives["date"]))
+            graphs[validate_date(directives["date"])] = graph
             validate_family(first["family"])
         except CorpusError as exc:
             raise CorpusError(f"{f}: {exc}") from None
@@ -80,5 +80,5 @@ def read_store(store_dir: Path | str) -> SnapshotSeries:
                     f"{f}: {key} {directives[key]!r} differs from {first[key]!r} in {files[0].name}"
                 )
     return SnapshotSeries(
-        snapshots=snapshots, family=first["family"], monitor_set=first["monitor_set"], files=files
+        graphs=graphs, family=first["family"], monitor_set=first["monitor_set"], files=files
     )

@@ -37,7 +37,7 @@ from astopo import (
     tunnel_series,
 )
 from astopo.cli import main
-from astopo.graph import AsGraph, Snapshot, SnapshotSeries
+from astopo.graph import AsGraph, SnapshotSeries
 from astopo.ingest import MonitorSet, load_series
 from corpus_utils import (
     TUNNEL_MONTHS,
@@ -268,14 +268,14 @@ def test_criterion_5_generator_statistics():
 def test_criterion_6_ingest_filtering(tmp_path):
     fixture = build_filter_corpus(tmp_path)
     series = load_series(tmp_path)
-    snap = series.snapshots[0]
-    assert set(edge_list(snap.graph)) == fixture["edges_all"]
-    assert set(snap.graph.labels.tolist()) == fixture["nodes_all"]
+    g = series.graphs[fixture["date"]]
+    assert set(edge_list(g)) == fixture["edges_all"]
+    assert set(g.labels.tolist()) == fixture["nodes_all"]
     assert series.filter_reports[fixture["date"]].to_dict() == fixture["counts"]
 
     subset = load_series(tmp_path, MonitorSet("ONE", frozenset({"mon1"})))
-    assert set(edge_list(subset.snapshots[0].graph)) == fixture["edges_mon1"]
-    assert set(edge_list(subset.snapshots[0].graph)) <= fixture["edges_all"]
+    assert set(edge_list(subset.graphs[fixture["date"]])) == fixture["edges_mon1"]
+    assert set(edge_list(subset.graphs[fixture["date"]])) <= fixture["edges_all"]
 
 
 @criterion(7, "tunnelling")
@@ -287,12 +287,10 @@ def test_criterion_7_tunnelling():
     assert dist.aspl == 1.5
 
     path6 = CsrGraph([(i, i + 1) for i in range(1, 6)])
-    snaps4, snaps6 = [], []
-    for i, date in enumerate(TUNNEL_MONTHS):
-        snaps4.append(Snapshot(path6, date))
-        snaps6.append(Snapshot(CsrGraph(tunnel_month_edges(i)), date))
-    series4 = SnapshotSeries(snapshots=snaps4, family="ipv4", monitor_set="ALL")
-    series6 = SnapshotSeries(snapshots=snaps6, family="ipv6", monitor_set="ALL")
+    graphs4 = {date: path6 for date in TUNNEL_MONTHS}
+    graphs6 = {date: CsrGraph(tunnel_month_edges(i)) for i, date in enumerate(TUNNEL_MONTHS)}
+    series4 = SnapshotSeries(graphs=graphs4, family="ipv4", monitor_set="ALL")
+    series6 = SnapshotSeries(graphs=graphs6, family="ipv6", monitor_set="ALL")
     dists = tunnel_series(series6, series4)
     aspls = [d.aspl for d in dists]
     p1s = [d.p1() for d in dists]

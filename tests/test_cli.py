@@ -99,6 +99,51 @@ def test_ingest_refuses_a_store_holding_another_month(tmp_path, capsys):
     assert dir_bytes(out) == before
 
 
+def test_metrics_refuses_an_out_holding_another_runs_outputs(tmp_path, capsys):
+    """metrics --plots on a three-month store, then metrics on a two-month
+    one into the same --out: ccdf_2001-03.csv and the charts would sit
+    beside outputs they are not of, so the second run fails, names the
+    first such file and leaves --out as it was."""
+    for name, months in (("a", ("2001-01", "2001-02", "2001-03")), ("b", ("2001-01", "2001-02"))):
+        build_growing_corpus(tmp_path / name, months=months)
+        assert run("ingest", "--input", tmp_path / name, "--out", tmp_path / f"store_{name}") == 0
+    out = tmp_path / "metrics"
+    assert run("metrics", "--input", tmp_path / "store_a", "--out", out, "--plots") == 0
+    before = dir_bytes(out)
+    assert run("metrics", "--input", tmp_path / "store_b", "--out", out) == 1
+    assert f"error: {out / 'ccdf_2001-03.csv'} is not an output of this run" in capsys.readouterr().err
+    assert dir_bytes(out) == before
+
+
+def test_tunnel_refuses_an_out_holding_another_runs_outputs(tmp_path, capsys):
+    """The same for tunnel: a month of an earlier run that this run lacks."""
+    months = ("2003-01", "2003-02", "2003-03")
+    out = tmp_path / "tunnel"
+    argv = _tunnel_argv(tmp_path / "a", *[dict.fromkeys(months, "1 2 3")] * 2)
+    assert run(*argv, "--out", out) == 0
+    before = dir_bytes(out)
+    argv = _tunnel_argv(tmp_path / "b", *[dict.fromkeys(months[:2], "1 2 3")] * 2)
+    assert run(*argv, "--out", out) == 1
+    assert f"error: {out / 'tunnel_2003-03.csv'} is not an output of this run" in capsys.readouterr().err
+    assert dir_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", ["metrics", "tunnel"])
+def test_a_same_flags_rerun_into_the_same_out_succeeds(tmp_path, command):
+    if command == "metrics":
+        build_growing_corpus(tmp_path / "corpus")
+        assert run("ingest", "--input", tmp_path / "corpus", "--out", tmp_path / "store") == 0
+        argv = ["metrics", "--input", tmp_path / "store", "--plots"]
+    else:
+        argv = _tunnel_argv(tmp_path, *[dict.fromkeys(("2003-01", "2003-02"), "1 2 3")] * 2)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 0
+    before = dir_bytes(out)
+    assert any(name.startswith(("ccdf_", "tunnel_2003")) for name in before)
+    assert run(*argv, "--out", out) == 0
+    assert dir_bytes(out) == before
+
+
 def test_metrics_undecodable_store_line_fails_naming_line(tmp_path, capsys):
     store = tmp_path / "store"
     store.mkdir()

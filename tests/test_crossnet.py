@@ -9,7 +9,6 @@ from astopo import (
     CsrGraph,
     DegenerateInputError,
     NoOverlapError,
-    Snapshot,
     SnapshotSeries,
     tunnel_path_lengths,
     tunnel_series,
@@ -25,8 +24,7 @@ def path_graph(n):
 
 def series_from(graphs, family, dates=None):
     dates = dates or [f"2003-{m:02d}" for m in range(1, len(graphs) + 1)]
-    snaps = [Snapshot(g, d) for g, d in zip(graphs, dates)]
-    return SnapshotSeries(snapshots=snaps, family=family, monitor_set="ALL")
+    return SnapshotSeries(graphs=dict(zip(dates, graphs)), family=family, monitor_set="ALL")
 
 
 def test_all_native_links():
@@ -285,7 +283,7 @@ def test_tunnel_series_no_overlap():
 def test_tunnel_series_empty_series_has_no_overlap():
     s4 = series_from([path_graph(3)], "ipv4", dates=["2003-01"])
     with pytest.raises(NoOverlapError, match=r"IPv6 covers \(empty\), IPv4 covers 2003-01"):
-        tunnel_series(SnapshotSeries([], "ipv6", "ALL"), s4)
+        tunnel_series(SnapshotSeries({}, "ipv6", "ALL"), s4)
 
 
 @pytest.mark.parametrize("families, message", [

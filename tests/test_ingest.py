@@ -118,8 +118,8 @@ def test_load_series_monitor_union(tmp_path):
     write_path_file(tmp_path, "2001-01", "b", "ipv4", ["3 4"])
     write_path_file(tmp_path, "2001-02", "a", "ipv4", ["1 2"])
     series = load_series(tmp_path)
-    assert edge_list(series.snapshots[0].graph) == [(1, 2), (2, 3), (3, 4)]
-    g = series.snapshots[1].graph
+    assert edge_list(series.graphs["2001-01"]) == [(1, 2), (2, 3), (3, 4)]
+    g = series.graphs["2001-02"]
     assert (g.node_count, g.edge_count) == (2, 1)
 
 
@@ -127,7 +127,7 @@ def test_load_series_monitors_no_double_count(tmp_path):
     for monitor in ("a", "b"):
         write_path_file(tmp_path, "2001-01", monitor, "ipv4", ["1 2", "2 3"])
     series = load_series(tmp_path)
-    assert series.snapshots[0].graph.edge_count == 2
+    assert series.graphs["2001-01"].edge_count == 2
     assert series.filter_reports["2001-01"].accepted == 4
 
 
@@ -216,9 +216,9 @@ def test_parse_path_file_undecodable_header_names_line(tmp_path):
 def test_load_series_all_months(tmp_path):
     expected = build_growing_corpus(tmp_path)
     series = load_series(tmp_path)
-    assert series.dates() == sorted(expected)
-    for snap in series:
-        assert set(edge_list(snap.graph)) == expected[snap.date]
+    assert list(series.graphs) == sorted(expected)
+    for date, g in series.graphs.items():
+        assert set(edge_list(g)) == expected[date]
     assert series.monitor_set == "ALL"
 
 
@@ -227,13 +227,13 @@ def test_load_series_monitor_restriction(tmp_path):
     write_path_file(tmp_path, "2001-02", "mon2", "ipv4", ["2 5"])  # no admitted file: no month
     all_series = load_series(tmp_path)
     only1 = load_series(tmp_path, MonitorSet("ONE", frozenset({"mon1"})))
-    assert all_series.dates() == ["2001-01", "2001-02"] and only1.dates() == ["2001-01"]
-    edges_all = set(edge_list(all_series.snapshots[0].graph))
-    edges_one = set(edge_list(only1.snapshots[0].graph))
+    assert list(all_series.graphs) == ["2001-01", "2001-02"] and list(only1.graphs) == ["2001-01"]
+    edges_all = set(edge_list(all_series.graphs["2001-01"]))
+    edges_one = set(edge_list(only1.graphs["2001-01"]))
     assert edges_all == fixture["edges_all"]
     assert edges_one == fixture["edges_mon1"]
     assert edges_one <= edges_all
-    assert set(only1.snapshots[0].graph.labels) <= set(all_series.snapshots[0].graph.labels)
+    assert set(only1.graphs["2001-01"].labels) <= set(all_series.graphs["2001-01"].labels)
 
 
 def test_load_series_filter_accounting(tmp_path):
@@ -246,8 +246,7 @@ def test_load_series_filter_accounting(tmp_path):
 def test_load_series_all_rejected_month(tmp_path):
     write_path_file(tmp_path, "2001-01", "m", "ipv4", ["1 {2} 3", "1 64512", "junk"])
     series = load_series(tmp_path)
-    snap = series.snapshots[0]
-    assert snap.graph.node_count == 0
+    assert series.graphs["2001-01"].node_count == 0
     report = series.filter_reports["2001-01"]
     assert report.accepted == 0 and report.rejected == 3
 
@@ -279,7 +278,7 @@ def test_month_directory_name_is_ascii_digits(tmp_path):
     with pytest.raises(CorpusError, match="no admitted path files"):
         load_series(tmp_path)
     write_path_file(tmp_path, "2003-02", "m", "ipv4", ["1 2"])
-    assert load_series(tmp_path).dates() == ["2003-02"]
+    assert list(load_series(tmp_path).graphs) == ["2003-02"]
 
 
 def test_load_series_order_independence(tmp_path):
@@ -293,7 +292,7 @@ def test_load_series_order_independence(tmp_path):
     write_path_file(shuffled_root, "2001-01", "m", "ipv4", shuffled)
     other = load_series(shuffled_root)
 
-    assert edge_list(base.snapshots[0].graph) == edge_list(other.snapshots[0].graph)
+    assert edge_list(base.graphs["2001-01"]) == edge_list(other.graphs["2001-01"])
 
 
 def test_monitor_set_load(tmp_path):
@@ -525,6 +524,39 @@ def test_parse_path_file_same_as_on_its_newline_twin(tmp_path, monkeypatch, endi
     assert all(expected[3].to_dict().values())  # every reject kind is present
 
 
+@pytest.mark.parametrize("block", [1, 16, None])
+@pytest.mark.parametrize("ending", [b"\r", b"\r\n"], ids=["cr", "crlf-straddling"])
+def test_scan_words_gets_the_same_bytes_as_on_the_newline_twin(tmp_path, monkeypatch, ending, block):
+    """Lines are counted at '\n', '\r\n' and a lone '\r' alike, so the
+    distinct lines handed to _scan_words are those of the '\n' twin, with no
+    '\r' left in them. Every line is distinct, so however the two files are
+    cut into blocks, the bytes of all calls joined by '\n' are the same."""
+    if block is not None:
+        monkeypatch.setattr(astopo.graph, "_READ_BLOCK", block)
+    rng = random.Random(11)
+    paths = sorted({" ".join(str(rng.randrange(1, 400000)) for _ in range(4)).encode() for _ in range(15_000)})
+    lines = PATH_HEADER_LINES + REPEAT_POOL + (paths[:20] if block else paths)
+    data, twin = break_twins(lines, ending, block or astopo.graph._READ_BLOCK)
+    assert len(data) > (block or astopo.graph._READ_BLOCK)
+    scan = astopo.ingest._scan_words
+    handed = []
+
+    def recording(block):
+        handed[-1].append(block.tobytes())
+        return scan(block)
+
+    monkeypatch.setattr(astopo.ingest, "_scan_words", recording)
+    for name, content in (("data", data), ("twin", twin)):
+        f = tmp_path / name / "m.paths"
+        f.parent.mkdir()
+        f.write_bytes(content)
+        handed.append([])
+        parse_path_file(f)
+    got, expected = (b"\n".join(calls) for calls in handed)
+    assert b"\r" not in got
+    assert got == expected
+
+
 def test_parse_path_file_peak_on_lone_cr_lines_is_near_its_twins(tmp_path):
     """A file whose lines end in a lone '\r' is read a block at a time, as
     its '\n' twin is, not as one block: its traced peak is at most 1.5 times
@@ -574,12 +606,12 @@ def test_load_series_matches_reference_assembly(tmp_path, seed):
     build_repetitive_corpus(tmp_path, random.Random(seed))
     series = load_series(tmp_path)
     expected = oracles.load_series_reference(tmp_path)
-    assert series.dates() == list(expected)
-    for snap in series:
-        nodes, edges, report = expected[snap.date]
-        assert set(snap.graph.labels.tolist()) == nodes
-        assert set(edge_list(snap.graph)) == edges
-        assert series.filter_reports[snap.date].to_dict() == report
+    assert list(series.graphs) == list(expected)
+    for date, g in series.graphs.items():
+        nodes, edges, report = expected[date]
+        assert set(g.labels.tolist()) == nodes
+        assert set(edge_list(g)) == edges
+        assert series.filter_reports[date].to_dict() == report
 
 
 @pytest.fixture
@@ -606,7 +638,7 @@ def test_line_repeated_in_a_file_is_parsed_once_per_file(tmp_path, parse_calls):
     write_path_file(tmp_path, "2001-02", "a", "ipv4", [LONG_LINE, f" {LONG_LINE} "])
     series = load_series(tmp_path)
     assert parse_calls == {LONG_LINE: 3}
-    assert [series.filter_reports[d].accepted for d in series.dates()] == [6, 2]
+    assert [series.filter_reports[d].accepted for d in series.graphs] == [6, 2]
 
 
 def test_rejected_line_repeated_next_month_counts_in_both_months(tmp_path, parse_calls):

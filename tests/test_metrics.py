@@ -12,7 +12,6 @@ from astopo import (
     EmptyGraphError,
     InsufficientDataError,
     ParameterError,
-    Snapshot,
     SnapshotSeries,
     UndefinedMetricError,
     assortativity_coefficient,
@@ -324,12 +323,8 @@ def test_label_invariance():
             assert fn(h) == a  # bit-for-bit: integer accumulations only
 
 
-def snapshot(graph, date="2001-01"):
-    return Snapshot(graph, date)
-
-
 def test_metric_row_triangle():
-    row = metric_row(snapshot(triangle()))
+    row = metric_row(triangle(), "2001-01")
     assert (row.N, row.L, row.k_max, row.k_avg) == (3, 3, 2, 2.0)
     assert row.aspl == 1.0 and row.C == 1.0
     assert row.rho is None  # regular graph: zero degree variance
@@ -338,7 +333,7 @@ def test_metric_row_triangle():
 
 def test_metric_row_component_policy():
     g = CsrGraph([(1, 2), (2, 3), (1, 3), (50, 51)])
-    row = metric_row(snapshot(g))
+    row = metric_row(g, "2001-01")
     assert (row.N, row.L) == (5, 4)  # whole graph
     assert row.aspl == 1.0 and row.C == 1.0  # giant component only
     assert row.k_avg == 2 * row.L / row.N
@@ -355,14 +350,20 @@ def test_metric_row_labels_components_once(monkeypatch):
 
     monkeypatch.setattr(CsrGraph, "component_roots", counted)
     g = CsrGraph([(1, 2), (2, 3), (1, 3), (3, 4), (50, 51)], [60])
-    row = metric_row(snapshot(g))
+    row = metric_row(g, "2001-01")
     assert calls == [7]
     assert row.aspl == 8 / 6 == average_shortest_path_length(g)
 
 
 def test_metric_row_empty_snapshot():
     with pytest.raises(EmptyGraphError):
-        metric_row(snapshot(CsrGraph()))
+        metric_row(CsrGraph(), "2001-01")
+
+
+@pytest.mark.parametrize("date", ["2001-13", "2001-1", "\u0662\u0660\u0660\u0661-01"])
+def test_metric_row_rejects_a_bad_date(date):
+    with pytest.raises(CorpusError, match=re.escape(f"bad date {date!r} (expected YYYY-MM)")):
+        metric_row(triangle(), date)
 
 
 def test_metric_row_kavg_identity_random():
@@ -371,7 +372,7 @@ def test_metric_row_kavg_identity_random():
     rng = random.Random(51)
     for _ in range(30):
         g = random_graph(rng)
-        row = metric_row(snapshot(g.freeze()))
+        row = metric_row(g.freeze(), "2001-01")
         assert row.k_avg == 2 * row.L / row.N
         for key, value in row.to_dict().items():
             assert type(value) in ((str,) if key == "date" else (int, float, type(None)))
@@ -381,8 +382,7 @@ def test_metric_row_kavg_identity_random():
 
 def series_of(graphs):
     dates = [f"2001-{m:02d}" for m in range(1, len(graphs) + 1)]
-    snaps = [Snapshot(g, d) for g, d in zip(graphs, dates)]
-    return SnapshotSeries(snapshots=snaps, family="ipv4", monitor_set="ALL")
+    return SnapshotSeries(graphs=dict(zip(dates, graphs)), family="ipv4", monitor_set="ALL")
 
 
 def test_metrics_series_rows_in_order():
@@ -411,11 +411,11 @@ def test_metrics_series_deterministic():
 
 def test_metrics_series_error_carries_date():
     bad = series_of([triangle(), triangle()])
-    bad.snapshots[0].graph = CsrGraph()
+    bad.graphs["2001-01"] = CsrGraph()
     table = metrics_series(bad)
     assert table.warnings == ["2001-01: snapshot 2001-01 has no nodes"]
     assert table.rows[0].to_csv_row() == "2001-01,0,0,,,,,,"
-    assert table.rows[1].to_dict() == metric_row(bad.snapshots[1]).to_dict()
+    assert table.rows[1].to_dict() == metric_row(bad.graphs["2001-02"], "2001-02").to_dict()
 
 
 def test_csv_shape():
@@ -432,7 +432,7 @@ def test_csv_shape():
 def test_csv_empty_cells():
     # disjoint edges: giant component {1,2} has no triples, so C stays empty
     table = MetricSeries(
-        rows=[metric_row(snapshot(CsrGraph([(1, 2), (3, 4)])))],
+        rows=[metric_row(CsrGraph([(1, 2), (3, 4)]), "2001-01")],
         family="ipv4",
         monitor_set="ALL",
     )
@@ -444,8 +444,8 @@ def test_csv_empty_cells():
 
 def test_metrics_csv_round_trip(tmp_path):
     rows = [
-        metric_row(snapshot(triangle(), "2001-01")),  # rho and r undefined
-        metric_row(snapshot(star(5), "2001-02")),
+        metric_row(triangle(), "2001-01"),  # rho and r undefined
+        metric_row(star(5), "2001-02"),
         MetricRow(date="2001-03", N=0, L=0),  # a month whose metrics failed
     ]
     table = MetricSeries(rows=rows, family="ipv4", monitor_set="ALL")

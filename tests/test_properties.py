@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 
 import numpy as np  # noqa: E402
 import oracles  # noqa: E402
-from astopo import AS_MAX, CorpusError, CsrGraph, DegenerateInputError, EmptyGraphError, Snapshot  # noqa: E402
+from astopo import AS_MAX, CorpusError, CsrGraph, DegenerateInputError, EmptyGraphError  # noqa: E402
 from astopo import graph as graph_module  # noqa: E402
 from astopo import ingest as ingest_module  # noqa: E402
 from astopo.generators import MODELS, GeneratorParams, generate_with_trajectory  # noqa: E402
@@ -81,7 +81,7 @@ def as_graph(graph, label):
 def row_fields(graph):
     """Every metric_row field, CCDF included, or the error it raises."""
     try:
-        row = metric_row(Snapshot(graph, "2001-01"))
+        row = metric_row(graph, "2001-01")
     except EmptyGraphError:
         return EmptyGraphError
     return row.to_dict(), row.ccdf
@@ -123,12 +123,12 @@ def test_snapshot_store_round_trip(tmp_path, graph, label):
     g = as_graph(graph, label)
 
     def store(graph, name):
-        series = SnapshotSeries([Snapshot(graph, "2001-01")], family="ipv4", monitor_set="ALL")
+        series = SnapshotSeries({"2001-01": graph}, family="ipv4", monitor_set="ALL")
         [path] = write_store(tmp_path / name, series)
         return path
 
     first = store(g, "a")
-    back = read_store(first.parent).snapshots[0].graph
+    back = read_store(first.parent).graphs["2001-01"]
     for name in ("labels", "indptr", "indices"):
         assert np.array_equal(getattr(back, name), getattr(g, name))
         assert getattr(back, name).dtype == getattr(g, name).dtype

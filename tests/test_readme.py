@@ -1,10 +1,18 @@
 """README's library example stays in step with the package: every ```python
-block compiles, and every name it imports from astopo exists."""
+block compiles, every name it imports from astopo exists, and the Library-use
+block runs, in a directory holding the inputs it names."""
 
 import ast
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
+
+from astopo.ingest import load_series
+from astopo.metrics import metrics_series
+from astopo.store import write_store
+from corpus_utils import build_phase_corpus
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +38,24 @@ def test_readme_python_imports_exist():
                     if alias.name.split(".")[0] == "astopo":
                         importlib.import_module(alias.name)
     assert missing == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The block runs against corpus4/, store4/, store6/ and
+    metrics4/metrics.csv built from the phase corpora of both families, and
+    prints the trajectory checkpoints its comment shows."""
+    [source] = [block for block in python_blocks() if "load_series(" in block]
+    assert "for date, g in series.graphs.items():" in source
+    monkeypatch.chdir(tmp_path)
+    for family, digit in (("ipv4", "4"), ("ipv6", "6")):
+        build_phase_corpus(tmp_path / f"corpus{digit}", family, seed=1)
+        write_store(tmp_path / f"store{digit}", load_series(tmp_path / f"corpus{digit}"))
+    (tmp_path / "metrics4").mkdir()
+    table = metrics_series(load_series(tmp_path / "corpus4"))
+    (tmp_path / "metrics4" / "metrics.csv").write_text(table.to_csv())
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(source, "README.md Library use", "exec"), {"__name__": "readme"})
+    checkpoints = re.search(r"^print\(trajectory\.checkpoints\)\s+# (.+)$", source, re.M).group(1)
+    assert checkpoints in printed.getvalue().splitlines()
+    assert {"metric_N.svg", "fit_N.svg", "tunnel_aspl.svg"} <= {p.name for p in tmp_path.iterdir()}

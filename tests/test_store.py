@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from astopo import CorpusError, CsrGraph, Snapshot, SnapshotSeries
+from astopo import CorpusError, CsrGraph, SnapshotSeries
 from astopo.store import read_store, store_files, write_store
 from corpus_utils import build_growing_corpus, edge_list, write_path_file
 from astopo.ingest import corpus_files, load_series
@@ -10,15 +10,15 @@ from astopo.ingest import corpus_files, load_series
 
 def test_snapshot_roundtrip(tmp_path):
     g = CsrGraph([(1, 2), (2, 3)], [9999])
-    series = SnapshotSeries([Snapshot(g, "2003-05")], family="ipv6", monitor_set="Set4")
+    series = SnapshotSeries({"2003-05": g}, family="ipv6", monitor_set="Set4")
     assert write_store(tmp_path, series) == [tmp_path / "2003-05.edges"]
     back = read_store(tmp_path)
-    [snap] = back.snapshots
-    assert snap.date == "2003-05"
+    [(date, graph)] = back.graphs.items()
+    assert date == "2003-05"
     assert back.monitor_set == "Set4"
     assert back.family == "ipv6"
-    assert set(snap.graph.labels.tolist()) == {1, 2, 3, 9999}
-    assert edge_list(snap.graph) == [(1, 2), (2, 3)]
+    assert set(graph.labels.tolist()) == {1, 2, 3, 9999}
+    assert edge_list(graph) == [(1, 2), (2, 3)]
 
 
 def test_read_snapshot_requires_directives(tmp_path):
@@ -44,14 +44,14 @@ def test_store_roundtrip_preserves_series(tmp_path):
     store_dir = tmp_path / "store"
     write_store(store_dir, series)
     back = read_store(store_dir)
-    assert back.dates() == series.dates()
+    assert list(back.graphs) == list(series.graphs)
     assert back.family == "ipv6" and back.monitor_set == "ALL"
     assert series.files == [corpus / "2003-01" / "m.paths", corpus / "2003-02" / "m.paths"]
     assert back.files == [store_dir / "2003-01.edges", store_dir / "2003-02.edges"]
-    for a, b in zip(series.snapshots, back.snapshots):
-        assert set(a.graph.labels.tolist()) == set(b.graph.labels.tolist())
-        assert edge_list(a.graph) == edge_list(b.graph)
-    assert 77 in back.snapshots[0].graph.labels  # isolated AS survived the round trip
+    for a, b in zip(series.graphs.values(), back.graphs.values()):
+        assert set(a.labels.tolist()) == set(b.labels.tolist())
+        assert edge_list(a) == edge_list(b)
+    assert 77 in back.graphs["2003-01"].labels  # isolated AS survived the round trip
 
 
 def test_read_store_empty(tmp_path):
@@ -109,24 +109,26 @@ def test_series_files_are_the_files_listed_and_read(tmp_path):
     assert series.files == [f for month in corpus_files(corpus).values() for f in month]
     write_store(store_dir, series)
     assert read_store(store_dir).files == store_files(store_dir)
-    assert SnapshotSeries([], family="ipv4", monitor_set="ALL").files == []
+    assert SnapshotSeries({}, family="ipv4", monitor_set="ALL").files == []
 
 
 @pytest.mark.parametrize(
-    "second, message",
-    [({"date": "2001-01"}, "snapshot dates not strictly increasing at 2001-01")],
-    ids=["date_order"],
+    "dates, message",
+    [
+        (["2001-02", "2001-01"], "snapshot dates not strictly increasing at 2001-01"),
+        (["2001-01", "2001-13"], "bad date '2001-13' (expected YYYY-MM)"),
+    ],
+    ids=["date_order", "bad_date"],
 )
-def test_snapshot_series_rejects_a_snapshot_that_does_not_fit(second, message):
-    fields = {"graph": CsrGraph([(1, 2)])}
-    snapshots = [Snapshot(date="2001-01", **fields), Snapshot(**{**fields, "date": "2001-02", **second})]
+def test_snapshot_series_rejects_a_snapshot_that_does_not_fit(dates, message):
+    graphs = {date: CsrGraph([(1, 2)]) for date in dates}
     with pytest.raises(CorpusError, match=re.escape(message)):
-        SnapshotSeries(snapshots=snapshots, family="ipv4", monitor_set="ALL")
+        SnapshotSeries(graphs=graphs, family="ipv4", monitor_set="ALL")
 
 
 @pytest.mark.parametrize("label", ["ALL", "Set 4", "a:b # c", "t\tab", ""])
 def test_store_roundtrips_every_monitor_set_a_series_takes(tmp_path, label):
-    series = SnapshotSeries([Snapshot(CsrGraph([(1, 2)]), "2001-01")], family="ipv4", monitor_set=label)
+    series = SnapshotSeries({"2001-01": CsrGraph([(1, 2)])}, family="ipv4", monitor_set=label)
     write_store(tmp_path, series)
     assert read_store(tmp_path).monitor_set == label
 
@@ -138,4 +140,4 @@ def test_snapshot_series_rejects_a_monitor_set_a_store_cannot_read_back(label):
     """Non-ASCII text, a line break, or whitespace at either end would not
     read back from the '# monitor_set:' directive as the same label."""
     with pytest.raises(CorpusError, match=re.escape(f"monitor set {label!r} must be ASCII")):
-        SnapshotSeries([Snapshot(CsrGraph([(1, 2)]), "2001-01")], family="ipv4", monitor_set=label)
+        SnapshotSeries({"2001-01": CsrGraph([(1, 2)])}, family="ipv4", monitor_set=label)
