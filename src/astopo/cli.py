@@ -11,7 +11,9 @@ The commands only name files; each policy is kept by the module that owns
 it. Each table is declared and written by the module that owns its record.
 metrics and tunnel refuse an --out holding a per-month or chart file
 (ccdf_*.csv, metric_*.svg, tunnel_*.csv) that the run would not write, before
-writing anything (_outdir), as store.write_store refuses a stray month.
+writing anything (_outdir), as store.write_store refuses a stray month;
+metrics refuses one that no month of its store could write before it
+computes any month.
 --aspl-mode 'sampled' means 1000 sources, checked with the N of
 'sampled:N' by metrics.check_aspl_sources before the store is read.
 tunnel's stores must be ipv6 (--input6) and ipv4 (--input4), as
@@ -157,18 +159,22 @@ def _write_manifest(out: Path, args, inputs: dict[str, str], **config) -> None:
     _write_json(out / "manifest.json", manifest)
 
 
-def _outdir(args, writes=(), *patterns: str) -> Path:
-    """The --out directory, made once a command has checked its parameters
-    and inputs, so that a rejected command leaves none behind.
-
-    A file in it that matches one of patterns but is not among the names in
-    writes would sit beside this run's outputs as if it were one of them:
-    the first such file is a CorpusError, raised before anything is written.
-    """
-    out = Path(args.out)
+def _refuse_strays(out: Path, writes, patterns) -> None:
+    """A file in out that matches one of patterns but is not among the names
+    in writes would sit beside a run's outputs as if it were one of them:
+    the first such file is a CorpusError."""
     for path in sorted(p for pattern in patterns for p in out.glob(pattern)):
         if path.name not in writes:
             raise CorpusError(f"{path} is not an output of this run; --out holds one run's outputs")
+
+
+def _outdir(args, writes=(), *patterns: str) -> Path:
+    """The --out directory, made once a command has checked its parameters
+    and inputs, so that a rejected command leaves none behind; a stray file
+    matching patterns (_refuse_strays) is refused before anything is written.
+    """
+    out = Path(args.out)
+    _refuse_strays(out, writes, patterns)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -222,6 +228,12 @@ def cmd_metrics(args) -> None:
     n_sources = _parse_aspl_mode(args.aspl_mode)
     store_dir = Path(args.input)
     series = store.read_store(store_dir)
+    # What no month could write is refused before any month is computed; a
+    # month without a CCDF, or a column without a value, only after.
+    may_write = {f"ccdf_{date}.csv" for date in series.graphs}
+    if args.plots:
+        may_write.update(f"metric_{col}.svg" for col in metrics.METRIC_COLUMNS)
+    _refuse_strays(Path(args.out), may_write, ("ccdf_*.csv", "metric_*.svg"))
     table = metrics.metrics_series(series, n_sources, args.seed, args.kmin)
     ccdfs = {f"ccdf_{row.date}.csv": row.ccdf for row in table.rows if row.ccdf}
     charts = {f"metric_{col}.svg": svg for col, svg in table.charts().items()} if args.plots else {}

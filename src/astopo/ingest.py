@@ -18,6 +18,15 @@ distinct such line of a file is parsed by parse_path_line once and counted
 as often as it occurs. A file gives its distinct hop pairs and the ASes of
 its one-hop paths (PathHops), and each month's files build one CsrGraph.
 
+load_series reads a corpus month by month in date order. From 1 MiB of
+path files (_FORK_MIN_BYTES), with more than one month and more than one
+usable core, it deals the months round-robin to itself and to children made
+by os.fork, one per further core (_deal), unless another Python thread
+runs. Each child parses its months, builds their graphs and pickles each
+month's result down a pipe. This process takes the months in date order
+and checks the headers, so the series and any error are those of one
+process. Every child is reaped before load_series returns or raises.
+
 This module owns the filter table: FILTER_COLUMNS names its columns once,
 and filter_summary_to_csv writes filter_summary.csv, one row per month of
 the per-month FilterReports that load_series returns.
@@ -25,15 +34,19 @@ the per-month FilterReports that load_series returns.
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
+import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import CorpusError
+from .errors import AsTopoError, CorpusError
 from .graph import (
     AS_MAX,
     CsrGraph,
@@ -426,6 +439,157 @@ def corpus_files(root: Path | str, config: MonitorSet = ALL_MONITORS) -> dict[st
     return months
 
 
+# load_series forks only when the path files of a corpus add up to this many
+# bytes. A fork plus pickling a month back costs about 2.3 ms. Timing
+# `astopo ingest` forced to fork against kept in one process, in fresh
+# processes, 10-12 interleaved pairs per corpus (2-core VM, Python 3.11):
+# on 7 corpora of 0.33-0.97 MiB the fork was faster in at most 7 pairs of 10
+# or 12, its median at most 0.9 ms lower and up to 4.7 ms higher; on 9
+# corpora of 1.09-2.84 MiB its median was lower in all 9, by 0.5-42 ms, and
+# lower in 9 or more pairs in 7 (BENCH_ingest_fork.json,
+# fork_threshold_sweep).
+_FORK_MIN_BYTES = 1 << 20
+
+
+class _Month(NamedTuple):
+    """One month's files, read in order until the first that fails: the
+    headers of those read, their merged FilterReport, and the month's graph,
+    or the error of the failing file."""
+
+    metas: list[PathFileMeta]
+    report: FilterReport
+    graph: CsrGraph | None
+    error: Exception | None
+
+
+def _read_month(month: str, files: list[Path]) -> _Month:
+    """Parse one month's files, each header checked against the month and the
+    file's stem; the check against the series' family is load_series's."""
+    metas, report, pairs, bare = [], FilterReport(), [], []
+    for f in files:
+        try:
+            meta, hops, rep = parse_path_file(f)
+            if meta.date != month:
+                raise CorpusError(f"{f}: header date {meta.date} does not match directory {month}")
+            if meta.monitor_id != f.stem:
+                raise CorpusError(
+                    f"{f}: header monitor {meta.monitor_id!r} does not match filename"
+                )
+        except Exception as exc:
+            return _Month(metas, report, None, exc)
+        metas.append(meta)
+        report.merge(rep)
+        pairs.append(hops.pairs)
+        bare.append(hops.bare)
+    return _Month(metas, report, CsrGraph(np.concatenate(pairs), np.concatenate(bare)), None)
+
+
+def _workers(months: dict[str, list[Path]]) -> int:
+    """How many processes load_series deals its months to: one per usable
+    core and at most one per month, or only this one where os.fork or
+    os.sched_getaffinity is missing, where another Python thread runs, or
+    where the files are under _FORK_MIN_BYTES. Another thread could hold a
+    lock the child needs, and Python 3.12 and later warn of it from os.fork
+    in the parent after the child exists, so under -W error the child's pid
+    would be lost. numpy's OpenBLAS pool is no such thread: OpenBLAS stops
+    it before a fork (pthread_atfork) and starts it again when next used."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), len(months))
+    if workers < 2 or threading.active_count() > 1:
+        return 1
+    try:
+        size = sum(f.stat().st_size for files in months.values() for f in files)
+    except OSError:  # in-process, the file's own read raises in its month's turn
+        return 1
+    return workers if size >= _FORK_MIN_BYTES else 1
+
+
+class _Child:
+    """A process forked to run work on keys, which sends each result pickled
+    down its pipe as soon as it has it. What work raises ends the child, as
+    does a result that does not pickle: its traceback goes to stderr, and
+    receive reports the child's exit status in that key's turn."""
+
+    def __init__(self, keys: list[str], work: Callable) -> None:
+        self.keys = keys
+        read, write = os.pipe()
+        try:
+            self.pid: int | None = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    for key in keys:
+                        pipe.write(pickle.dumps(work(key), pickle.HIGHEST_PROTOCOL))
+                        pipe.flush()
+                status = 0
+            except Exception:
+                import traceback
+
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)  # never back into the caller's frames
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def receive(self, key: str):
+        """work(key), the next result down the pipe."""
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            raise AsTopoError(
+                f"the process forked to read {', '.join(self.keys)} exited with status "
+                f"{os.waitstatus_to_exitcode(status)} before sending {key}"
+            ) from None
+        except Exception as exc:
+            raise AsTopoError(
+                f"the result for {key} from the process forked to read "
+                f"{', '.join(self.keys)} could not be unpickled: {exc}"
+            ) from exc
+
+    def reap(self, kill: bool) -> None:
+        self.pipe.close()
+        if self.pid is not None:
+            if kill:
+                import signal
+
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _deal(keys: list[str], work: Callable, workers: int) -> Iterator:
+    """work(key) for each of keys, in order, with the keys dealt round-robin:
+    key i goes to process i % workers, where 0 is this process and the others
+    are forked first. A key's result comes out when its turn comes, as if one
+    process had run them all; so does what work raises in this process, but
+    in a child it is an AsTopoError naming the child's keys (_Child), so a
+    work that fails should return its error, as _read_month does. Every
+    child is reaped before the generator ends; one that is still working
+    when the generator is closed early or raises is killed first.
+    """
+    children: list[_Child] = []
+    finished = False
+    try:
+        for k in range(1, workers):
+            children.append(_Child(keys[k::workers], work))
+        for i, key in enumerate(keys):
+            yield work(key) if i % workers == 0 else children[i % workers - 1].receive(key)
+        finished = True
+    finally:
+        for child in children:
+            child.reap(kill=not finished)
+
+
 def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> SnapshotSeries:
     """Load the files of corpus_files(root, config) into a date-ordered series.
 
@@ -434,34 +598,35 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
     is built once from the files' PathHops. Per-month FilterReports (merged
     across monitors) ride on the series as .filter_reports, and the files
     read, in read order, as .files.
+
+    With 1 MiB of path files or more (_FORK_MIN_BYTES), more than one month
+    and more than one usable core, and no other Python thread (_workers),
+    the months are dealt round-robin to this process and to forked
+    children, one per core (_deal); this process still takes every month's
+    result, and checks every header, in date order, so the series and any
+    error are the same as from one process.
     """
+    months = corpus_files(root, config)
     graphs: dict[str, CsrGraph] = {}
     reports: dict[str, FilterReport] = {}
     read: list[Path] = []
     family: str | None = None
-    for month, files in corpus_files(root, config).items():
-        report = reports[month] = FilterReport()
-        pairs, bare = [], []
-        for f in files:
-            meta, hops, rep = parse_path_file(f)
-            if meta.date != month:
-                raise CorpusError(
-                    f"{f}: header date {meta.date} does not match directory {month}"
-                )
-            if meta.monitor_id != f.stem:
-                raise CorpusError(
-                    f"{f}: header monitor {meta.monitor_id!r} does not match filename"
-                )
-            family = family or meta.family
-            if meta.family != family:
-                raise CorpusError(
-                    f"{f}: header family {meta.family} does not match series family {family}"
-                )
-            report.merge(rep)
-            pairs.append(hops.pairs)
-            bare.append(hops.bare)
-        graphs[month] = CsrGraph(np.concatenate(pairs), np.concatenate(bare))
-        read.extend(files)
+    dealt = _deal(list(months), lambda month: _read_month(month, months[month]), _workers(months))
+    try:
+        for got, (month, files) in zip(dealt, months.items()):
+            for f, meta in zip(files, got.metas):
+                family = family or meta.family
+                if meta.family != family:
+                    raise CorpusError(
+                        f"{f}: header family {meta.family} does not match series family {family}"
+                    )
+            if got.error is not None:
+                raise got.error
+            graphs[month] = got.graph
+            reports[month] = got.report
+            read.extend(files)
+    finally:
+        dealt.close()
     if family is None:
         raise CorpusError(f"no admitted path files under {root}")
     return SnapshotSeries(

@@ -248,21 +248,21 @@ PHASE_MONTHS = [f"{2001 + i // 12}-{i % 12 + 1:02d}" for i in range(36)]
 PHASE_BREAK = 18  # 1-based month of the last point before the planted break
 
 
-def planted_sizes(family: str) -> list:
+def planted_sizes(family: str, scale: int = 1) -> list:
     """N per month: ipv4 grows exponentially and then linearly, ipv6 linearly
     and then exponentially, each with a kink after month PHASE_BREAK; both
-    end near 2k ASes."""
+    end near 2k ASes, times scale."""
     b, months = PHASE_BREAK, range(1, len(PHASE_MONTHS) + 1)
     if family == "ipv4":
         growth = (150 * math.exp(0.105 * (min(t, b) - 1)) + 60 * max(t - b, 0) for t in months)
     else:
         growth = ((300 + 20 * (min(t, b) - 1)) * math.exp(0.065 * max(t - b, 0)) for t in months)
-    return [round(n) for n in growth]
+    return [round(n) * scale for n in growth]
 
 
-def build_phase_corpus(root: Path, family: str, seed: int) -> list:
+def build_phase_corpus(root: Path, family: str, seed: int, scale: int = 1) -> list:
     """Path files for two monitors per month, whose union has exactly the
-    planted N ASes; returns the planted sizes.
+    planted N ASes, each multiplied by scale; returns the planted sizes.
 
     AS k (numbered from 1000) joins under a provider drawn preferentially
     from the ASes before it, and every fourth AS after the first ten also
@@ -273,7 +273,7 @@ def build_phase_corpus(root: Path, family: str, seed: int) -> list:
     link.
     """
     rng = random.Random(seed)
-    sizes = planted_sizes(family)
+    sizes = planted_sizes(family, scale)
     ends = [0]  # one entry per link end, so a draw from it is preferential
     chains = [[1000]]
     extra = {}

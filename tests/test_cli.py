@@ -115,6 +115,30 @@ def test_metrics_refuses_an_out_holding_another_runs_outputs(tmp_path, capsys):
     assert dir_bytes(out) == before
 
 
+@pytest.mark.parametrize(
+    "stray, plots",
+    [("ccdf_2001-03.csv", True), ("metric_N.svg", False), ("metric_kappa.svg", True)],
+)
+def test_metrics_refuses_what_no_month_could_write_before_computing_one(
+    tmp_path, monkeypatch, capsys, stray, plots
+):
+    """A CCDF of a month the store lacks, a chart without --plots, or a chart
+    of no metric column: refused before metric_row runs on any month."""
+    build_growing_corpus(tmp_path / "corpus", months=("2001-01", "2001-02"))
+    assert run("ingest", "--input", tmp_path / "corpus", "--out", tmp_path / "store") == 0
+    out = tmp_path / "metrics"
+    out.mkdir()
+    (out / stray).write_text("x\n")
+    calls = []
+    metric_row = astopo.metrics.metric_row
+    monkeypatch.setattr(astopo.metrics, "metric_row", lambda *a: calls.append(a) or metric_row(*a))
+    flags = ["--plots"] if plots else []
+    assert run("metrics", "--input", tmp_path / "store", "--out", out, *flags) == 1
+    assert f"error: {out / stray} is not an output of this run" in capsys.readouterr().err
+    assert calls == []
+    assert dir_bytes(out) == {stray: b"x\n"}
+
+
 def test_tunnel_refuses_an_out_holding_another_runs_outputs(tmp_path, capsys):
     """The same for tunnel: a month of an earlier run that this run lacks."""
     months = ("2003-01", "2003-02", "2003-03")
