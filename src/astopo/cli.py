@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("fit", parents=[fitting], help="fit growth phases to one metric column")
-    p.add_argument("--metric", required=True, choices=metrics.METRIC_COLUMNS)
+    p.add_argument("--metric", required=True, help="a column of the CSV")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("generate", help="grow a model topology")
@@ -261,14 +261,14 @@ def cmd_metrics(args) -> None:
 def _fit_metrics_csv(args, metric: str | None = None):
     """Column fits of the metrics CSV of fit and report, and its excluded dates.
 
-    fit names one metric and raises its error; report fits every metric
-    column present and notes each error in its row.
+    fit names one column and raises its error; report fits every column
+    after the date, in the CSV's order, and notes each error in its row.
     """
     phasefit.check_fit_params(args.min_segment, args.parsimony)
     dates, columns = metrics.read_metrics_csv(Path(args.input))
     if metric is not None and metric not in columns:
         raise CorpusError(f"{args.input} has no column {metric!r}")
-    names = [metric] if metric is not None else [c for c in metrics.METRIC_COLUMNS if c in columns]
+    names = [metric] if metric is not None else list(columns)
     exclude = _load_exclude_dates(args.exclude_dates)
     fits = phasefit.fit_columns(
         dates, {c: columns[c] for c in names}, exclude, args.min_segment, args.parsimony,
@@ -287,6 +287,8 @@ def _write_fit_manifest(out: Path, args, **config) -> None:
 
 
 def cmd_fit(args) -> None:
+    if "/" in args.metric:
+        raise ParameterError(f"--metric {args.metric!r} cannot name the file fit_<metric>.json")
     [column], excluded = _fit_metrics_csv(args, args.metric)
     record = {**column.to_dict(), "points_used": len(column.points), "excluded_dates": excluded}
     out = _outdir(args)

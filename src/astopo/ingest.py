@@ -18,14 +18,17 @@ distinct such line of a file is parsed by parse_path_line once and counted
 as often as it occurs. A file gives its distinct hop pairs and the ASes of
 its one-hop paths (PathHops), and each month's files build one CsrGraph.
 
-load_series reads a corpus month by month in date order. From 1 MiB of
-path files (_FORK_MIN_BYTES), with more than one month and more than one
-usable core, it deals the months round-robin to itself and to children made
-by os.fork, one per further core (_deal), unless another Python thread
-runs. Each child parses its months, builds their graphs and pickles each
-month's result down a pipe. This process takes the months in date order
-and checks the headers, so the series and any error are those of one
-process. Every child is reaped before load_series returns or raises.
+load_series reads a corpus month by month in date order. With more than
+one month and more than one usable core, it deals the months round-robin to
+itself and to children made by os.fork, one per further core, unless
+another Python thread runs (_deal). Each child parses its months, builds
+their graphs and pickles each month's result down a pipe. This process
+takes the months in date order and checks the headers, so the series and
+any error are those of one process. Every child is reaped before
+load_series returns or raises. On 2 cores a fork plus pickling a month back
+costs about 2.3 ms, so a corpus of a few small months reads more slowly
+forked: 2 months of 0.33 MiB in 16.7 ms against 12.0 ms in one process
+(BENCH_ingest_fork.json, fork_threshold_sweep).
 
 This module owns the filter table: FILTER_COLUMNS names its columns once,
 and filter_summary_to_csv writes filter_summary.csv, one row per month of
@@ -250,9 +253,9 @@ def _plain_paths(
     return _pair_keys(value[:-1][hop], value[1:][hop]), value[alone]
 
 
-def _header_lines(data: bytes, header: list[str]) -> int:
+def _header_lines(data: bytes, header: list[str]) -> None:
     """Extend header with the str.splitlines lines at the start of data until
-    it holds three, or data ends; returns how many bytes of data it used.
+    it holds three, or data ends.
 
     A line is read up to its ASCII line break, as _scan_words ends it, and
     the break is used with it. The breaks are found one at a time, so only
@@ -265,10 +268,9 @@ def _header_lines(data: bytes, header: list[str]) -> int:
         header.extend(_text_lines(data[start:brk.start()]))
         start = brk.end()
         if len(header) >= 3:
-            return start
+            return
     if start < len(data):
         header.extend(_text_lines(data[start:]))
-    return len(data)
 
 
 def _read_header(path: Path, lines: list[str]) -> PathFileMeta:
@@ -308,7 +310,8 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterRep
 
     The file is read a block at a time. The header is the first three
     str.splitlines lines, read from the bytes as they are (_header_lines).
-    The rest of each block is counted by bytes.splitlines line ('\n',
+    Header lines are comments, so they also pass through the data path and
+    drop out there. Each block is counted by bytes.splitlines line ('\n',
     '\r\n' and lone '\r' end one), and byte masks (graph._scan_words) split
     only its distinct lines into lines and words, at the other ASCII breaks
     too ('\x0b', '\x0c', '\x1c'-'\x1e'); each line found there carries the
@@ -335,14 +338,9 @@ def parse_path_file(path: Path | str) -> tuple[PathFileMeta, PathHops, FilterRep
     bare = np.zeros(0, dtype=np.int64)
     for data in _read_blocks(path):
         if meta is None:
-            start = _header_lines(data, header)
-            if len(header) < 3:
-                continue  # the block is all header; the header goes on in the next
-            meta = _read_header(path, header)
-            opened.update(_data_lines(header[3:]))
-            data = data[start:]
-            if not data:
-                continue
+            _header_lines(data, header)
+            if len(header) >= 3:
+                meta = _read_header(path, header)
         repeats = Counter(data.splitlines())
         data = b"\n".join(repeats)
         block = np.frombuffer(data, np.uint8)
@@ -439,18 +437,6 @@ def corpus_files(root: Path | str, config: MonitorSet = ALL_MONITORS) -> dict[st
     return months
 
 
-# load_series forks only when the path files of a corpus add up to this many
-# bytes. A fork plus pickling a month back costs about 2.3 ms. Timing
-# `astopo ingest` forced to fork against kept in one process, in fresh
-# processes, 10-12 interleaved pairs per corpus (2-core VM, Python 3.11):
-# on 7 corpora of 0.33-0.97 MiB the fork was faster in at most 7 pairs of 10
-# or 12, its median at most 0.9 ms lower and up to 4.7 ms higher; on 9
-# corpora of 1.09-2.84 MiB its median was lower in all 9, by 0.5-42 ms, and
-# lower in 9 or more pairs in 7 (BENCH_ingest_fork.json,
-# fork_threshold_sweep).
-_FORK_MIN_BYTES = 1 << 20
-
-
 class _Month(NamedTuple):
     """One month's files, read in order until the first that fails: the
     headers of those read, their merged FilterReport, and the month's graph,
@@ -482,27 +468,6 @@ def _read_month(month: str, files: list[Path]) -> _Month:
         pairs.append(hops.pairs)
         bare.append(hops.bare)
     return _Month(metas, report, CsrGraph(np.concatenate(pairs), np.concatenate(bare)), None)
-
-
-def _workers(months: dict[str, list[Path]]) -> int:
-    """How many processes load_series deals its months to: one per usable
-    core and at most one per month, or only this one where os.fork or
-    os.sched_getaffinity is missing, where another Python thread runs, or
-    where the files are under _FORK_MIN_BYTES. Another thread could hold a
-    lock the child needs, and Python 3.12 and later warn of it from os.fork
-    in the parent after the child exists, so under -W error the child's pid
-    would be lost. numpy's OpenBLAS pool is no such thread: OpenBLAS stops
-    it before a fork (pthread_atfork) and starts it again when next used."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    workers = min(len(os.sched_getaffinity(0)), len(months))
-    if workers < 2 or threading.active_count() > 1:
-        return 1
-    try:
-        size = sum(f.stat().st_size for files in months.values() for f in files)
-    except OSError:  # in-process, the file's own read raises in its month's turn
-        return 1
-    return workers if size >= _FORK_MIN_BYTES else 1
 
 
 class _Child:
@@ -567,7 +532,7 @@ class _Child:
             self.pid = None
 
 
-def _deal(keys: list[str], work: Callable, workers: int) -> Iterator:
+def _deal(keys: list[str], work: Callable) -> Iterator:
     """work(key) for each of keys, in order, with the keys dealt round-robin:
     key i goes to process i % workers, where 0 is this process and the others
     are forked first. A key's result comes out when its turn comes, as if one
@@ -576,7 +541,18 @@ def _deal(keys: list[str], work: Callable, workers: int) -> Iterator:
     work that fails should return its error, as _read_month does. Every
     child is reaped before the generator ends; one that is still working
     when the generator is closed early or raises is killed first.
+
+    There is one worker per usable core, at most one per key and at least
+    one; only this process works where os.fork or os.sched_getaffinity is
+    missing or another Python thread runs. Such a thread could hold a lock
+    the child needs, and Python 3.12 and later warn of it from os.fork in the
+    parent after the child exists, so under -W error the child's pid would be
+    lost. numpy's OpenBLAS pool is no such thread: OpenBLAS stops it before a
+    fork (pthread_atfork) and starts it again when next used.
     """
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        workers = max(1, min(len(os.sched_getaffinity(0)), len(keys)))
     children: list[_Child] = []
     finished = False
     try:
@@ -599,19 +575,18 @@ def load_series(root: Path | str, config: MonitorSet = ALL_MONITORS) -> Snapshot
     across monitors) ride on the series as .filter_reports, and the files
     read, in read order, as .files.
 
-    With 1 MiB of path files or more (_FORK_MIN_BYTES), more than one month
-    and more than one usable core, and no other Python thread (_workers),
-    the months are dealt round-robin to this process and to forked
-    children, one per core (_deal); this process still takes every month's
-    result, and checks every header, in date order, so the series and any
-    error are the same as from one process.
+    With more than one month and more than one usable core, and no other
+    Python thread, the months are dealt round-robin to this process and to
+    forked children, one per core (_deal); this process still takes every
+    month's result, and checks every header, in date order, so the series
+    and any error are the same as from one process.
     """
     months = corpus_files(root, config)
     graphs: dict[str, CsrGraph] = {}
     reports: dict[str, FilterReport] = {}
     read: list[Path] = []
     family: str | None = None
-    dealt = _deal(list(months), lambda month: _read_month(month, months[month]), _workers(months))
+    dealt = _deal(list(months), lambda month: _read_month(month, months[month]))
     try:
         for got, (month, files) in zip(dealt, months.items()):
             for f, meta in zip(files, got.metas):

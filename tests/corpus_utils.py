@@ -1,11 +1,13 @@
 """Builders for the tiny path-file corpora and random graphs the tests run against."""
 
+import itertools
 import math
 import random
 import re
 from pathlib import Path
 
 from astopo.graph import AsGraph
+from astopo.ingest import is_private_asn
 
 PATH_GRAPH_LINE = "1 2 3 4 5 6"
 
@@ -260,26 +262,34 @@ def planted_sizes(family: str, scale: int = 1) -> list:
     return [round(n) * scale for n in growth]
 
 
+def phase_asns(n: int) -> list:
+    """The first n AS numbers from 1000 that ingest keeps, ascending: those
+    that is_private_asn does not flag, so AS 23456 and the 16-bit private
+    block are skipped."""
+    return list(itertools.islice((a for a in itertools.count(1000) if not is_private_asn(a)), n))
+
+
 def build_phase_corpus(root: Path, family: str, seed: int, scale: int = 1) -> list:
     """Path files for two monitors per month, whose union has exactly the
     planted N ASes, each multiplied by scale; returns the planted sizes.
 
-    AS k (numbered from 1000) joins under a provider drawn preferentially
-    from the ASes before it, and every fourth AS after the first ten also
-    buys from a second one, so the graph has leaves and multihomed stubs.
-    Each AS is announced along its provider chain from AS 1000, by one
-    monitor or both; a few lines per file are filtered out (an AS set, a
-    private ASN). The graphs are nested: a month keeps every earlier AS and
-    link.
+    AS k, numbered by phase_asns (1000 + k below k = 22456), joins under a
+    provider drawn preferentially from the ASes before it, and every fourth
+    AS after the first ten also buys from a second one, so the graph has
+    leaves and multihomed stubs. Each AS is announced along its provider
+    chain from AS 1000, by one monitor or both; a few lines per file are
+    filtered out (an AS set, a private ASN). The graphs are nested: a month
+    keeps every earlier AS and link.
     """
     rng = random.Random(seed)
     sizes = planted_sizes(family, scale)
+    asn = phase_asns(sizes[-1])
     ends = [0]  # one entry per link end, so a draw from it is preferential
-    chains = [[1000]]
+    chains = [[asn[0]]]
     extra = {}
     for k in range(1, sizes[-1]):
         provider = rng.choice(ends)
-        chains.append(chains[provider] + [1000 + k])
+        chains.append(chains[provider] + [asn[k]])
         ends += [provider, k]
         if k > 10 and k % 4 == 0:
             second = rng.choice(ends)
@@ -291,7 +301,7 @@ def build_phase_corpus(root: Path, family: str, seed: int, scale: int = 1) -> li
         for k in range(1, n):
             lines = [" ".join(map(str, chains[k]))]
             if k in extra:
-                lines.append(f"{1000 + extra[k]} {1000 + k}")
+                lines.append(f"{asn[extra[k]]} {asn[k]}")
             for monitor in rng.choice((["m1"], ["m2"], ["m1", "m2"])):
                 files[monitor] += lines
         for monitor, lines in files.items():

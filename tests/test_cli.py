@@ -454,6 +454,35 @@ def test_tunnel_pipeline(tmp_path):
     assert (out / "tunnel_aspl.svg").exists()
 
 
+def test_report_and_fit_read_the_columns_of_any_csv(tmp_path, capsys):
+    """report fits every column of a tunnel_summary.csv, in its order, and
+    fit takes any of them; a column the CSV lacks is an error naming it."""
+    build_tunnel_corpora(tmp_path / "c6", tmp_path / "c4")
+    for family in ("6", "4"):
+        assert run("ingest", "--input", tmp_path / f"c{family}", "--out", tmp_path / f"s{family}") == 0
+    assert run("tunnel", "--input6", tmp_path / "s6", "--input4", tmp_path / "s4", "--out", tmp_path / "t") == 0
+    summary = tmp_path / "t" / "tunnel_summary.csv"
+    assert run("report", "--input", summary, "--out", tmp_path / "r", "--min-segment", "3") == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "r" / "phase_summary.csv").read_text())))
+    assert [row[0] for row in rows[1:]] == ["aspl", "p1", "missing", "disconnected"]
+    assert rows[1][1] and not rows[1][-1]
+    assert all(row[-1].startswith(f"column {row[0]} has nonpositive value 0.0 at 2003-01") for row in rows[2:])
+    fit = ("fit", "--input", summary, "--min-segment", "3")
+    assert run(*fit, "--out", tmp_path / "f", "--metric", "aspl") == 0
+    assert (tmp_path / "f" / "fit_aspl.json").exists()
+    assert run(*fit, "--out", tmp_path / "g", "--metric", "N") == 1
+    assert f"{summary} has no column 'N'" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_fit_refuses_a_column_that_cannot_name_its_file(tmp_path, capsys):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("date,a/b\n" + "".join(f"{d},{i + 1}\n" for i, d in enumerate(month_labels(24))))
+    assert run("fit", "--input", csv_path, "--out", tmp_path / "f", "--metric", "a/b") == 1
+    assert "--metric 'a/b'" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
 def test_tunnel_identical_stores(tmp_path):
     """The same graphs, one store per family."""
     argv = _tunnel_argv(tmp_path, *[dict.fromkeys(("2003-01", "2003-02"), "1 2 3")] * 2)

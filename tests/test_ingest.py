@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -33,6 +34,7 @@ from corpus_utils import (
     edge_list,
     REPEAT_POOL,
     open_path_lines,
+    phase_asns,
     soup_line,
     write_monitor_set,
     write_path_file,
@@ -616,7 +618,9 @@ def test_load_series_matches_reference_assembly(tmp_path, seed):
 
 @pytest.fixture
 def parse_calls(monkeypatch):
-    """Counter of parse_path_line calls per line, made while the test runs."""
+    """Counter of parse_path_line calls per line, made while the test runs.
+    One usable core keeps load_series from forking: a child's calls would
+    not be counted here."""
     calls = Counter()
     parse = astopo.ingest.parse_path_line
 
@@ -625,6 +629,7 @@ def parse_calls(monkeypatch):
         return parse(line)
 
     monkeypatch.setattr(astopo.ingest, "parse_path_line", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     return calls
 
 
@@ -650,3 +655,12 @@ def test_rejected_line_repeated_next_month_counts_in_both_months(tmp_path, parse
     rows = (tmp_path / "out" / "filter_summary.csv").read_text().splitlines()
     assert rows[1:] == ["2001-01,2,1,1,0,0,0", "2001-02,3,1,2,0,0,0"]
     assert parse_calls == {"1 {2} 3": 2, "00000000001 2": 2}
+
+
+def test_phase_corpus_numbers_only_ases_that_ingest_keeps():
+    """The phase corpora reach AS 23456 from scale 11; their AS numbers
+    skip it and every other number is_private_asn flags."""
+    asns = phase_asns(80_000)
+    assert all(a < b for a, b in zip(asns, asns[1:]))
+    assert not any(map(is_private_asn, asns))
+    assert asns[:22456] == list(range(1000, 23456))

@@ -1,12 +1,12 @@
 """load_series with its months dealt to forked processes against one process.
 
-The fork path is taken for 1 MiB of path files or more, more than one month
-and more than one usable core, while no other Python thread runs. Small
-corpora are loaded with the threshold patched to 0 and the usable cores
-patched to a fixed count, so both paths run on any machine; the scale-2 IPv4
-phase corpus crosses the real threshold. Either way the series, the ingest
---out bytes and every error must be the same, and no child may be left
-behind.
+The fork path is taken for more than one month and more than one usable
+core, while no other Python thread runs, whatever the corpus's size. The
+usable cores are patched to a fixed count, so both paths run on any machine.
+Either way the series, the ingest --out bytes and every error must be the
+same, and no child may be left behind. Forking costs a small corpus time: on
+2 cores, 2 months of 0.33 MiB read in 16.7 ms forked against 12.0 ms in one
+process (BENCH_ingest_fork.json, fork_threshold_sweep).
 """
 
 import os
@@ -96,7 +96,6 @@ def build(kind, root):
 @pytest.mark.parametrize("cores", [2, 3, 8])
 def test_forked_months_equal_one_process(tmp_path, monkeypatch, forks, kind, cores):
     build(kind, tmp_path / "corpus")
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     one = load(tmp_path / "corpus", monkeypatch, 1)
     assert not forks
     forked = load(tmp_path / "corpus", monkeypatch, cores)
@@ -108,8 +107,6 @@ def test_forked_months_equal_one_process(tmp_path, monkeypatch, forks, kind, cor
 
 
 def test_scale_two_phase_corpus_forks_and_ingests_the_same_bytes(tmp_path, monkeypatch, forks, phase_corpus):
-    """The scale-2 IPv4 phase corpus is over the real threshold."""
-    assert sum(p.stat().st_size for p in phase_corpus.rglob("*.paths")) >= ingest._FORK_MIN_BYTES
     outs = {}
     for cores in (1, 2):
         with_cores(monkeypatch, cores)
@@ -124,7 +121,6 @@ def test_scale_two_phase_corpus_forks_and_ingests_the_same_bytes(tmp_path, monke
 
 def test_ingest_out_bytes_are_the_same_forked(tmp_path, monkeypatch, forks):
     build_repetitive_corpus(tmp_path / "corpus", random.Random(5), months=4)
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     outs = {}
     for cores in (1, 3):
         with_cores(monkeypatch, cores)
@@ -204,7 +200,6 @@ def test_forked_errors_equal_one_process(tmp_path, monkeypatch, forks, defect, a
     process, whichever process read the month at fault; no child is left."""
     clean_months(tmp_path)
     defect(tmp_path)
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     errors = []
     for cores in (1, 2):
         with pytest.raises(Exception) as info:
@@ -217,20 +212,32 @@ def test_forked_errors_equal_one_process(tmp_path, monkeypatch, forks, defect, a
 
 
 def test_a_file_that_cannot_be_sized_fails_in_its_months_turn(tmp_path, monkeypatch, forks):
-    """A dangling symlink cannot be sized for the threshold: the months are
-    then read in this process, so an earlier month's error still comes first."""
+    """A dangling symlink in the child's 2001-04 cannot be read, but the
+    child's 2001-02, whose header is bad, comes first, and its error wins."""
     clean_months(tmp_path)
     write_bad_header(tmp_path, "2001-02")
     (tmp_path / "2001-04" / "x.paths").symlink_to(tmp_path / "missing")
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     with pytest.raises(CorpusError, match=re.escape(f"{tmp_path / '2001-02' / 'm.paths'}: line 2")):
         load(tmp_path, monkeypatch, 2)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_corpus_of_a_few_kb_forks_on_two_cores(tmp_path, monkeypatch, forks):
+    """Cores and months alone decide the fork, not the corpus's bytes."""
+    for date in MONTHS:
+        write_path_file(tmp_path, date, "m", "ipv4", [f"{k} {k + 1} {k + 2}" for k in range(1, 200, 2)])
+    assert sum(p.stat().st_size for p in tmp_path.rglob("*.paths")) < 8 << 10
+    one = load(tmp_path, monkeypatch, 1)
     assert not forks
+    forked = load(tmp_path, monkeypatch, 2)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert_same_series(forked, one)
 
 
 def test_a_child_that_dies_is_an_error_naming_its_months(tmp_path, monkeypatch, forks):
     clean_months(tmp_path)
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     parent = os.getpid()
     read_month = ingest._read_month
 
@@ -250,7 +257,6 @@ def test_an_interrupt_in_this_process_reaps_every_child(tmp_path, monkeypatch, f
     """A KeyboardInterrupt in this process's own month, while its children
     still work or wait to send: each is killed and reaped."""
     clean_months(tmp_path, [f"2001-{m:02d}" for m in range(1, 13)])
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     parent = os.getpid()
     read_month = ingest._read_month
 
@@ -300,7 +306,6 @@ def test_an_error_that_cannot_cross_the_pipe_names_the_childs_months(
     traceback goes to stderr; one that cannot be rebuilt here fails to
     unpickle. Either is an AsTopoError naming the child's months."""
     clean_months(tmp_path)
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     parse = ingest.parse_path_file
 
     def fails_in_february(path):
@@ -321,7 +326,6 @@ def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch, forks):
     """With another Python thread running and every warning an error,
     load_series reads in this process and gives the one-process series."""
     build_repetitive_corpus(tmp_path / "corpus", random.Random(3), months=4)
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     one = load(tmp_path / "corpus", monkeypatch, 1)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
@@ -344,7 +348,6 @@ def test_numpys_blas_pool_is_stopped_before_a_fork(tmp_path, monkeypatch):
     The threads of numpy's OpenBLAS pool, busy just before, are gone by
     then, so load_series forks without that warning."""
     build_repetitive_corpus(tmp_path / "corpus", random.Random(4), months=4)
-    monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     one = load(tmp_path / "corpus", monkeypatch, 1)
     fork = os.fork
     threads_after = []
@@ -368,12 +371,10 @@ def refuse_fork():
     raise AssertionError("load_series forked")
 
 
-@pytest.mark.parametrize("case", ["one core", "one month", "under the threshold", "no fork", "no affinity"])
+@pytest.mark.parametrize("case", ["one core", "one month", "no fork", "no affinity"])
 def test_no_fork_where_one_process_is_cheaper_or_the_only_one(tmp_path, monkeypatch, case):
     months = MONTHS[:1] if case == "one month" else MONTHS
     clean_months(tmp_path, months)
-    if case != "under the threshold":
-        monkeypatch.setattr(ingest, "_FORK_MIN_BYTES", 0)
     with_cores(monkeypatch, 1 if case == "one core" else 4)
     if case == "no fork":
         monkeypatch.delattr(os, "fork")
